@@ -30,6 +30,16 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         raise QuiverFormatError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_quiver(spec: str) -> tuple[Quiver, dict]:
     if spec in BUILTIN_QUIVERS:
         return BUILTIN_QUIVERS[spec], {}
@@ -108,7 +118,7 @@ def cmd_verify(args) -> int:
     qs = _parse_int_list(args.q, "--q") if args.q else (2, 3)
     cases: list[verify.CaseResult] = []
     if args.suite in ("centralizer", "all"):
-        cases += verify.centralizer_suite(qs=tuple(q for q in qs if q in (2, 3)) or (2, 3))
+        cases += verify.centralizer_suite(qs=qs)
     if args.suite in ("kappa", "all"):
         cases += verify.kappa_suite()
     if args.suite in ("harmonic", "all"):
@@ -177,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
             f"({', '.join(sorted(BUILTIN_QUIVERS))})",
         )
         p.add_argument("--format", choices=("human", "records"), default="human")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for series assembly")
+        p.add_argument(
+            "--threads", type=_thread_count, default=1, help="worker threads for series assembly"
+        )
 
     p_motive = sub.add_parser("motive", help="class of one quiver variety")
     add_common(p_motive, quiver_required=True)

@@ -12,6 +12,26 @@ Jordan types.  The denominator is the same sum with zero framing.  The
 T^v coefficient of the quotient, shifted by L to the power -(group dim minus
 representation dim), is an integer polynomial in L; anything else signals a
 bug and raises.
+
+The series are computed without a single polynomial gcd.  The coefficient
+at exponent e is kept as a numerator over a denominator fixed by e alone,
+
+    P_e = product over vertices i of (L - 1)(L^2 - 1)...(L^e_i - 1),
+
+and the numerator is a Laurent polynomial: L^offset times an integer
+polynomial.  The centralizer class of a Jordan type lam of size k is L^a
+times P_k / c(lam), where c(lam) = P_k / prod_r P_{m_r} (m_r the part
+multiplicities) is an exact polynomial cofactor, so a coefficient's
+numerator is a plain sum of L^power * prod_i c(lam_i).  Because
+P_e / (P_f P_{e-f}) is the product of the Gaussian binomials
+[e_i choose f_i]_L, the numerators of a product are the convolution
+
+    N(AB)_e = sum over f <= e of [e choose f]_L * N(A)_f * N(B)_{e-f},
+
+and the inverse follows the same recursion from the constant term, which is
+exactly 1.  The only division is N_v / P_v at extraction, exact whenever the
+class is a polynomial; an inexact one falls back to the reduced fraction,
+which then fails the polynomiality check.
 """
 
 from __future__ import annotations
@@ -19,10 +39,11 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 from typing import Iterable, Sequence
 
-from .lrat import LRat, ONE, Poly, _padd, _pmul, _pshift, _reduced
+from .lrat import LRat, ONE, ZERO, Poly, _padd, _pdiv_exact, _pmul, _pneg, _pshift
 from .partitions import Partition, pairing, tuples_with_sizes
 from .quiver import Quiver, check_dim_vector, d_shift
 from .series import MSeries, exponents_upto
@@ -44,7 +65,7 @@ class MotiveResult:
     class_polynomial: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _centralizer_factored(lam: Partition) -> tuple[int, tuple[int, ...]]:
     """Centralizer class of a nilpotent of Jordan type lam, factored.
 
@@ -57,17 +78,15 @@ def _centralizer_factored(lam: Partition) -> tuple[int, tuple[int, ...]]:
     return inner - sum(js), tuple(js)
 
 
-@lru_cache(maxsize=None)
-def _cyclo_factor(j: int) -> Poly:
-    # L^j - 1
-    return _padd(_pshift((1,), j), (-1,))
-
-
 def _factors_poly(js: Iterable[int]) -> Poly:
-    out: Poly = (1,)
+    """The product of (L^j - 1) over js, each factor as a shift and a subtraction."""
+    out = [1]
     for j in js:
-        out = _pmul(out, _cyclo_factor(j))
-    return out
+        times = [0] * j + out
+        for i, c in enumerate(out):
+            times[i] -= c
+        out = times
+    return tuple(out)
 
 
 def centralizer_class(lam_tuple: Sequence[Partition]) -> LRat:
@@ -93,7 +112,8 @@ def kappa(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]) -> i
             f"quiver has {quiver.vertex_count} vertices"
         )
     total = sum(pairing(lam_tuple[s], lam_tuple[t]) for s, t in quiver.arrows)
-    total += sum(pairing(Partition.ones(wi), lam) for wi, lam in zip(w, lam_tuple))
+    # <(1,...,1), lam> with wi ones is wi times the number of parts of lam
+    total += sum(wi * len(lam) for wi, lam in zip(w, lam_tuple))
     return total
 
 
@@ -144,26 +164,193 @@ def hua_term_direct(
     return num / den
 
 
-def _sum_factored(terms: list[tuple[int, tuple[int, ...]]]) -> LRat:
-    """Sum of L^power / prod(L^j - 1) terms, normalized once at the end."""
-    common: dict[int, int] = {}
-    for _, js in terms:
-        counts: dict[int, int] = {}
-        for j in js:
-            counts[j] = counts.get(j, 0) + 1
-        for j, m in counts.items():
-            if m > common.get(j, 0):
-                common[j] = m
-    shift = max(0, -min(p for p, _ in terms))
-    num: Poly = ()
-    for power, js in terms:
-        counts = dict(common)
-        for j in js:
-            counts[j] -= 1
-        missing = [j for j, m in counts.items() for _ in range(m)]
-        num = _padd(num, _pshift(_factors_poly(missing), power + shift))
-    den = _pshift(_factors_poly(j for j, m in sorted(common.items()) for _ in range(m)), shift)
-    return LRat._raw(*_reduced(num, den))
+# A Laurent polynomial L^offset * poly with poly[0] != 0; zero is (0, ()).
+Laurent = tuple[int, Poly]
+# A truncated series as numerators over P_e, keyed by exponent; zeros left out.
+Graded = dict[tuple[int, ...], Laurent]
+
+_LAURENT_ONE: Laurent = (0, (1,))
+
+
+@lru_cache(maxsize=1024)
+def _cyclo_range(low: int, high: int) -> Poly:
+    """P_high / P_low = (L^(low+1) - 1)...(L^high - 1), for low <= high."""
+    return _factors_poly(range(low + 1, high + 1))
+
+
+def _denominator(exp: Sequence[int]) -> Poly:
+    """P_e: the product of P_{e_i} over the vertices."""
+    out: Poly = (1,)
+    for k in exp:
+        out = _pmul(out, _cyclo_range(0, k))
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _gauss_binomial(n: int, k: int) -> Poly:
+    """[n choose k]_L = P_n / (P_k P_{n-k}), by the L-Pascal rule."""
+    if k == 0 or k == n:
+        return (1,)
+    return _padd(_gauss_binomial(n - 1, k - 1), _pshift(_gauss_binomial(n - 1, k), k))
+
+
+@lru_cache(maxsize=4096)
+def _cofactor(lam: Partition) -> tuple[int, Poly]:
+    """(a, c) with centralizer class L^a * P_|lam| / c.
+
+    c = P_|lam| / prod_r P_{m_r} over the part multiplicities m_r.  With M
+    the largest of them, P_|lam| / P_M is a cached product, divided exactly
+    by the (L^j - 1) factors of the remaining P_{m_r}.
+    """
+    a, _ = _centralizer_factored(lam)
+    mults = sorted(lam.multiplicities().values())
+    c = _cyclo_range(mults.pop() if mults else 0, lam.size)
+    for m in mults:
+        for j in range(1, m + 1):
+            c = _divide_cyclo(c, j)
+    return a, c
+
+
+def _divide_cyclo(a: Poly, j: int) -> Poly:
+    """a / (L^j - 1), raising ArithmeticError unless the division is exact."""
+    n = len(a) - j
+    q = [-c for c in a[:n]]
+    for i in range(j, n):
+        q[i] += q[i - j]
+    # q matches a below L^n by construction; the top j coefficients of
+    # (L^j - 1) * q are those of L^j * q alone
+    if n < 1 or list(a[n:]) != ([0] * j + q)[n:]:
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(q)
+
+
+def _laurent_sum(terms: Iterable[Laurent]) -> Laurent:
+    """The sum of Laurent polynomials, normalized so that poly[0] != 0."""
+    terms = list(terms)
+    if not terms:
+        return (0, ())
+    base = min(offset for offset, _ in terms)
+    acc = [0] * max(offset - base + len(poly) for offset, poly in terms)
+    for offset, poly in terms:
+        start = offset - base
+        for i, c in enumerate(poly):
+            acc[start + i] += c
+    for low, c in enumerate(acc):
+        if c:
+            while not acc[-1]:
+                acc.pop()
+            return base + low, tuple(acc[low:])
+    return (0, ())
+
+
+def _from_laurent(offset: int, poly: Poly) -> LRat:
+    """L^offset * poly as a reduced LRat; only powers of L can cancel."""
+    if not poly:
+        return ZERO
+    if offset >= 0:
+        return LRat._raw(_pshift(poly, offset), (1,))
+    low = next(i for i, c in enumerate(poly) if c)
+    if low >= -offset:
+        return LRat._raw(poly[-offset:], (1,))
+    return LRat._raw(poly[low:], _pshift((1,), -offset - low))
+
+
+def _coefficient(num: Laurent, exp: tuple[int, ...]) -> LRat:
+    """The value of num over P_exp, by one exact division.
+
+    An inexact division means the value is not a Laurent polynomial; the
+    reduced fraction is then built by gcd, for the caller to reject.
+    """
+    offset, poly = num
+    den = _denominator(exp)
+    try:
+        return _from_laurent(offset, _pdiv_exact(poly, den))
+    except ArithmeticError:
+        return _general_fraction(num, den)
+
+
+def _general_fraction(num: Laurent, den: Poly) -> LRat:
+    """L^offset * poly / den reduced by gcd."""
+    offset, poly = num
+    if offset >= 0:
+        return LRat(_pshift(poly, offset), den)
+    return LRat(poly, _pshift(den, -offset))
+
+
+def _nilpotent_numerator(quiver: Quiver, w: tuple[int, ...], exp: tuple[int, ...]) -> Laurent:
+    """Numerator over P_exp of the sum of hua_term over tuples of sizes exp."""
+    terms = []
+    for tup in tuples_with_sizes(exp):
+        power = kappa(quiver, w, tup)
+        factors = []
+        for lam in tup:
+            a, c = _cofactor(lam)
+            power -= a
+            factors.append(c)
+        terms.append((power, reduce(_pmul, factors)))
+    return _laurent_sum(terms)
+
+
+def _convolution(a: Graded, b: Graded, exp: tuple[int, ...]) -> Laurent:
+    """Numerator over P_exp of the sum of A_f * B_{exp-f} over f <= exp."""
+    terms = []
+    for f in product(*(range(k + 1) for k in exp)):
+        x = a.get(f)
+        y = b.get(tuple(k - j for k, j in zip(exp, f)))
+        if x is None or y is None:
+            continue
+        poly = _pmul(x[1], y[1])
+        for n, k in zip(exp, f):
+            if 0 < k < n:
+                poly = _pmul(poly, _gauss_binomial(n, k))
+        terms.append((x[0] + y[0], poly))
+    return _laurent_sum(terms)
+
+
+def _graded_product(a: Graded, b: Graded, nvars: int, bound: int) -> Graded:
+    out: Graded = {}
+    for exp in exponents_upto(nvars, bound):
+        num = _convolution(a, b, exp)
+        if num[1]:
+            out[exp] = num
+    return out
+
+
+def _graded_inverse(a: Graded, nvars: int, bound: int) -> Graded:
+    zero_exp = (0,) * nvars
+    if a.get(zero_exp) != _LAURENT_ONE:
+        raise ValueError("series inversion needs the constant term 1")
+    out: Graded = {zero_exp: _LAURENT_ONE}
+    for exp in exponents_upto(nvars, bound)[1:]:
+        # out has no entry at exp yet, so the convolution leaves out the
+        # f = 0 term A_0 * B_exp and gives -B_exp, as A_0 is 1.
+        offset, poly = _convolution(a, out, exp)
+        if poly:
+            out[exp] = (offset, _pneg(poly))
+    return out
+
+
+@lru_cache(maxsize=16)
+def _nilpotent_numerators(
+    quiver: Quiver, w: tuple[int, ...], bound: int, threads: int
+) -> Graded:
+    exps = exponents_upto(quiver.vertex_count, bound)
+
+    def numerator_for(exp: tuple[int, ...]) -> Laurent:
+        return _nilpotent_numerator(quiver, w, exp)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            values = list(pool.map(numerator_for, exps))
+    else:
+        values = [numerator_for(exp) for exp in exps]
+    return {exp: num for exp, num in zip(exps, values) if num[1]}
+
+
+@lru_cache(maxsize=8)
+def _unframed_inverse(quiver: Quiver, bound: int, threads: int) -> Graded:
+    n = quiver.vertex_count
+    return _graded_inverse(_nilpotent_numerators(quiver, (0,) * n, bound, threads), n, bound)
 
 
 def nilpotent_series(
@@ -177,40 +364,11 @@ def nilpotent_series(
     w = check_dim_vector(quiver, w, "w")
     if bound < 0:
         raise ValueError("truncation bound must be nonnegative")
-    n = quiver.vertex_count
-    exps = exponents_upto(n, bound)
-
-    def coefficient_for(exp: tuple[int, ...]) -> LRat:
-        terms = [_term_factored(quiver, w, tup) for tup in tuples_with_sizes(exp)]
-        return _sum_factored(terms)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(coefficient_for, exps))
-    else:
-        values = [coefficient_for(exp) for exp in exps]
-    coeffs = {exp: c for exp, c in zip(exps, values) if c}
-    return MSeries._raw(n, bound, coeffs)
-
-
-_SERIES_CACHE: dict[tuple, MSeries] = {}
-
-
-def _nilpotent_cached(quiver: Quiver, w: tuple[int, ...], bound: int, threads: int) -> MSeries:
-    key = ("nilpotent", quiver, w, bound)
-    got = _SERIES_CACHE.get(key)
-    if got is None:
-        got = _SERIES_CACHE[key] = nilpotent_series(quiver, w, bound, threads)
-    return got
-
-
-def _denominator_inverse(quiver: Quiver, bound: int, threads: int) -> MSeries:
-    key = ("inverse", quiver, bound)
-    got = _SERIES_CACHE.get(key)
-    if got is None:
-        zero_w = (0,) * quiver.vertex_count
-        got = _SERIES_CACHE[key] = _nilpotent_cached(quiver, zero_w, bound, threads).invert()
-    return got
+    numerators = _nilpotent_numerators(quiver, w, bound, threads)
+    coeffs = {
+        exp: _general_fraction(num, _denominator(exp)) for exp, num in numerators.items()
+    }
+    return MSeries._raw(quiver.vertex_count, bound, coeffs)
 
 
 def motive_series(quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1) -> MSeries:
@@ -220,8 +378,13 @@ def motive_series(quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1
     the constant term is 1 by construction.
     """
     w = check_dim_vector(quiver, w, "w")
-    numerator = _nilpotent_cached(quiver, w, bound, threads)
-    return numerator * _denominator_inverse(quiver, bound, threads)
+    if bound < 0:
+        raise ValueError("truncation bound must be nonnegative")
+    n = quiver.vertex_count
+    framed = _nilpotent_numerators(quiver, w, bound, threads)
+    quotient = _graded_product(framed, _unframed_inverse(quiver, bound, threads), n, bound)
+    coeffs = {exp: _coefficient(num, exp) for exp, num in quotient.items()}
+    return MSeries._raw(n, bound, coeffs)
 
 
 def motive_class(
@@ -236,15 +399,22 @@ def motive_class(
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
-    series = motive_series(quiver, w, sum(v), threads)
-    return _result_from_coefficient(quiver, v, w, series.coefficient(v))
+    bound = sum(v)
+    framed = _nilpotent_numerators(quiver, w, bound, threads)
+    num = _convolution(framed, _unframed_inverse(quiver, bound, threads), v)
+    return _result_from_coefficient(quiver, v, w, _coefficient(num, v))
 
 
 def _result_from_coefficient(
     quiver: Quiver, v: tuple[int, ...], w: tuple[int, ...], raw: LRat
 ) -> MotiveResult:
     d = d_shift(quiver, v, w)
-    shifted = raw * LRat.l_power(-d)
+    m = len(raw.den) - 1
+    if raw.den == _pshift((1,), m):
+        # raw is L^-m * num: shift the offset instead of reducing by gcd
+        shifted = _from_laurent(-d - m, raw.num)
+    else:
+        shifted = raw * LRat.l_power(-d)
     poly = shifted.as_polynomial()
     if poly is None:
         raise PolynomialityError(

@@ -173,6 +173,14 @@ class TestSeriesCommand:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exits_2(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["series", "--quiver", "jordan", "--w", "1", "--max-degree", "2",
+                      "--threads", threads])
+        assert exc.value.code == 2
+        assert f"must be at least 1, got {int(threads)}" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_centralizer_suite_passes(self, capsys):
@@ -180,6 +188,24 @@ class TestVerifyCommand:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("PASS") == 19
+
+    def test_centralizer_runs_the_requested_field(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "centralizer", "--q", "5", "--format", "records")
+        assert rc == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert all(r["case"].endswith(" q=5") for r in records)
+        statuses = [r["status"] for r in records]
+        # sizes 0-2 scan at most 5^4 matrices; size 3 needs 5^9 > budget
+        assert statuses.count("PASS") == 4
+        assert statuses.count("SKIP") == 8
+        by_case = {r["case"]: r for r in records}
+        assert by_case["lam=(1, 1) q=5"]["detail"] == "order=480"
+
+    def test_centralizer_non_prime_field_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "centralizer", "--q", "4")
+        assert rc == 2
+        assert out == ""
+        assert "prime" in err
 
     def test_harmonic_suite_passes(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "harmonic", "--q", "2,3")

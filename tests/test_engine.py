@@ -1,6 +1,9 @@
+import time
+from itertools import product
+
 import pytest
 
-from quivermotive import engine
+from quivermotive import cli, engine
 from quivermotive.engine import (
     PolynomialityError,
     betti_report,
@@ -15,11 +18,39 @@ from quivermotive.engine import (
 )
 from quivermotive.lrat import L, LRat, gl_class
 from quivermotive.partitions import Partition, partitions_of, tuples_with_sizes
-from quivermotive.quiver import A2, JORDAN, SINGLE_VERTEX, TWO_LOOP
+from quivermotive.quiver import A2, DOUBLE_ARROW, JORDAN, SINGLE_VERTEX, STAR3, TWO_LOOP
 from quivermotive.series import exponents_upto
 
 ONE = LRat.from_int(1)
 P = Partition
+
+
+@pytest.fixture
+def fresh_engine_caches():
+    # series numerators are cached per (quiver, w, bound); a test that
+    # corrupts the engine must neither reuse nor leave behind cached values
+    engine._nilpotent_numerators.cache_clear()
+    engine._unframed_inverse.cache_clear()
+    yield
+    engine._nilpotent_numerators.cache_clear()
+    engine._unframed_inverse.cache_clear()
+
+
+def goettsche_classes(n_max):
+    """[Hilb^n(A^2)] for n <= n_max from prod_{k>=1} 1 / (1 - L^(k+1) t^k).
+
+    Plain integer lists, ascending in L; each factor is a division by
+    (1 - L^(k+1) t^k), i.e. c_n += L^(k+1) c_(n-k) in increasing n.
+    """
+    coeffs = [[1]] + [[] for _ in range(n_max)]
+    for k in range(1, n_max + 1):
+        for n in range(k, n_max + 1):
+            shifted = [0] * (k + 1) + coeffs[n - k]
+            total = coeffs[n] + [0] * (len(shifted) - len(coeffs[n]))
+            for i, c in enumerate(shifted):
+                total[i] += c
+            coeffs[n] = total
+    return coeffs
 
 
 class TestCentralizerClass:
@@ -155,6 +186,19 @@ class TestMotiveSeries:
                 quiver, w, bound
             )
 
+    def test_matches_public_lrat_path(self):
+        # the graded convolution against MSeries product and inversion in
+        # reduced LRat arithmetic, over criterion 6's corpus
+        bound = 4
+        for quiver in (JORDAN, A2, DOUBLE_ARROW, STAR3, TWO_LOOP):
+            n = quiver.vertex_count
+            inverse = nilpotent_series(quiver, (0,) * n, bound).invert()
+            for w in product((0, 1, 2), repeat=n):
+                expected = nilpotent_series(quiver, w, bound) * inverse
+                got = motive_series(quiver, w, bound)
+                for exp in exponents_upto(n, bound):
+                    assert got.coefficient(exp) == expected.coefficient(exp), (quiver, w, exp)
+
 
 class TestMotiveClass:
     def test_jordan_one_point(self):
@@ -231,6 +275,26 @@ class TestMotiveTable:
     def test_two_vertex_grading(self):
         rows = motive_table(A2, (1, 1), 2)
         assert [row.v for row in rows] == list(exponents_upto(2, 2))
+
+    def test_jordan_family_matches_goettsche_product(self):
+        start = time.perf_counter()
+        rows = motive_table(JORDAN, (1,), 20)
+        elapsed = time.perf_counter() - start
+        assert [list(row.class_polynomial) for row in rows] == goettsche_classes(20)
+        assert elapsed < 10
+
+
+def test_corrupted_kappa_exits_3(capsys, monkeypatch, fresh_engine_caches):
+    original = engine.kappa
+
+    def corrupted(quiver, w, lam_tuple):
+        bump = 1 if tuple(lam_tuple) == (P((2,)),) and any(w) else 0
+        return original(quiver, w, lam_tuple) + bump
+
+    monkeypatch.setattr(engine, "kappa", corrupted)
+    rc = cli.main(["series", "--quiver", "jordan", "--w", "1", "--max-degree", "3"])
+    assert rc == 3
+    assert "polynomiality violated for v=(3,)" in capsys.readouterr().err
 
 
 class TestBettiReport:
