@@ -224,9 +224,8 @@ def _divide_cyclo(a: Poly, j: int) -> Poly:
     return tuple(q)
 
 
-def _laurent_sum(terms: Iterable[Laurent]) -> Laurent:
+def _laurent_sum(terms: list[Laurent]) -> Laurent:
     """The sum of Laurent polynomials, normalized so that poly[0] != 0."""
-    terms = list(terms)
     if not terms:
         return (0, ())
     base = min(offset for offset, _ in terms)
