@@ -116,9 +116,13 @@ _SUITES = ("ffcount", "centralizer", "kappa", "harmonic", "all")
 
 def cmd_verify(args) -> int:
     qs = _parse_int_list(args.q, "--q") if args.q else (2, 3)
+    if args.suite in ("ffcount", "all"):
+        verify.check_level(args.alpha, qs)  # before any suite enumerates
+    # without --budget every suite keeps its own default
+    budget = {} if args.budget is None else {"budget": args.budget}
     cases: list[verify.CaseResult] = []
     if args.suite in ("centralizer", "all"):
-        cases += verify.centralizer_suite(qs=qs)
+        cases += verify.centralizer_suite(qs=qs, **budget)
     if args.suite in ("kappa", "all"):
         cases += verify.kappa_suite()
     if args.suite in ("harmonic", "all"):
@@ -132,8 +136,8 @@ def cmd_verify(args) -> int:
             w=w,
             qs=qs,
             alpha=args.alpha,
-            budget=args.budget,
             threads=args.threads,
+            **budget,
         )
     return _report_cases(cases, args.format)
 
@@ -208,9 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify, quiver_required=False)
     p_verify.add_argument("--w", help="framing vector for the ffcount suite")
     p_verify.add_argument("--q", help="field sizes, comma separated (default 2,3)")
-    p_verify.add_argument("--alpha", type=int, default=1, help="moment-map level (default 1)")
     p_verify.add_argument(
-        "--budget", type=int, default=fflab.DEFAULT_BUDGET, help="enumeration point budget"
+        "--alpha",
+        type=int,
+        default=1,
+        help="moment-map level for the ffcount suite, nonzero in every field (default 1)",
+    )
+    p_verify.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="enumeration point budget for the centralizer and ffcount suites "
+        f"(default 2^{fflab.CENTRALIZER_BUDGET.bit_length() - 1} for centralizer scans, "
+        f"2^{fflab.DEFAULT_BUDGET.bit_length() - 1} for fiber counts)",
     )
     p_verify.set_defaults(func=cmd_verify)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
@@ -223,17 +222,6 @@ def _lie_basis(quiver: Quiver, v) -> list[tuple[tuple, bool]]:
     return basis
 
 
-def _flatten_phi(arrows, framing) -> list[int]:
-    out: list[int] = []
-    for m in arrows:
-        for row in m:
-            out.extend(row)
-    for m in framing:
-        for row in m:
-            out.extend(row)
-    return out
-
-
 def _unflatten_phi(quiver: Quiver, v, w, vec):
     shapes = _phi_shapes(quiver, v, w)
     na = len(quiver.arrows)
@@ -246,24 +234,46 @@ def _unflatten_phi(quiver: Quiver, v, w, vec):
     return tuple(mats[:na]), tuple(mats[na:])
 
 
-def _flatten_psi_pairing(arrows, framing) -> list[int]:
-    # The vector u with u[b] = trace pairing of the input against the b-th
-    # unit psi vector: for a slot matrix m this is m transposed, row-major
-    # in the psi shape.
-    out: list[int] = []
-    for m in arrows:
-        rows = len(m)
-        cols = len(m[0]) if rows else 0
-        for c in range(cols):
-            for r in range(rows):
-                out.append(m[r][c])
-    for m in framing:
-        rows = len(m)
-        cols = len(m[0]) if rows else 0
-        for c in range(cols):
-            for r in range(rows):
-                out.append(m[r][c])
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 2-d arrays: vec(A E B^T) = kron(A, B) vec(E), row-major."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
+def _rho_matrix(quiver: Quiver, v, w, X) -> np.ndarray:
+    """Integer matrix of phi -> rho'(X) phi in flattened phi coordinates.
+
+    Column a is the image of the a-th unit phi vector, flattened like phi:
+    components in arrow-then-framing order, each row-major.  The matrix is
+    block diagonal with one block per phi component: for an arrow s -> t it
+    sends E to X_t . E - E . X_s, for a framing it sends E to X_i . E.
+    """
+    Xs = [np.array(m, dtype=np.int64).reshape(v[i], v[i]) for i, m in enumerate(X)]
+    eye = [np.eye(n, dtype=np.int64) for n in v]
+    blocks = [_kron(Xs[t], eye[s]) - _kron(eye[t], Xs[s].T) for s, t in quiver.arrows]
+    blocks += [_kron(Xs[i], np.eye(w[i], dtype=np.int64)) for i in range(quiver.vertex_count)]
+    d = sum(b.shape[0] for b in blocks)
+    out = np.zeros((d, d), dtype=np.int64)
+    pos = 0
+    for b in blocks:
+        out[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
+        pos += b.shape[0]
     return out
+
+
+def _psi_order(quiver: Quiver, v, w) -> np.ndarray:
+    """The phi coordinate that each psi coordinate pairs with.
+
+    A psi component has the transposed shape of its phi component, so psi
+    entry (c, r) pairs with phi entry (r, c) under the trace pairing.
+    """
+    order = []
+    pos = 0
+    for rows, cols in _phi_shapes(quiver, v, w):
+        order.extend(pos + r * cols + c for c in range(cols) for r in range(rows))
+        pos += rows * cols
+    return np.array(order, dtype=np.int64)
 
 
 def _moment_system(quiver: Quiver, v, w, q: int):
@@ -273,30 +283,27 @@ def _moment_system(quiver: Quiver, v, w, q: int):
     integer matrix M with pairing value phi^T M psi, and the 0/1 trace of
     the basis element.
     """
-    d = dim_rep_space(quiver, v, w)
+    order = _psi_order(quiver, v, w)
     mats = []
     traces = []
-    unit = [0] * d
     for X, diag in _lie_basis(quiver, v):
-        rows = np.zeros((d, d), dtype=np.int32)
-        for a in range(d):
-            unit[a] = 1
-            image = apply_rho_derivative(quiver, v, w, X, _unflatten_phi(quiver, v, w, unit))
-            rows[a] = np.array(_flatten_psi_pairing(*image), dtype=np.int32) % q
-            unit[a] = 0
-        mats.append(rows)
+        # M[a, b] pairs the image of phi unit a with psi unit b
+        mats.append((_rho_matrix(quiver, v, w, X)[order].T % q).astype(np.int32, order="C"))
         traces.append(1 if diag else 0)
     return mats, traces
 
 
 def _digit_rows(q: int, d: int, start: int, stop: int) -> np.ndarray:
-    """Base-q digit expansion of the index range, one point per row."""
+    """Base-q digit expansion of the index range, one point per row.
+
+    The result is the transpose of a C-ordered (d, N) array, so each digit
+    column is contiguous.
+    """
     idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, d), dtype=np.int32)
+    out = np.empty((d, stop - start), dtype=np.int32)
     for col in range(d):
-        out[:, col] = idx % q
-        idx //= q
-    return out
+        idx, out[col] = np.divmod(idx, q)
+    return out.T
 
 
 def _count_fiber_full(mats, targets, q: int, d: int) -> int:
@@ -661,30 +668,48 @@ def jordan_nilpotent(lam: Partition) -> tuple[tuple[int, ...], ...]:
 
 
 def _det_mod(batch: np.ndarray, q: int) -> np.ndarray:
-    """Determinants mod q of a batch of small square matrices, by expansion."""
+    """Determinants mod q of a batch of small square matrices, by expansion.
+
+    Each permutation term is a product of n entries below q, taken along
+    contiguous int64 entry columns and reduced mod q once; the sum of the
+    n! signed terms is reduced at the end.  Every intermediate stays below
+    n! * (q-1)^n in absolute value, so int64 is exact while
+    n! * (q-1)^n < 2^63.  That bound is below q^(n^2), so it holds for every
+    scan whose point indices fit in int64.
+    """
     n = batch.shape[1]
-    if n == 0:
-        return np.ones(batch.shape[0], dtype=np.int64)
+    # entries[i * n + j] holds entry (i, j) of every matrix
+    entries = np.ascontiguousarray(batch.reshape(batch.shape[0], n * n).T, dtype=np.int64)
     dets = np.zeros(batch.shape[0], dtype=np.int64)
+    if n == 0:
+        return dets + 1
     for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):  # parity by counting inversions
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = np.ones(batch.shape[0], dtype=np.int64)
-        for i, j in enumerate(perm):
-            term = (term * batch[:, i, j]) % q
-        dets = (dets + sign * term) % q
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = entries[perm[0]].copy()
+        for i in range(1, n):
+            term *= entries[i * n + perm[i]]
+        term %= q
+        if inversions % 2:
+            dets -= term
+        else:
+            dets += term
     return dets % q
+
+
+def _commutator_map(J: np.ndarray) -> np.ndarray:
+    """Matrix sending the row-major vec(M) to vec(M J - J M)."""
+    eye = np.eye(J.shape[0], dtype=np.int64)
+    return _kron(eye, J.T) - _kron(J, eye)
 
 
 def centralizer_order(lam: Partition, q: int, budget: int = CENTRALIZER_BUDGET) -> int:
     """Invertible matrices commuting with the Jordan nilpotent of type lam.
 
     Counts by scanning every square matrix over the field, so the search
-    space is q to the n^2; sizes beyond the budget raise.
+    space is q to the n^2; sizes beyond the budget raise.  A chunk of
+    matrices is filtered through the commutator map M -> M J - J M one
+    coordinate at a time (each has at most two nonzero coefficients), and
+    only the commuting survivors have their determinants taken.
     """
     _require_prime(q)
     n = lam.size
@@ -694,37 +719,48 @@ def centralizer_order(lam: Partition, q: int, budget: int = CENTRALIZER_BUDGET) 
     if need > budget:
         raise EnumerationBudgetError(need, budget, f"centralizer scan for {lam!r} at q={q}")
     J = np.array(jordan_nilpotent(lam), dtype=np.int64)
+    conditions = []
+    for row in _commutator_map(J):
+        cols = np.flatnonzero(row)
+        if cols.size:
+            conditions.append((cols, row[cols]))
     total = 0
     chunk = 1 << 16
     for start in range(0, need, chunk):
-        digits = _digit_rows(q, n * n, start, min(start + chunk, need)).astype(np.int64)
-        mats = digits.reshape(-1, n, n)
-        left = np.einsum("mij,jk->mik", mats, J) % q
-        right = np.einsum("ij,mjk->mik", J, mats) % q
-        commuting = mats[(left == right).all(axis=(1, 2))]
-        if commuting.shape[0]:
-            total += int(np.count_nonzero(_det_mod(commuting, q)))
+        # entries[k] holds entry k of the row-major vec(M), one matrix per column
+        entries = _digit_rows(q, n * n, start, min(start + chunk, need)).T
+        for cols, coeffs in conditions:
+            entries = entries[:, (coeffs @ entries[cols]) % q == 0]
+        if entries.shape[1]:
+            total += int(np.count_nonzero(_det_mod(entries.T.reshape(-1, n, n), q)))
     return total
 
 
 def _rank_rational(rows: list[list[int]]) -> int:
-    """Exact rank over the rationals by fraction Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Exact rank over the rationals by fraction-free (Bareiss) elimination.
+
+    After k pivots every entry below the pivot rows is a (k+1)-minor of the
+    input, so the division by the previous pivot is exact and everything
+    stays in Python ints.
+    """
+    mat = [[int(x) for x in row] for row in rows]
     if not mat:
         return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
+    rank, prev = 0, 1
+    for col in range(len(mat[0])):
         piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        pivot_row = mat[rank]
+        p = pivot_row[col]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col]
+            if f:
+                mat[r] = [(p * x - f * y) // prev for x, y in zip(mat[r], pivot_row)]
+            elif p != prev:
+                mat[r] = [p * x // prev for x in mat[r]]
+        prev = p
         rank += 1
     return rank
 
@@ -752,16 +788,8 @@ def kappa_oracle(
     if sum(sizes) > max_total:
         raise EnumerationBudgetError(sum(sizes), max_total, "kernel-dimension oracle")
     X = tuple(jordan_nilpotent(lam) for lam in lam_tuple)
-    d = dim_rep_space(quiver, v, w)
-    unit = [0] * d
-    columns = []
-    for a in range(d):
-        unit[a] = 1
-        image = apply_rho_derivative(quiver, v, w, X, _unflatten_phi(quiver, v, w, unit))
-        columns.append(_flatten_phi(*image))
-        unit[a] = 0
-    rows = [[columns[a][b] for a in range(d)] for b in range(d)]
-    return d - _rank_rational(rows)
+    rho = _rho_matrix(quiver, v, w, X)
+    return rho.shape[0] - _rank_rational(rho.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ class Partition:
 PartitionTuple = tuple[Partition, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def pairing(lam: Partition, mu: Partition) -> int:
     """The min-weighted multiplicity pairing of two partitions.
 
@@ -110,7 +110,7 @@ def _descending_sums(n: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _partitions_cached(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in _descending_sums(n, n))
 

@@ -24,7 +24,7 @@ def _vectors_with_sum(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def exponents_upto(nvars: int, bound: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors with total degree <= bound, graded lexicographic."""
     out = []

@@ -147,6 +147,20 @@ def harmonic_suite(qs=(2, 3, 5), trials: int = 100, seed: int = 7) -> list[CaseR
     return out
 
 
+def check_level(alpha: int, qs) -> None:
+    """Refuse a moment-map level that is zero in one of the fields.
+
+    The group acts freely only on fibers over a nonzero level, so at
+    alpha = 0 mod q the fiber count is not class times group order.
+    """
+    for q in qs:
+        if alpha % q == 0:
+            raise ValueError(
+                f"alpha={alpha} is zero in the field of size {q}; "
+                "the group acts freely only on a fiber over a nonzero level"
+            )
+
+
 def ffcount_suite(
     qv: Quiver = JORDAN,
     label: str = "jordan",
@@ -164,7 +178,10 @@ def ffcount_suite(
     is generic (p divides no positive root beta <= v), and over small fields
     some dimension vectors have such a root and genuinely deviate.  The
     variety's own count, on the stable zero fiber, holds over every field.
+    A level that vanishes in one of the fields raises ValueError up front
+    (see check_level).
     """
+    check_level(alpha, qs)
     out = []
     w = quiver.check_dim_vector(qv, w, "w")
     for exp in exponents_upto(qv.vertex_count, max_total):

@@ -207,6 +207,36 @@ class TestVerifyCommand:
         assert out == ""
         assert "prime" in err
 
+    def test_budget_bounds_the_centralizer_scan(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "verify", "centralizer", "--q", "2", "--budget", "10", "--format", "records"
+        )
+        assert rc == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        statuses = [r["status"] for r in records]
+        assert statuses.count("PASS") == 2
+        assert statuses.count("SKIP") == 10
+        assert all("budget is 10" in r["detail"] for r in records if r["status"] == "SKIP")
+
+    def test_ffcount_zero_level_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "ffcount", "--q", "2", "--alpha", "0")
+        assert rc == 2
+        assert out == ""
+        assert "alpha=0" in err
+
+    def test_all_level_zero_in_one_field_exits_2(self, capsys, monkeypatch):
+        from quivermotive import fflab
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("enumerated before refusing the level")
+
+        monkeypatch.setattr(fflab, "centralizer_order", no_scan)
+        monkeypatch.setattr(fflab, "count_moment_fiber", no_scan)
+        rc, out, err = run_cli(capsys, "verify", "all", "--q", "2,3", "--alpha", "3")
+        assert rc == 2
+        assert out == ""
+        assert "field of size 3" in err
+
     def test_harmonic_suite_passes(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "harmonic", "--q", "2,3")
         assert rc == 0

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -24,7 +26,15 @@ from quivermotive.fflab import (
     quotient_count,
 )
 from quivermotive.partitions import Partition, partitions_of, tuples_with_sizes
-from quivermotive.quiver import A2, DOUBLE_ARROW, JORDAN, SINGLE_VERTEX, STAR3, TWO_LOOP
+from quivermotive.quiver import (
+    A2,
+    BUILTIN_QUIVERS,
+    DOUBLE_ARROW,
+    JORDAN,
+    SINGLE_VERTEX,
+    STAR3,
+    TWO_LOOP,
+)
 from quivermotive.series import exponents_upto
 
 P = Partition
@@ -304,6 +314,112 @@ class TestKappaOracle:
             kappa_oracle(JORDAN, (9,), (1,), (P((9,)),), max_total=8)
 
 
+def _leibniz_det_mod(rows, q):
+    """Determinant mod q as the signed sum over all permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total % q
+
+
+def _literal_centralizer_order(lam, q):
+    """Invertible M with M J = J M, by a plain scan over tuples of entries."""
+    n = lam.size
+    J = jordan_nilpotent(lam)
+
+    def mul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
+            for i in range(n)
+        )
+
+    count = 0
+    for entries in product(range(q), repeat=n * n):
+        M = tuple(entries[i * n : (i + 1) * n] for i in range(n))
+        if mul(M, J) == mul(J, M) and _leibniz_det_mod(M, q):
+            count += 1
+    return count
+
+
+def _fraction_rank(rows):
+    """Rank over the rationals by Gauss-Jordan elimination on Fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+class TestOracleReferences:
+    """The vectorized oracle kernels against literal loop versions."""
+
+    def test_centralizer_matches_literal_scan(self):
+        for q, max_size in ((2, 3), (3, 3), (5, 2)):
+            for n in range(max_size + 1):
+                for lam in partitions_of(n):
+                    assert centralizer_order(lam, q) == _literal_centralizer_order(lam, q), (lam, q)
+
+    def test_det_mod_matches_leibniz(self):
+        rng = np.random.default_rng(29)
+        for q in (2, 3, 5, 7):
+            for n in range(5):
+                batch = rng.integers(0, q, size=(40, n, n))
+                expected = [_leibniz_det_mod(m.tolist(), q) for m in batch]
+                assert fflab._det_mod(batch, q).tolist() == expected, (q, n)
+
+    def test_rho_matrix_columns_match_derivative(self):
+        rng = random.Random(31)
+        for quiver in BUILTIN_QUIVERS.values():
+            k = quiver.vertex_count
+            for v in exponents_upto(k, 3):
+                for w in ((0,) * k, (1,) * k, tuple(range(k))):
+                    X = tuple(
+                        tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+                        for n in v
+                    )
+                    rho = fflab._rho_matrix(quiver, v, w, X)
+                    d = fflab.dim_rep_space(quiver, v, w)
+                    assert rho.shape == (d, d)
+                    for a in range(d):
+                        unit = [0] * d
+                        unit[a] = 1
+                        arrows, framing = apply_rho_derivative(
+                            quiver, v, w, X, fflab._unflatten_phi(quiver, v, w, unit)
+                        )
+                        flat = [x for m in arrows + framing for row in m for x in row]
+                        assert rho[:, a].tolist() == flat, (quiver, v, w, a)
+
+    def test_rank_matches_fraction_elimination(self):
+        rng = random.Random(37)
+        cases = [[], [[]], [[], []], [[0, 0, 0]], [[0] * 4 for _ in range(3)]]
+        for _ in range(200):
+            m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
+            # a product through k dimensions has rank at most k
+            left = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(m)]
+            right = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+            cases.append(
+                [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+            )
+            cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+            # sparse, like the structure matrices: most rows skip a pivot step
+            cases.append([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(m)])
+        for rows in cases:
+            assert fflab._rank_rational(rows) == _fraction_rank(rows), rows
+
+
 class TestCycloCount:
     def test_constant_vector_is_invisible(self):
         a = CycloCount(5, (3, 1, 4, 1, 5))
@@ -537,7 +653,7 @@ def _cyclic_commuting_triples(n, q):
     the vectors X^a Y^b i with a + b < n span F_q^n, which holds when some n
     of them have a determinant that is nonzero mod q.
     """
-    from itertools import combinations, product
+    from itertools import combinations
 
     mats = np.array(list(product(range(q), repeat=n * n)), dtype=np.int64).reshape(-1, n, n)
     prods = np.einsum("aij,bjk->abik", mats, mats) % q
@@ -567,8 +683,6 @@ def _stable_by_pairs(quiver, v, w, q):
     basis, stability through an explicit closure of the framing images'
     span, with no elimination anywhere.
     """
-    from itertools import product
-
     d = fflab.dim_rep_space(quiver, v, w)
     n = sum(v)
     offsets = [sum(v[:i]) for i in range(quiver.vertex_count)]
