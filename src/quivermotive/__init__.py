@@ -3,43 +3,27 @@
 The engine expands a partition-indexed generating function into exact
 rational functions of L and extracts integer class polynomials; the lab
 modules verify every ingredient against brute-force enumeration over small
-prime fields.
+prime fields.  The package exports what the README documents; the oracle
+internals and engine building blocks stay importable from their modules.
 """
 
 from .engine import (
     MotiveResult,
     PolynomialityError,
     betti_report,
-    centralizer_class,
-    hua_term,
-    hua_term_direct,
-    kappa,
     motive_class,
     motive_series,
     motive_table,
-    nilpotent_series,
 )
 from .fflab import (
-    DEFAULT_BUDGET,
-    CycloCount,
     EnumerationBudgetError,
-    FpPoint,
-    FreeActionError,
-    apply_rho_derivative,
     centralizer_order,
-    charsum_fiber_identity,
-    charsum_linear_lemma,
     count_moment_fiber,
-    fourier_inversion_check,
-    fourier_transform,
-    group_order,
-    jordan_nilpotent,
+    count_stable_fiber,
     kappa_oracle,
-    moment_pairing,
-    quotient_count,
 )
-from .lrat import L, LRat, format_poly, gl_class
-from .partitions import Partition, PartitionTuple, pairing, partitions_of, tuples_with_sizes
+from .lrat import L, LRat, format_poly
+from .partitions import Partition, pairing, partitions_of, tuples_with_sizes
 from .quiver import (
     A2,
     BUILTIN_QUIVERS,
@@ -50,72 +34,42 @@ from .quiver import (
     TWO_LOOP,
     Quiver,
     QuiverFormatError,
-    check_dim_vector,
-    d_shift,
-    dim_group,
-    dim_rep_space,
-    group_class,
     parse_quiver,
     serialize_quiver,
 )
-from .series import MSeries, exponents_upto
+from .series import MSeries
 
 __version__ = "0.1.0"
 
 __all__ = [
     "A2",
     "BUILTIN_QUIVERS",
-    "CycloCount",
-    "DEFAULT_BUDGET",
     "DOUBLE_ARROW",
     "EnumerationBudgetError",
-    "FpPoint",
-    "FreeActionError",
     "JORDAN",
     "L",
     "LRat",
     "MSeries",
     "MotiveResult",
     "Partition",
-    "PartitionTuple",
     "PolynomialityError",
     "Quiver",
     "QuiverFormatError",
     "SINGLE_VERTEX",
     "STAR3",
     "TWO_LOOP",
-    "apply_rho_derivative",
     "betti_report",
-    "centralizer_class",
     "centralizer_order",
-    "charsum_fiber_identity",
-    "charsum_linear_lemma",
-    "check_dim_vector",
     "count_moment_fiber",
-    "d_shift",
-    "dim_group",
-    "dim_rep_space",
-    "exponents_upto",
+    "count_stable_fiber",
     "format_poly",
-    "fourier_inversion_check",
-    "fourier_transform",
-    "gl_class",
-    "group_class",
-    "group_order",
-    "hua_term",
-    "hua_term_direct",
-    "jordan_nilpotent",
-    "kappa",
     "kappa_oracle",
-    "moment_pairing",
     "motive_class",
     "motive_series",
     "motive_table",
-    "nilpotent_series",
     "pairing",
     "parse_quiver",
     "partitions_of",
-    "quotient_count",
     "serialize_quiver",
     "tuples_with_sizes",
 ]

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Commands: motive (one class), series (a table of classes up to a degree),
-verify (oracle suites), selftest (module invariants).  Output is either a
-human-readable table or line-delimited JSON records; records are canonical
-(sorted keys, no whitespace) so identical inputs give byte-identical output
-regardless of the thread count.
+verify (oracle suites), selftest (the four oracle suites at small bounds).
+Output is either a human-readable table or line-delimited JSON records;
+records are canonical (sorted keys, no whitespace) so identical inputs give
+byte-identical output regardless of the thread count.
 
 Exit codes: 0 success, 1 verification/selftest failure, 2 usage or input
 errors, 3 polynomiality violation inside the engine.
@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
     if args.suite in ("kappa", "all"):
         cases += verify.kappa_suite()
     if args.suite in ("harmonic", "all"):
-        cases += verify.harmonic_suite(qs=qs)
+        cases += verify.harmonic_suite(qs=qs, **budget)
     if args.suite in ("ffcount", "all"):
         qv, named = _load_quiver(args.quiver)
         w = _resolve_vector(args.w, named, "w", "--w") or (1,) * qv.vertex_count
@@ -222,14 +222,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="enumeration point budget for the centralizer and ffcount suites "
+        help="enumeration point budget for the centralizer, harmonic and ffcount suites "
         f"(default 2^{fflab.CENTRALIZER_BUDGET.bit_length() - 1} for centralizer scans, "
-        f"2^{fflab.DEFAULT_BUDGET.bit_length() - 1} for fiber counts)",
+        f"2^{fflab.DEFAULT_BUDGET.bit_length() - 1} for fiber counts and fiber identities)",
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    p_selftest = sub.add_parser("selftest", help="run the module invariant battery")
-    p_selftest.add_argument("--fast", action="store_true", help="smaller bounds, under ten seconds")
+    p_selftest = sub.add_parser(
+        "selftest", help="run the four oracle suites at small bounds (all PASS when correct)"
+    )
+    p_selftest.add_argument(
+        "--fast",
+        action="store_true",
+        help="centralizer and harmonic suites over F_2 only, instead of F_2 and F_3",
+    )
     p_selftest.add_argument("--format", choices=("human", "records"), default="human")
     p_selftest.set_defaults(func=cmd_selftest)
 

@@ -242,6 +242,19 @@ class TestVerifyCommand:
         assert rc == 0
         assert "FAIL" not in out
 
+    def test_budget_bounds_the_harmonic_fiber_identities(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "verify", "harmonic", "--q", "2", "--budget", "10", "--format", "records"
+        )
+        assert rc == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        skipped = [r for r in records if r["status"] != "PASS"]
+        assert [(r["status"], r["case"]) for r in skipped] == [
+            ("SKIP", "fiber-identity a2 v=(1,1) w=(1,0) q=2")
+        ]
+        assert "needs 16 points, budget is 10" in skipped[0]["detail"]
+        assert len(records) == 10
+
     def test_ffcount_records_flag_small_characteristic(self, capsys):
         rc, out, _ = run_cli(
             capsys,
@@ -275,15 +288,28 @@ class TestSelftestCommand:
         assert rc == 0
         assert "0 failed" in out
 
-    def test_corrupted_pairing_is_caught(self, capsys, monkeypatch):
-        from quivermotive import partitions
+    @pytest.mark.parametrize("flags", [[], ["--fast", "--format", "records"]])
+    def test_only_pass_records(self, capsys, flags):
+        rc, out, _ = run_cli(capsys, "selftest", *flags)
+        assert rc == 0
+        lines = out.strip().splitlines()
+        if "--format" in flags:
+            records = [json.loads(line) for line in lines]
+            assert {r["status"] for r in records} == {"PASS"}
+            assert {r["suite"] for r in records} == {"centralizer", "kappa", "harmonic", "ffcount"}
+        else:
+            assert all(line.startswith("PASS ") for line in lines[:-1])
+            assert lines[-1].endswith(" passed, 0 failed, 0 flagged, 0 skipped")
 
-        original = partitions.pairing
+    def test_corrupted_pairing_is_caught(self, capsys, monkeypatch, fresh_engine_caches):
+        from quivermotive import engine
+
+        original = engine.pairing
 
         def wrong_pairing(lam, mu):
             return original(lam, mu) + (1 if (lam.parts, mu.parts) == ((2,), (1, 1)) else 0)
 
-        monkeypatch.setattr(partitions, "pairing", wrong_pairing)
+        monkeypatch.setattr(engine, "pairing", wrong_pairing)
         rc, out, _ = run_cli(capsys, "selftest", "--fast")
         assert rc == 1
-        assert "FAIL selftest: partition-pairing-invariants" in out
+        assert "FAIL kappa: a2 w=(0, 0) lam=((2,), (1, 1))" in out

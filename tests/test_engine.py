@@ -25,17 +25,6 @@ ONE = LRat.from_int(1)
 P = Partition
 
 
-@pytest.fixture
-def fresh_engine_caches():
-    # series numerators are cached per (quiver, w, bound); a test that
-    # corrupts the engine must neither reuse nor leave behind cached values
-    engine._nilpotent_numerators.cache_clear()
-    engine._unframed_inverse.cache_clear()
-    yield
-    engine._nilpotent_numerators.cache_clear()
-    engine._unframed_inverse.cache_clear()
-
-
 def goettsche_classes(n_max):
     """[Hilb^n(A^2)] for n <= n_max from prod_{k>=1} 1 / (1 - L^(k+1) t^k).
 
@@ -245,6 +234,7 @@ class TestMotiveClass:
         for quiver, v, w in (
             (JORDAN, (2,), (1,)),
             (JORDAN, (3,), (2,)),
+            (A2, (1, 1), (1, 0)),
             (A2, (2, 1), (1, 1)),
             (TWO_LOOP, (2,), (1,)),
         ):
