@@ -21,17 +21,22 @@ at exponent e is kept as a numerator over a denominator fixed by e alone,
 and the numerator is a Laurent polynomial: L^offset times an integer
 polynomial.  The centralizer class of a Jordan type lam of size k is L^a
 times P_k / c(lam), where c(lam) = P_k / prod_r P_{m_r} (m_r the part
-multiplicities) is an exact polynomial cofactor, so a coefficient's
-numerator is a plain sum of L^power * prod_i c(lam_i).  Because
-P_e / (P_f P_{e-f}) is the product of the Gaussian binomials
-[e_i choose f_i]_L, the numerators of a product are the convolution
+multiplicities) is an exact polynomial cofactor and
+a = <lam, lam> - sum_r m_r (m_r + 1) / 2, so a coefficient's numerator is a
+plain sum of L^power * prod_i c(lam_i).  Because P_e / (P_f P_{e-f}) is the
+product of the Gaussian binomials [e_i choose f_i]_L, the framed series F,
+the unframed series U and their quotient Q = F / U satisfy
 
-    N(AB)_e = sum over f <= e of [e choose f]_L * N(A)_f * N(B)_{e-f},
+    N(F)_e = sum over f <= e of [e choose f]_L * N(U)_f * N(Q)_{e-f}.
 
-and the inverse follows the same recursion from the constant term, which is
-exactly 1.  The only division is N_v / P_v at extraction, exact whenever the
-class is a polynomial; an inexact one falls back to the reduced fraction,
-which then fails the polynomiality check.
+The unframed constant term N(U)_0 is exactly 1, so the quotient follows by
+one recursion from the constant term,
+
+    N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L * N(U)_f * N(Q)_{e-f}.
+
+The only division is N(Q)_v / P_v at extraction, exact whenever the class
+is a polynomial; an inexact one falls back to the reduced fraction, which
+then fails the polynomiality check.
 """
 
 from __future__ import annotations
@@ -41,9 +46,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .lrat import LRat, ONE, ZERO, Poly, _padd, _pdiv_exact, _pmul, _pneg, _pshift
+from .lrat import LRat, ZERO, Poly, _padd, _pdiv_exact, _pmul, _pneg, _pshift
 from .partitions import Partition, pairing, tuples_with_sizes
 from .quiver import Quiver, check_dim_vector, d_shift
 from .series import MSeries, exponents_upto
@@ -65,42 +70,19 @@ class MotiveResult:
     class_polynomial: tuple[int, ...]
 
 
-@lru_cache(maxsize=4096)
-def _centralizer_factored(lam: Partition) -> tuple[int, tuple[int, ...]]:
-    """Centralizer class of a nilpotent of Jordan type lam, factored.
-
-    Returns (a, js) meaning L^a times the product of (L^j - 1) over js.
-    """
-    inner = pairing(lam, lam)
-    js: list[int] = []
-    for _, mult in sorted(lam.multiplicities().items()):
-        js.extend(range(1, mult + 1))
-    return inner - sum(js), tuple(js)
-
-
-def _factors_poly(js: Iterable[int]) -> Poly:
-    """The product of (L^j - 1) over js, each factor as a shift and a subtraction."""
-    out = [1]
-    for j in js:
-        times = [0] * j + out
-        for i, c in enumerate(out):
-            times[i] -= c
-        out = times
-    return tuple(out)
-
-
 def centralizer_class(lam_tuple: Sequence[Partition]) -> LRat:
     """Class of the centralizer of a tuple of nilpotent Jordan types.
 
-    Always a polynomial in L; the empty tuple gives 1.
+    The product of L^a * P_|lam| / c over the cofactors (a, c) of the
+    entries: the cofactors the series divide by.  Always a polynomial in L;
+    the empty tuple gives 1.
     """
-    power = 0
-    js: list[int] = []
+    power, poly = 0, (1,)
     for lam in lam_tuple:
-        a, f = _centralizer_factored(lam)
+        a, c = _cofactor(lam)
         power += a
-        js.extend(f)
-    return LRat._raw(_pshift(_factors_poly(js), power), (1,))
+        poly = _pmul(poly, _pdiv_exact(_cyclo_range(0, lam.size), c))
+    return LRat._raw(_pshift(poly, power), (1,))
 
 
 def kappa(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]) -> int:
@@ -117,53 +99,6 @@ def kappa(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]) -> i
     return total
 
 
-def _term_factored(
-    quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]
-) -> tuple[int, tuple[int, ...]]:
-    """One series term as (power, js): L^power over product of (L^j - 1)."""
-    power = kappa(quiver, w, lam_tuple)
-    js: list[int] = []
-    for lam in lam_tuple:
-        a, f = _centralizer_factored(lam)
-        power -= a
-        js.extend(f)
-    js.sort()
-    return power, tuple(js)
-
-
-def hua_term(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]) -> LRat:
-    """The series term attached to one partition tuple: L^kappa / centralizer."""
-    power, js = _term_factored(quiver, w, lam_tuple)
-    den = _factors_poly(js)
-    if power >= 0:
-        return LRat._raw(_pshift((1,), power), den)
-    return LRat._raw((1,), _pshift(den, -power))
-
-
-def hua_term_direct(
-    quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]
-) -> LRat:
-    """The same term assembled literally from its printed form.
-
-    Numerator: product over arrows of L^<lam_s, lam_t> times the framing
-    powers; denominator: per vertex, L^<lam, lam> times the product of
-    (1 - L^-j).  Slow; used to cross-check hua_term.
-    """
-    w = check_dim_vector(quiver, w, "w")
-    num = ONE
-    for s, t in quiver.arrows:
-        num = num * LRat.l_power(pairing(lam_tuple[s], lam_tuple[t]))
-    for wi, lam in zip(w, lam_tuple):
-        num = num * LRat.l_power(pairing(Partition.ones(wi), lam))
-    den = ONE
-    for lam in lam_tuple:
-        den = den * LRat.l_power(pairing(lam, lam))
-        for _, mult in sorted(lam.multiplicities().items()):
-            for j in range(1, mult + 1):
-                den = den * (ONE - LRat.l_power(-j))
-    return num / den
-
-
 # A Laurent polynomial L^offset * poly with poly[0] != 0; zero is (0, ()).
 Laurent = tuple[int, Poly]
 # A truncated series as numerators over P_e, keyed by exponent; zeros left out.
@@ -175,7 +110,14 @@ _LAURENT_ONE: Laurent = (0, (1,))
 @lru_cache(maxsize=1024)
 def _cyclo_range(low: int, high: int) -> Poly:
     """P_high / P_low = (L^(low+1) - 1)...(L^high - 1), for low <= high."""
-    return _factors_poly(range(low + 1, high + 1))
+    out = [1]
+    for j in range(low + 1, high + 1):
+        # times (L^j - 1): a shift by j and a subtraction
+        times = [0] * j + out
+        for i, c in enumerate(out):
+            times[i] -= c
+        out = times
+    return tuple(out)
 
 
 def _denominator(exp: Sequence[int]) -> Poly:
@@ -198,12 +140,13 @@ def _gauss_binomial(n: int, k: int) -> Poly:
 def _cofactor(lam: Partition) -> tuple[int, Poly]:
     """(a, c) with centralizer class L^a * P_|lam| / c.
 
-    c = P_|lam| / prod_r P_{m_r} over the part multiplicities m_r.  With M
-    the largest of them, P_|lam| / P_M is a cached product, divided exactly
-    by the (L^j - 1) factors of the remaining P_{m_r}.
+    a = <lam, lam> - sum_r m_r (m_r + 1) / 2 and c = P_|lam| / prod_r P_{m_r}
+    over the part multiplicities m_r.  With M the largest of them,
+    P_|lam| / P_M is a cached product, divided exactly by the (L^j - 1)
+    factors of the remaining P_{m_r}.
     """
-    a, _ = _centralizer_factored(lam)
     mults = sorted(lam.multiplicities().values())
+    a = pairing(lam, lam) - sum(m * (m + 1) // 2 for m in mults)
     c = _cyclo_range(mults.pop() if mults else 0, lam.size)
     for m in mults:
         for j in range(1, m + 1):
@@ -277,7 +220,7 @@ def _general_fraction(num: Laurent, den: Poly) -> LRat:
 
 
 def _nilpotent_numerator(quiver: Quiver, w: tuple[int, ...], exp: tuple[int, ...]) -> Laurent:
-    """Numerator over P_exp of the sum of hua_term over tuples of sizes exp."""
+    """Numerator over P_exp of the sum of L^kappa / [Z] over tuples of sizes exp."""
     terms = []
     for tup in tuples_with_sizes(exp):
         power = kappa(quiver, w, tup)
@@ -290,42 +233,34 @@ def _nilpotent_numerator(quiver: Quiver, w: tuple[int, ...], exp: tuple[int, ...
     return _laurent_sum(terms)
 
 
-def _convolution(a: Graded, b: Graded, exp: tuple[int, ...]) -> Laurent:
-    """Numerator over P_exp of the sum of A_f * B_{exp-f} over f <= exp."""
-    terms = []
-    for f in product(*(range(k + 1) for k in exp)):
-        x = a.get(f)
-        y = b.get(tuple(k - j for k, j in zip(exp, f)))
-        if x is None or y is None:
-            continue
-        poly = _pmul(x[1], y[1])
-        for n, k in zip(exp, f):
-            if 0 < k < n:
-                poly = _pmul(poly, _gauss_binomial(n, k))
-        terms.append((x[0] + y[0], poly))
-    return _laurent_sum(terms)
+def _graded_quotient(framed: Graded, unframed: Graded, nvars: int, bound: int) -> Graded:
+    """Numerators of framed / unframed, by the recursion from the constant term.
 
-
-def _graded_product(a: Graded, b: Graded, nvars: int, bound: int) -> Graded:
+    N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L N(U)_f N(Q)_{e-f};
+    exact because N(U)_0 is 1, which is checked.
+    """
+    constant = unframed.get((0,) * nvars, (0, ()))
+    if constant != _LAURENT_ONE:
+        raise PolynomialityError(
+            f"series division needs the unframed constant term 1, got {_from_laurent(*constant)}"
+        )
     out: Graded = {}
     for exp in exponents_upto(nvars, bound):
-        num = _convolution(a, b, exp)
+        terms = [framed[exp]] if exp in framed else []
+        for f in product(*(range(k + 1) for k in exp)):
+            x = unframed.get(f)
+            y = out.get(tuple(k - j for k, j in zip(exp, f)))
+            # out has no entry at exp yet, so y is None at f = 0
+            if x is None or y is None:
+                continue
+            poly = _pneg(_pmul(x[1], y[1]))
+            for n, k in zip(exp, f):
+                if 0 < k < n:
+                    poly = _pmul(poly, _gauss_binomial(n, k))
+            terms.append((x[0] + y[0], poly))
+        num = _laurent_sum(terms)
         if num[1]:
             out[exp] = num
-    return out
-
-
-def _graded_inverse(a: Graded, nvars: int, bound: int) -> Graded:
-    zero_exp = (0,) * nvars
-    if a.get(zero_exp) != _LAURENT_ONE:
-        raise ValueError("series inversion needs the constant term 1")
-    out: Graded = {zero_exp: _LAURENT_ONE}
-    for exp in exponents_upto(nvars, bound)[1:]:
-        # out has no entry at exp yet, so the convolution leaves out the
-        # f = 0 term A_0 * B_exp and gives -B_exp, as A_0 is 1.
-        offset, poly = _convolution(a, out, exp)
-        if poly:
-            out[exp] = (offset, _pneg(poly))
     return out
 
 
@@ -346,16 +281,20 @@ def _nilpotent_numerators(
     return {exp: num for exp, num in zip(exps, values) if num[1]}
 
 
-@lru_cache(maxsize=8)
-def _unframed_inverse(quiver: Quiver, bound: int, threads: int) -> Graded:
+@lru_cache(maxsize=16)
+def _quotient_numerators(
+    quiver: Quiver, w: tuple[int, ...], bound: int, threads: int
+) -> Graded:
     n = quiver.vertex_count
-    return _graded_inverse(_nilpotent_numerators(quiver, (0,) * n, bound, threads), n, bound)
+    framed = _nilpotent_numerators(quiver, w, bound, threads)
+    unframed = _nilpotent_numerators(quiver, (0,) * n, bound, threads)
+    return _graded_quotient(framed, unframed, n, bound)
 
 
 def nilpotent_series(
     quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1
 ) -> MSeries:
-    """Sum of hua_term over all partition tuples, graded by per-vertex sizes.
+    """Sum of L^kappa / [Z] over all partition tuples, graded by per-vertex sizes.
 
     The T-exponent of a tuple is its vector of partition sizes; the constant
     term is always 1.
@@ -379,11 +318,9 @@ def motive_series(quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1
     w = check_dim_vector(quiver, w, "w")
     if bound < 0:
         raise ValueError("truncation bound must be nonnegative")
-    n = quiver.vertex_count
-    framed = _nilpotent_numerators(quiver, w, bound, threads)
-    quotient = _graded_product(framed, _unframed_inverse(quiver, bound, threads), n, bound)
+    quotient = _quotient_numerators(quiver, w, bound, threads)
     coeffs = {exp: _coefficient(num, exp) for exp, num in quotient.items()}
-    return MSeries._raw(n, bound, coeffs)
+    return MSeries._raw(quiver.vertex_count, bound, coeffs)
 
 
 def motive_class(
@@ -398,9 +335,7 @@ def motive_class(
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
-    bound = sum(v)
-    framed = _nilpotent_numerators(quiver, w, bound, threads)
-    num = _convolution(framed, _unframed_inverse(quiver, bound, threads), v)
+    num = _quotient_numerators(quiver, w, sum(v), threads).get(v, (0, ()))
     return _result_from_coefficient(quiver, v, w, _coefficient(num, v))
 
 

@@ -44,10 +44,6 @@ class EnumerationBudgetError(RuntimeError):
         super().__init__(f"{what} needs {needed} points, budget is {budget}")
 
 
-class FreeActionError(ArithmeticError):
-    """Fiber count not divisible by the group order."""
-
-
 def _require_prime(q: int) -> int:
     if q < 2 or any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
         raise ValueError(f"field size must be prime, got {q}")
@@ -466,32 +462,6 @@ def count_moment_fiber(
         goals = [(alpha * t) % q for t in traces]
         return _count_fiber_full(mats, goals, q, d)
     return _count_fiber_linear(mats, traces, q, d, alpha)
-
-
-def quotient_count(
-    quiver: Quiver,
-    v: Sequence[int],
-    w: Sequence[int],
-    q: int,
-    alpha: int = 1,
-    budget: int = DEFAULT_BUDGET,
-    strategy: str = "auto",
-) -> int:
-    """Fiber count divided by the group order, asserting exact divisibility.
-
-    Only meaningful for nonzero alpha, where the group acts freely.
-    """
-    _require_prime(q)
-    if alpha % q == 0:
-        raise ValueError("alpha must be nonzero in the field for the free quotient")
-    fiber = count_moment_fiber(quiver, v, w, alpha, q, budget=budget, strategy=strategy)
-    order = group_order(v, q)
-    if fiber % order:
-        raise FreeActionError(
-            f"free-action divisibility violated: fiber count {fiber} "
-            f"is not a multiple of the group order {order}"
-        )
-    return fiber // order
 
 
 def _stability_layout(quiver: Quiver, v, w):

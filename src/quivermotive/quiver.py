@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lrat import LRat, gl_class
-
 
 class QuiverFormatError(ValueError):
     """Raised for malformed quiver spec files, with a field diagnostic."""
@@ -66,14 +64,6 @@ def dim_group(v: Sequence[int]) -> int:
 def d_shift(quiver: Quiver, v: Sequence[int], w: Sequence[int]) -> int:
     """dim of the group minus dim of the representation space; may be negative."""
     return dim_group(v) - dim_rep_space(quiver, v, w)
-
-
-def group_class(v: Sequence[int]) -> LRat:
-    """Class of the symmetry group: product of gl_class over the entries of v."""
-    out = LRat.from_int(1)
-    for x in v:
-        out = out * gl_class(int(x))
-    return out
 
 
 _ALLOWED_FIELDS = {"vertices", "edges", "w", "v", "max_degree"}

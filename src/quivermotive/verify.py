@@ -37,7 +37,11 @@ class CaseResult:
 def centralizer_suite(
     qs=(2, 3), max_size: int = 4, budget: int = fflab.CENTRALIZER_BUDGET
 ) -> list[CaseResult]:
-    """Centralizer orders by matrix scan against the factored class formula."""
+    """Centralizer orders by matrix scan against the engine's centralizer class.
+
+    The class is L^a * P_|lam| / c(lam), built from the cofactor (a, c) the
+    series numerators divide by, so a wrong cofactor FAILs here.
+    """
     out = []
     for q in qs:
         for n in range(max_size + 1):

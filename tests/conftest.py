@@ -3,12 +3,16 @@ import pytest
 from quivermotive import engine
 
 
+def _clear_engine_caches():
+    for value in vars(engine).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 @pytest.fixture
 def fresh_engine_caches():
-    # series numerators are cached per (quiver, w, bound); a test that
-    # corrupts the engine must neither reuse nor leave behind cached values
-    engine._nilpotent_numerators.cache_clear()
-    engine._unframed_inverse.cache_clear()
+    # the engine caches numerators and cofactors; a test that corrupts the
+    # engine must neither reuse nor leave behind cached values
+    _clear_engine_caches()
     yield
-    engine._nilpotent_numerators.cache_clear()
-    engine._unframed_inverse.cache_clear()
+    _clear_engine_caches()

@@ -120,12 +120,12 @@ class TestSeriesCommand:
         records = [json.loads(line) for line in out.strip().splitlines()]
         row = next(r for r in records if r["v"] == [2])
         assert row["coefficients"] == [0, 0, 0, 1, 1]
-        from quivermotive.fflab import quotient_count
+        from quivermotive.fflab import count_moment_fiber, group_order
 
         poly = row["coefficients"]
         for q in (3, 5):
             value = sum(c * q**k for k, c in enumerate(poly))
-            assert value == quotient_count(JORDAN, (2,), (1,), q)
+            assert value * group_order((2,), q) == count_moment_fiber(JORDAN, (2,), (1,), 1, q)
         assert len(poly) - 1 == 4
 
     def test_records_round_trip(self, capsys):
@@ -217,6 +217,24 @@ class TestVerifyCommand:
         assert statuses.count("PASS") == 2
         assert statuses.count("SKIP") == 10
         assert all("budget is 10" in r["detail"] for r in records if r["status"] == "SKIP")
+
+    def test_corrupted_cofactor_fails(self, capsys, monkeypatch, fresh_engine_caches):
+        # c((1, 1)) times (L^2 - 1) makes the centralizer class L(L - 1): the
+        # suite checks the cofactor the series divide by
+        from quivermotive import engine
+        from quivermotive.lrat import _pmul
+        from quivermotive.partitions import Partition
+
+        original = engine._cofactor
+
+        def wrong_cofactor(lam):
+            a, c = original(lam)
+            return a, _pmul(c, (-1, 0, 1)) if lam == Partition((1, 1)) else c
+
+        monkeypatch.setattr(engine, "_cofactor", wrong_cofactor)
+        rc, out, _ = run_cli(capsys, "verify", "centralizer", "--q", "2")
+        assert rc == 1
+        assert "FAIL centralizer: lam=(1, 1) q=2" in out
 
     def test_ffcount_zero_level_exits_2(self, capsys):
         rc, out, err = run_cli(capsys, "verify", "ffcount", "--q", "2", "--alpha", "0")

@@ -3,13 +3,11 @@ from itertools import product
 
 import pytest
 
-from quivermotive import cli, engine
+from quivermotive import cli, engine, verify
 from quivermotive.engine import (
     PolynomialityError,
     betti_report,
     centralizer_class,
-    hua_term,
-    hua_term_direct,
     kappa,
     motive_class,
     motive_series,
@@ -17,12 +15,33 @@ from quivermotive.engine import (
     nilpotent_series,
 )
 from quivermotive.lrat import L, LRat, gl_class
-from quivermotive.partitions import Partition, partitions_of, tuples_with_sizes
+from quivermotive.partitions import Partition, pairing, partitions_of, tuples_with_sizes
 from quivermotive.quiver import A2, DOUBLE_ARROW, JORDAN, SINGLE_VERTEX, STAR3, TWO_LOOP
 from quivermotive.series import exponents_upto
 
 ONE = LRat.from_int(1)
 P = Partition
+
+
+def literal_hua_term(quiver, w, lam_tuple):
+    """L^kappa / [Z] for one partition tuple, assembled literally in LRat.
+
+    Numerator: product over arrows of L^<lam_s, lam_t> times the framing
+    powers L^<(1^wi), lam_i>; denominator: per vertex, L^<lam, lam> times
+    the product of (1 - L^-j) over j = 1..m for each part multiplicity m.
+    """
+    num = ONE
+    for s, t in quiver.arrows:
+        num = num * LRat.l_power(pairing(lam_tuple[s], lam_tuple[t]))
+    for wi, lam in zip(w, lam_tuple):
+        num = num * LRat.l_power(pairing(Partition.ones(wi), lam))
+    den = ONE
+    for lam in lam_tuple:
+        den = den * LRat.l_power(pairing(lam, lam))
+        for _, mult in sorted(lam.multiplicities().items()):
+            for j in range(1, mult + 1):
+                den = den * (ONE - LRat.l_power(-j))
+    return num / den
 
 
 def goettsche_classes(n_max):
@@ -82,30 +101,16 @@ class TestKappa:
 
 
 class TestHuaTerm:
+    # hand values pinning the literal reference term
     def test_empty_tuple_is_one(self):
-        assert hua_term(JORDAN, (1,), (P(),)) == ONE
-        assert hua_term(A2, (0, 0), (P(), P())) == ONE
+        assert literal_hua_term(JORDAN, (1,), (P(),)) == ONE
+        assert literal_hua_term(A2, (0, 0), (P(), P())) == ONE
 
     def test_jordan_single_box(self):
-        assert hua_term(JORDAN, (1,), (P((1,)),)) == L * L / (L - ONE)
+        assert literal_hua_term(JORDAN, (1,), (P((1,)),)) == L * L / (L - ONE)
 
     def test_vertex_with_two_framings(self):
-        assert hua_term(SINGLE_VERTEX, (2,), (P((1,)),)) == L * L / (L - ONE)
-
-    def test_matches_direct_assembly(self):
-        # the factored form against the literal product over arrows, framing
-        # powers and (1 - L^-j) factors, for every tuple of total size <= 5
-        grids = (
-            (JORDAN, ((0,), (1,), (2,))),
-            (A2, ((0, 0), (1, 0), (1, 1))),
-        )
-        for quiver, w_list in grids:
-            for w in w_list:
-                for exp in exponents_upto(quiver.vertex_count, 5):
-                    for tup in tuples_with_sizes(exp):
-                        assert hua_term(quiver, w, tup) == hua_term_direct(
-                            quiver, w, tup
-                        )
+        assert literal_hua_term(SINGLE_VERTEX, (2,), (P((1,)),)) == L * L / (L - ONE)
 
 
 class TestNilpotentSeries:
@@ -125,12 +130,17 @@ class TestNilpotentSeries:
         assert s.coefficient((1,)) == L * L / (L - ONE)
 
     def test_coefficients_sum_hua_terms(self):
-        s = nilpotent_series(A2, (1, 1), 3)
-        for exp in exponents_upto(2, 3):
-            total = LRat()
-            for tup in tuples_with_sizes(exp):
-                total = total + hua_term(A2, (1, 1), tup)
-            assert s.coefficient(exp) == total
+        # the engine's cofactor numerators against the literal terms, on the
+        # kappa suite's grid at bound 5 and on A2 w=(1,1) at bound 3
+        cases = [(q, w, 5) for _, q, w_list in verify._KAPPA_GRID for w in w_list]
+        cases.append((A2, (1, 1), 3))
+        for quiver, w, bound in cases:
+            s = nilpotent_series(quiver, w, bound)
+            for exp in exponents_upto(quiver.vertex_count, bound):
+                total = LRat()
+                for tup in tuples_with_sizes(exp):
+                    total = total + literal_hua_term(quiver, w, tup)
+                assert s.coefficient(exp) == total, (quiver, w, exp)
 
     def test_zero_framing_drops_framing_factors(self):
         # with w = 0 the framing pairings vanish, leaving the arrow powers
@@ -140,8 +150,6 @@ class TestNilpotentSeries:
             for exp in exponents_upto(quiver.vertex_count, 3):
                 total = LRat()
                 for tup in tuples_with_sizes(exp):
-                    from quivermotive.partitions import pairing
-
                     arrows_only = sum(
                         pairing(tup[a], tup[b]) for a, b in quiver.arrows
                     )
@@ -285,6 +293,20 @@ def test_corrupted_kappa_exits_3(capsys, monkeypatch, fresh_engine_caches):
     rc = cli.main(["series", "--quiver", "jordan", "--w", "1", "--max-degree", "3"])
     assert rc == 3
     assert "polynomiality violated for v=(3,)" in capsys.readouterr().err
+
+
+def test_corrupted_constant_term_exits_3(capsys, monkeypatch, fresh_engine_caches):
+    # kappa + 1 on the empty tuple makes the unframed constant term L, not 1
+    original = engine.kappa
+
+    def corrupted(quiver, w, lam_tuple):
+        bump = 0 if any(lam.size for lam in lam_tuple) else 1
+        return original(quiver, w, lam_tuple) + bump
+
+    monkeypatch.setattr(engine, "kappa", corrupted)
+    rc = cli.main(["series", "--quiver", "jordan", "--w", "1", "--max-degree", "2"])
+    assert rc == 3
+    assert "unframed constant term 1, got L" in capsys.readouterr().err
 
 
 class TestBettiReport:

@@ -22,7 +22,6 @@ from quivermotive.fflab import (
     jordan_nilpotent,
     kappa_oracle,
     moment_pairing,
-    quotient_count,
 )
 from quivermotive.partitions import Partition, partitions_of
 from quivermotive.quiver import (
@@ -268,14 +267,9 @@ class TestStableFiber:
 
 class TestQuotientCount:
     def test_values_match_class_evaluation(self):
-        assert quotient_count(JORDAN, (1,), (1,), 2) == 4
-        assert quotient_count(JORDAN, (1,), (1,), 3) == 9
-
-    def test_alpha_zero_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            quotient_count(JORDAN, (1,), (1,), 2, alpha=0)
-        with pytest.raises(ValueError, match="alpha"):
-            quotient_count(JORDAN, (1,), (1,), 3, alpha=3)
+        # Jordan v=(1,), w=(1,) has class L^2: the level-1 fiber is q^2 |G|
+        for q in (2, 3):
+            assert count_moment_fiber(JORDAN, (1,), (1,), 1, q) == q**2 * group_order((1,), q)
 
     def test_group_order(self):
         assert group_order((1,), 2) == 1

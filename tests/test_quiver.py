@@ -1,6 +1,5 @@
 import pytest
 
-from quivermotive.lrat import L, LRat, gl_class
 from quivermotive.quiver import (
     A2,
     JORDAN,
@@ -10,12 +9,9 @@ from quivermotive.quiver import (
     d_shift,
     dim_group,
     dim_rep_space,
-    group_class,
     parse_quiver,
     serialize_quiver,
 )
-
-ONE = LRat.from_int(1)
 
 
 class TestQuiver:
@@ -66,13 +62,6 @@ class TestDimensions:
                 JORDAN, (v1,), (w1,)
             )
             assert combined == separate
-
-
-class TestGroupClass:
-    def test_values(self):
-        assert group_class((1,)) == L - ONE
-        assert group_class((1, 1)) == (L - ONE) * (L - ONE)
-        assert group_class((2,)) == gl_class(2)
 
 
 class TestParsing:
