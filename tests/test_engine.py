@@ -112,6 +112,24 @@ class TestHuaTerm:
     def test_vertex_with_two_framings(self):
         assert literal_hua_term(SINGLE_VERTEX, (2,), (P((1,)),)) == L * L / (L - ONE)
 
+    def test_matches_direct_assembly(self):
+        # the engine's factored term L^kappa / [Z] (centralizer built from the
+        # cofactor the series divide by) against the literal product over
+        # arrows, framing powers and (1 - L^-j) factors, for every tuple of
+        # total size <= 5
+        grids = (
+            (JORDAN, ((0,), (1,), (2,))),
+            (A2, ((0, 0), (1, 0), (1, 1))),
+        )
+        for quiver, w_list in grids:
+            for w in w_list:
+                for exp in exponents_upto(quiver.vertex_count, 5):
+                    for tup in tuples_with_sizes(exp):
+                        power = kappa(quiver, w, tup)
+                        term = LRat.l_power(power) / centralizer_class(tup)
+                        literal = literal_hua_term(quiver, w, tup)
+                        assert term == literal, (quiver, w, tup)
+
 
 class TestNilpotentSeries:
     def test_degree_zero(self):
