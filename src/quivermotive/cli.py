@@ -6,8 +6,10 @@ Output is either a human-readable table or line-delimited JSON records;
 records are canonical (sorted keys, no whitespace) so identical inputs give
 byte-identical output regardless of the thread count.
 
-Exit codes: 0 success, 1 verification/selftest failure, 2 usage or input
-errors, 3 polynomiality violation inside the engine.
+Exit codes: 0 success, 1 verification/selftest failure, 2 usage errors and
+refused input (InputError: spec files, dimension vectors, degree bounds,
+field sizes, levels), 3 polynomiality violation inside the engine.  Any
+other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 from . import fflab, verify
 from .engine import PolynomialityError, betti_report, motive_class, motive_table
 from .lrat import format_poly
-from .quiver import BUILTIN_QUIVERS, Quiver, QuiverFormatError, parse_quiver
+from .quiver import BUILTIN_QUIVERS, InputError, Quiver, QuiverFormatError, parse_quiver
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -192,7 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=("human", "records"), default="human")
         p.add_argument(
-            "--threads", type=_thread_count, default=1, help="worker threads for series assembly"
+            "--threads",
+            type=_thread_count,
+            default=1,
+            help="worker threads for the numerator sums; the sums are pure Python under the "
+            "GIL, so more threads do not run faster, and the output is the same for any value",
         )
 
     p_motive = sub.add_parser("motive", help="class of one quiver variety")
@@ -247,15 +253,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QuiverFormatError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PolynomialityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, fflab.EnumerationBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -34,9 +34,9 @@ one recursion from the constant term,
 
     N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L * N(U)_f * N(Q)_{e-f}.
 
-The only division is N(Q)_v / P_v at extraction, exact whenever the class
-is a polynomial; an inexact one falls back to the reduced fraction, which
-then fails the polynomiality check.
+The only division is N(Q)_v / P_v in _class_at, exact whenever the class
+is a polynomial; when it is inexact, or leaves a negative power of L, the
+reduced fraction is built only to word the PolynomialityError.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from functools import lru_cache, reduce
 from itertools import product
 from typing import Sequence
 
-from .lrat import LRat, ZERO, Poly, _padd, _pdiv_exact, _pmul, _pneg, _pshift
+from .lrat import LRat, Poly, _padd, _pdiv_exact, _pmul, _pneg, _pshift
 from .partitions import Partition, pairing, tuples_with_sizes
-from .quiver import Quiver, check_dim_vector, d_shift
+from .quiver import InputError, Quiver, check_dim_vector, d_shift
 from .series import MSeries, exponents_upto
 
 
@@ -60,14 +60,18 @@ class PolynomialityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class MotiveResult:
-    """The class of one quiver variety, as raw coefficient and polynomial."""
+    """The class of one quiver variety as a polynomial, with its shift d."""
 
     quiver: Quiver
     v: tuple[int, ...]
     w: tuple[int, ...]
     d_shift: int
-    coefficient_raw: LRat
     class_polynomial: tuple[int, ...]
+
+    @property
+    def coefficient_raw(self) -> LRat:
+        """The T^v coefficient of motive_series: L^d_shift times the class."""
+        return _fraction((self.d_shift, self.class_polynomial), (1,))
 
 
 def centralizer_class(lam_tuple: Sequence[Partition]) -> LRat:
@@ -185,34 +189,8 @@ def _laurent_sum(terms: list[Laurent]) -> Laurent:
     return (0, ())
 
 
-def _from_laurent(offset: int, poly: Poly) -> LRat:
-    """L^offset * poly as a reduced LRat; only powers of L can cancel."""
-    if not poly:
-        return ZERO
-    if offset >= 0:
-        return LRat._raw(_pshift(poly, offset), (1,))
-    low = next(i for i, c in enumerate(poly) if c)
-    if low >= -offset:
-        return LRat._raw(poly[-offset:], (1,))
-    return LRat._raw(poly[low:], _pshift((1,), -offset - low))
-
-
-def _coefficient(num: Laurent, exp: tuple[int, ...]) -> LRat:
-    """The value of num over P_exp, by one exact division.
-
-    An inexact division means the value is not a Laurent polynomial; the
-    reduced fraction is then built by gcd, for the caller to reject.
-    """
-    offset, poly = num
-    den = _denominator(exp)
-    try:
-        return _from_laurent(offset, _pdiv_exact(poly, den))
-    except ArithmeticError:
-        return _general_fraction(num, den)
-
-
-def _general_fraction(num: Laurent, den: Poly) -> LRat:
-    """L^offset * poly / den reduced by gcd."""
+def _fraction(num: Laurent, den: Poly) -> LRat:
+    """L^offset * poly / den as a reduced LRat, by gcd."""
     offset, poly = num
     if offset >= 0:
         return LRat(_pshift(poly, offset), den)
@@ -242,7 +220,7 @@ def _graded_quotient(framed: Graded, unframed: Graded, nvars: int, bound: int) -
     constant = unframed.get((0,) * nvars, (0, ()))
     if constant != _LAURENT_ONE:
         raise PolynomialityError(
-            f"series division needs the unframed constant term 1, got {_from_laurent(*constant)}"
+            f"series division needs the unframed constant term 1, got {_fraction(constant, (1,))}"
         )
     out: Graded = {}
     for exp in exponents_upto(nvars, bound):
@@ -301,26 +279,43 @@ def nilpotent_series(
     """
     w = check_dim_vector(quiver, w, "w")
     if bound < 0:
-        raise ValueError("truncation bound must be nonnegative")
+        raise InputError("truncation bound must be nonnegative")
     numerators = _nilpotent_numerators(quiver, w, bound, threads)
-    coeffs = {
-        exp: _general_fraction(num, _denominator(exp)) for exp, num in numerators.items()
-    }
+    coeffs = {exp: _fraction(num, _denominator(exp)) for exp, num in numerators.items()}
     return MSeries._raw(quiver.vertex_count, bound, coeffs)
 
 
-def motive_series(quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1) -> MSeries:
-    """The quotient series whose T^v coefficient carries the class of (v, w).
+def _class_at(
+    quiver: Quiver, v: tuple[int, ...], w: tuple[int, ...], quotient: Graded
+) -> MotiveResult:
+    """The class at v read off the quotient numerators: N(Q)_v / P_v * L^-d.
 
-    Equals the framed nilpotent series divided by its zero-framing sibling;
-    the constant term is 1 by construction.
+    One exact division by P_v.  Its quotient has a nonzero constant term
+    (P_v has constant term +-1 and a numerator's poly starts nonzero), so
+    the class is a polynomial only if the division is exact and the L
+    offset is nonnegative; otherwise PolynomialityError shows the reduced
+    fraction.  Negative coefficients are legal but suspicious, and warn.
     """
-    w = check_dim_vector(quiver, w, "w")
-    if bound < 0:
-        raise ValueError("truncation bound must be nonnegative")
-    quotient = _quotient_numerators(quiver, w, bound, threads)
-    coeffs = {exp: _coefficient(num, exp) for exp, num in quotient.items()}
-    return MSeries._raw(quiver.vertex_count, bound, coeffs)
+    d = d_shift(quiver, v, w)
+    offset, num = quotient.get(v, (0, ()))
+    offset -= d
+    den = _denominator(v)
+    try:
+        poly = _pdiv_exact(num, den)
+    except ArithmeticError:
+        poly = None
+    if poly is None or (offset < 0 and poly):
+        raise PolynomialityError(
+            f"polynomiality violated for v={v}, w={w}: got {_fraction((offset, num), den)}"
+        )
+    poly = _pshift(poly, offset)
+    if any(c < 0 for c in poly):
+        warnings.warn(
+            f"negative coefficient in class polynomial for v={v}, w={w}: {poly}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return MotiveResult(quiver, v, w, d, poly)
 
 
 def motive_class(
@@ -335,32 +330,7 @@ def motive_class(
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
-    num = _quotient_numerators(quiver, w, sum(v), threads).get(v, (0, ()))
-    return _result_from_coefficient(quiver, v, w, _coefficient(num, v))
-
-
-def _result_from_coefficient(
-    quiver: Quiver, v: tuple[int, ...], w: tuple[int, ...], raw: LRat
-) -> MotiveResult:
-    d = d_shift(quiver, v, w)
-    m = len(raw.den) - 1
-    if raw.den == _pshift((1,), m):
-        # raw is L^-m * num: shift the offset instead of reducing by gcd
-        shifted = _from_laurent(-d - m, raw.num)
-    else:
-        shifted = raw * LRat.l_power(-d)
-    poly = shifted.as_polynomial()
-    if poly is None:
-        raise PolynomialityError(
-            f"polynomiality violated for v={v}, w={w}: got {shifted}"
-        )
-    if any(c < 0 for c in poly):
-        warnings.warn(
-            f"negative coefficient in class polynomial for v={v}, w={w}: {poly}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return MotiveResult(quiver, v, w, d, raw, poly)
+    return _class_at(quiver, v, w, _quotient_numerators(quiver, w, sum(v), threads))
 
 
 def motive_table(
@@ -372,11 +342,23 @@ def motive_table(
     a direct motive_class call by truncation independence.
     """
     w = check_dim_vector(quiver, w, "w")
-    series = motive_series(quiver, w, bound, threads)
-    return [
-        _result_from_coefficient(quiver, exp, w, series.coefficient(exp))
-        for exp in exponents_upto(quiver.vertex_count, bound)
-    ]
+    if bound < 0:
+        raise InputError("truncation bound must be nonnegative")
+    quotient = _quotient_numerators(quiver, w, bound, threads)
+    return [_class_at(quiver, v, w, quotient) for v in exponents_upto(quiver.vertex_count, bound)]
+
+
+def motive_series(quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1) -> MSeries:
+    """The quotient series whose T^v coefficient carries the class of (v, w).
+
+    Equals the framed nilpotent series divided by its zero-framing sibling;
+    the constant term is 1 by construction.  Built from the motive_table
+    rows, so a coefficient that is no polynomial after the shift raises
+    PolynomialityError.
+    """
+    rows = motive_table(quiver, w, bound, threads)
+    coeffs = {row.v: row.coefficient_raw for row in rows if row.class_polynomial}
+    return MSeries._raw(quiver.vertex_count, bound, coeffs)
 
 
 def betti_report(result: MotiveResult) -> list[tuple[int, int]]:

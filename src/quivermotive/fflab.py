@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .partitions import Partition
-from .quiver import Quiver, check_dim_vector, dim_group, dim_rep_space
+from .quiver import InputError, Quiver, check_dim_vector, dim_group, dim_rep_space
 
 DEFAULT_BUDGET = 1 << 26
 # Above this many points the automatic strategy stops enumerating full
@@ -46,7 +46,7 @@ class EnumerationBudgetError(RuntimeError):
 
 def _require_prime(q: int) -> int:
     if q < 2 or any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
-        raise ValueError(f"field size must be prime, got {q}")
+        raise InputError(f"field size must be prime, got {q}")
     return q
 
 

@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-class QuiverFormatError(ValueError):
+class InputError(ValueError):
+    """An input the program refuses: the command line exits 2 on it."""
+
+
+class QuiverFormatError(InputError):
     """Raised for malformed quiver spec files, with a field diagnostic."""
 
 
@@ -39,11 +43,11 @@ def check_dim_vector(quiver: Quiver, vec: Sequence[int], name: str = "dimension 
     """Validate and normalize a dimension vector for the quiver."""
     vec = tuple(int(x) for x in vec)
     if len(vec) != quiver.vertex_count:
-        raise ValueError(
+        raise InputError(
             f"{name} has {len(vec)} entries, quiver has {quiver.vertex_count} vertices"
         )
     if any(x < 0 for x in vec):
-        raise ValueError(f"{name} entries must be nonnegative: {vec}")
+        raise InputError(f"{name} entries must be nonnegative: {vec}")
     return vec
 
 

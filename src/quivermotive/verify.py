@@ -1,14 +1,13 @@
 """Verification suites behind the command-line verify and selftest commands.
 
-Each suite returns a list of case results with status PASS, FAIL, FLAG or
-SKIP.  FLAG is reserved for level-1 fiber counts that disagree with the
-L-polynomial prediction.  The level-1 deformed fiber counts the variety only
-where its level is generic (p divides no positive root beta <= v); at
-q in {2, 3} some dimension vectors have such a root and their fibers really
-deviate (see README), so those mismatches are reported prominently but are
-not treated as implementation failures.  The variety's own count, taken on
-the stable zero fiber, holds over every field.  FAIL marks identities that
-must hold over every field.
+Each suite returns a list of case results, every one from the runner
+_case: a check that holds is PASS, one that fails is FAIL, and an oracle
+over its enumeration budget is SKIP.  FAIL marks identities that must hold
+over every field.  Only the ffcount suite reports a mismatch as FLAG: the
+level-1 deformed fiber counts the variety only where its level is generic
+(p divides no positive root beta <= v), and at q in {2, 3} some dimension
+vectors have such a root and their fibers really deviate (see README).  The
+variety's own count, taken on the stable zero fiber, holds over every field.
 
 The selftest is no separate battery: run_selftest runs the same four
 suites at small bounds, at a generic level, so a correct engine gives only
@@ -19,10 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from . import engine, fflab, partitions, quiver
-from .lrat import LRat
-from .quiver import A2, JORDAN, SINGLE_VERTEX, Quiver
+from .lrat import _peval
+from .quiver import A2, JORDAN, SINGLE_VERTEX, InputError, Quiver
 from .series import exponents_upto
 
 
@@ -34,6 +34,18 @@ class CaseResult:
     detail: str = ""
 
 
+def _case(suite: str, name: str, check, miss: str = "FAIL") -> CaseResult:
+    """Run one check, which returns (ok, detail): PASS if ok, else miss.
+
+    An oracle over its enumeration budget makes the case a SKIP.
+    """
+    try:
+        ok, detail = check()
+    except fflab.EnumerationBudgetError as exc:
+        return CaseResult(suite, name, "SKIP", str(exc))
+    return CaseResult(suite, name, "PASS" if ok else miss, detail)
+
+
 def centralizer_suite(
     qs=(2, 3), max_size: int = 4, budget: int = fflab.CENTRALIZER_BUDGET
 ) -> list[CaseResult]:
@@ -42,31 +54,19 @@ def centralizer_suite(
     The class is L^a * P_|lam| / c(lam), built from the cofactor (a, c) the
     series numerators divide by, so a wrong cofactor FAILs here.
     """
-    out = []
-    for q in qs:
-        for n in range(max_size + 1):
-            for lam in partitions.partitions_of(n):
-                name = f"lam={lam.parts} q={q}"
-                try:
-                    order = fflab.centralizer_order(lam, q, budget=budget)
-                except fflab.EnumerationBudgetError as exc:
-                    out.append(CaseResult("centralizer", name, "SKIP", str(exc)))
-                    continue
-                expected = engine.centralizer_class((lam,)).eval_at(q)
-                if expected == order:
-                    out.append(
-                        CaseResult("centralizer", name, "PASS", f"order={order}")
-                    )
-                else:
-                    out.append(
-                        CaseResult(
-                            "centralizer",
-                            name,
-                            "FAIL",
-                            f"scan={order} class={expected}",
-                        )
-                    )
-    return out
+
+    def check(lam, q):
+        order = fflab.centralizer_order(lam, q, budget=budget)
+        expected = engine.centralizer_class((lam,)).eval_at(q)
+        ok = expected == order
+        return ok, f"order={order}" if ok else f"scan={order} class={expected}"
+
+    return [
+        _case("centralizer", f"lam={lam.parts} q={q}", lambda: check(lam, q))
+        for q in qs
+        for n in range(max_size + 1)
+        for lam in partitions.partitions_of(n)
+    ]
 
 
 _KAPPA_GRID = (
@@ -77,28 +77,24 @@ _KAPPA_GRID = (
 
 def kappa_suite(max_total: int = 5) -> list[CaseResult]:
     """Combinatorial kernel ranks against exact rational-rank computation."""
-    out = []
-    for label, q, w_list in _KAPPA_GRID:
-        for w in w_list:
-            for exp in exponents_upto(q.vertex_count, max_total):
-                for tup in partitions.tuples_with_sizes(exp):
-                    combinatorial = engine.kappa(q, w, tup)
-                    oracle = fflab.kappa_oracle(q, exp, w, tup)
-                    name = f"{label} w={w} lam={tuple(l.parts for l in tup)}"
-                    if combinatorial == oracle:
-                        out.append(
-                            CaseResult("kappa", name, "PASS", f"kappa={oracle}")
-                        )
-                    else:
-                        out.append(
-                            CaseResult(
-                                "kappa",
-                                name,
-                                "FAIL",
-                                f"formula={combinatorial} kernel={oracle}",
-                            )
-                        )
-    return out
+
+    def check(q, w, exp, tup):
+        formula = engine.kappa(q, w, tup)
+        kernel = fflab.kappa_oracle(q, exp, w, tup)
+        ok = formula == kernel
+        return ok, f"kappa={kernel}" if ok else f"formula={formula} kernel={kernel}"
+
+    return [
+        _case(
+            "kappa",
+            f"{label} w={w} lam={tuple(l.parts for l in tup)}",
+            lambda: check(q, w, exp, tup),
+        )
+        for label, q, w_list in _KAPPA_GRID
+        for w in w_list
+        for exp in exponents_upto(q.vertex_count, max_total)
+        for tup in partitions.tuples_with_sizes(exp)
+    ]
 
 
 _FIBER_IDENTITY_CASES = (
@@ -117,8 +113,8 @@ def harmonic_suite(
 
     budget bounds the points each fiber identity enumerates.
     """
-    out = []
     rng = random.Random(seed)
+    checks = {}  # case name -> check returning a bool
     for q in qs:
         for n in (1, 2, 3):
             family = [((0,) * n, 0), ((0,) * n, 1)]
@@ -126,37 +122,18 @@ def harmonic_suite(
                 (tuple(rng.randrange(q) for _ in range(n)), rng.randrange(q))
                 for _ in range(12)
             ]
-            ok = fflab.charsum_linear_lemma(n, family, q)
-            out.append(
-                CaseResult(
-                    "harmonic",
-                    f"linear-orthogonality n={n} q={q}",
-                    "PASS" if ok else "FAIL",
-                )
+            checks[f"linear-orthogonality n={n} q={q}"] = partial(
+                fflab.charsum_linear_lemma, n, family, q
             )
         for n in (1, 2):
-            ok = fflab.fourier_inversion_check(n, q, trials=trials, seed=seed)
-            out.append(
-                CaseResult(
-                    "harmonic",
-                    f"fourier-inversion n={n} q={q} trials={trials}",
-                    "PASS" if ok else "FAIL",
-                )
+            checks[f"fourier-inversion n={n} q={q} trials={trials}"] = partial(
+                fflab.fourier_inversion_check, n, q, trials=trials, seed=seed
             )
         for name, qv, v, w, alpha in _FIBER_IDENTITY_CASES:
-            try:
-                ok = fflab.charsum_fiber_identity(qv, v, w, alpha, q, budget=budget)
-            except fflab.EnumerationBudgetError as exc:
-                out.append(CaseResult("harmonic", f"fiber-identity {name} q={q}", "SKIP", str(exc)))
-                continue
-            out.append(
-                CaseResult(
-                    "harmonic",
-                    f"fiber-identity {name} q={q}",
-                    "PASS" if ok else "FAIL",
-                )
+            checks[f"fiber-identity {name} q={q}"] = partial(
+                fflab.charsum_fiber_identity, qv, v, w, alpha, q, budget=budget
             )
-    return out
+    return [_case("harmonic", name, lambda: (holds(), "")) for name, holds in checks.items()]
 
 
 def check_level(alpha: int, qs) -> None:
@@ -167,7 +144,7 @@ def check_level(alpha: int, qs) -> None:
     """
     for q in qs:
         if alpha % q == 0:
-            raise ValueError(
+            raise InputError(
                 f"alpha={alpha} is zero in the field of size {q}; "
                 "the group acts freely only on a fiber over a nonzero level"
             )
@@ -190,37 +167,29 @@ def ffcount_suite(
     is generic (p divides no positive root beta <= v), and over small fields
     some dimension vectors have such a root and genuinely deviate.  The
     variety's own count, on the stable zero fiber, holds over every field.
-    A level that vanishes in one of the fields raises ValueError up front
+    A level that vanishes in one of the fields raises InputError up front
     (see check_level).
     """
     check_level(alpha, qs)
-    out = []
     w = quiver.check_dim_vector(qv, w, "w")
-    for exp in exponents_upto(qv.vertex_count, max_total):
-        if sum(exp) == 0:
-            continue
-        result = engine.motive_class(qv, exp, w, threads=threads)
-        cls = LRat(list(result.class_polynomial))
-        for q in qs:
-            name = f"{label} v={exp} w={w} q={q}"
-            try:
-                fiber = fflab.count_moment_fiber(qv, exp, w, alpha, q, budget=budget)
-            except fflab.EnumerationBudgetError as exc:
-                out.append(CaseResult("ffcount", name, "SKIP", str(exc)))
-                continue
-            expected = cls.eval_at(q) * fflab.group_order(exp, q)
-            if expected == fiber:
-                out.append(CaseResult("ffcount", name, "PASS", f"fiber={fiber}"))
-            else:
-                out.append(
-                    CaseResult(
-                        "ffcount",
-                        name,
-                        "FLAG",
-                        f"fiber={fiber} polynomial predicts {expected} "
-                        f"(small-characteristic exception)",
-                    )
-                )
+
+    def check(cls, exp, q):
+        fiber = fflab.count_moment_fiber(qv, exp, w, alpha, q, budget=budget)
+        expected = _peval(cls, q) * fflab.group_order(exp, q)
+        detail = f"fiber={fiber}"
+        if expected != fiber:
+            detail += f" polynomial predicts {expected} (small-characteristic exception)"
+        return expected == fiber, detail
+
+    out = []
+    for exp in exponents_upto(qv.vertex_count, max_total)[1:]:  # v = 0 comes first
+        cls = engine.motive_class(qv, exp, w, threads=threads).class_polynomial
+        out += [
+            _case(
+                "ffcount", f"{label} v={exp} w={w} q={q}", lambda: check(cls, exp, q), miss="FLAG"
+            )
+            for q in qs
+        ]
     return out
 
 

@@ -273,6 +273,56 @@ class TestVerifyCommand:
         assert "needs 16 points, budget is 10" in skipped[0]["detail"]
         assert len(records) == 10
 
+    def test_harmonic_fiber_identity_can_fail(self, capsys, monkeypatch):
+        from quivermotive import fflab
+
+        monkeypatch.setattr(fflab, "charsum_fiber_identity", lambda *args, **kwargs: False)
+        rc, out, _ = run_cli(capsys, "verify", "harmonic", "--q", "2", "--format", "records")
+        assert rc == 1
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        failed = [r["case"] for r in records if r["status"] == "FAIL"]
+        assert len(failed) == 5
+        assert all(case.startswith("fiber-identity ") for case in failed)
+
+    def test_budget_bounds_the_ffcount_fibers(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "verify", "ffcount", "--q", "2", "--budget", "10", "--format", "records"
+        )
+        assert rc == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        statuses = [r["status"] for r in records]
+        assert statuses == ["PASS", "SKIP", "SKIP"]
+        assert all("budget is 10" in r["detail"] for r in records[1:])
+
+    def test_kappa_oracle_over_budget_skips(self, capsys, monkeypatch):
+        from quivermotive import fflab
+
+        def over_budget(quiver, v, w, lam_tuple):
+            raise fflab.EnumerationBudgetError(sum(v), 0, "kernel-dimension oracle")
+
+        monkeypatch.setattr(fflab, "kappa_oracle", over_budget)
+        rc, out, _ = run_cli(capsys, "verify", "kappa", "--format", "records")
+        assert rc == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert {r["status"] for r in records} == {"SKIP"}
+        assert records[-1]["detail"] == "kernel-dimension oracle needs 5 points, budget is 0"
+
+    @pytest.mark.parametrize(
+        "golden_name,args",
+        [
+            ("verify_all_q2.jsonl", ["verify", "all", "--q", "2"]),
+            (
+                "star3_ffcount_q23.jsonl",
+                ["verify", "ffcount", "--quiver", "star3", "--w", "1,1,1", "--q", "2,3"],
+            ),
+        ],
+    )
+    def test_golden_records(self, capsys, golden_name, args):
+        # byte-exact: verdicts and detail strings of every case
+        rc, out, _ = run_cli(capsys, *args, "--format", "records")
+        assert rc == 0
+        assert out == (GOLDEN / golden_name).read_text()
+
     def test_ffcount_records_flag_small_characteristic(self, capsys):
         rc, out, _ = run_cli(
             capsys,

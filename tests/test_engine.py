@@ -17,7 +17,7 @@ from quivermotive.engine import (
 from quivermotive.lrat import L, LRat, gl_class
 from quivermotive.partitions import Partition, pairing, partitions_of, tuples_with_sizes
 from quivermotive.quiver import A2, DOUBLE_ARROW, JORDAN, SINGLE_VERTEX, STAR3, TWO_LOOP
-from quivermotive.series import exponents_upto
+from quivermotive.series import MSeries, exponents_upto
 
 ONE = LRat.from_int(1)
 P = Partition
@@ -116,12 +116,8 @@ class TestHuaTerm:
         # the engine's factored term L^kappa / [Z] (centralizer built from the
         # cofactor the series divide by) against the literal product over
         # arrows, framing powers and (1 - L^-j) factors, for every tuple of
-        # total size <= 5
-        grids = (
-            (JORDAN, ((0,), (1,), (2,))),
-            (A2, ((0, 0), (1, 0), (1, 1))),
-        )
-        for quiver, w_list in grids:
+        # total size <= 5, on the kappa suite's grid
+        for _, quiver, w_list in verify._KAPPA_GRID:
             for w in w_list:
                 for exp in exponents_upto(quiver.vertex_count, 5):
                     for tup in tuples_with_sizes(exp):
@@ -269,14 +265,19 @@ class TestMotiveClass:
             assert wide.coefficient(v) == direct.coefficient_raw
 
     def test_polynomiality_error(self):
-        raw = LRat(1, [-1, 1])  # 1/(L-1) cannot clear to a polynomial
-        with pytest.raises(PolynomialityError, match="polynomiality violated"):
-            engine._result_from_coefficient(JORDAN, (1,), (1,), raw)
+        # 1/(L-1) cannot clear to a polynomial; L^-5 (L-1)/(L-1) divides
+        # exactly but leaves L^-4 after the shift by L^-d = L
+        for num, got in (((0, (1,)), "(L^1) / (-1 + L^1)"), ((-5, (-1, 1)), "(1) / (L^4)")):
+            with pytest.raises(PolynomialityError) as exc:
+                engine._class_at(JORDAN, (1,), (1,), {(1,): num})
+            assert str(exc.value) == f"polynomiality violated for v=(1,), w=(1,): got {got}"
 
     def test_negative_coefficient_warns(self):
-        raw = -(L)  # forces class -L^2 after the shift for jordan v=(1), w=(1)
+        # (L - L^2)/(L-1) = -L forces class -L^2 after the shift for jordan
+        # v=(1), w=(1)
+        quotient = {(1,): (1, (1, -1))}
         with pytest.warns(RuntimeWarning, match="negative coefficient"):
-            result = engine._result_from_coefficient(JORDAN, (1,), (1,), raw)
+            result = engine._class_at(JORDAN, (1,), (1,), quotient)
         assert result.class_polynomial == (0, 0, -1)
 
 
@@ -325,6 +326,31 @@ def test_corrupted_constant_term_exits_3(capsys, monkeypatch, fresh_engine_cache
     rc = cli.main(["series", "--quiver", "jordan", "--w", "1", "--max-degree", "2"])
     assert rc == 3
     assert "unframed constant term 1, got L" in capsys.readouterr().err
+
+
+def test_motive_and_series_build_no_lrat(capsys, monkeypatch, fresh_engine_caches):
+    # a successful class extraction stays in Laurent numerators: no LRat and
+    # no MSeries is constructed on the motive and series command paths
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LRat or MSeries constructed")
+
+    for cls in (LRat, MSeries):
+        monkeypatch.setattr(cls, "__init__", forbidden)
+        monkeypatch.setattr(cls, "_raw", classmethod(forbidden))
+    assert cli.main(["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", "4"]) == 0
+    assert cli.main(["motive", "--quiver", "jordan", "--v", "3", "--w", "1"]) == 0
+    assert capsys.readouterr().out.endswith("class = L^4 + L^5 + L^6\n")
+
+
+def test_engine_value_error_is_not_a_usage_error(monkeypatch, fresh_engine_caches):
+    # exit 2 is for refused input only; a ValueError inside the engine
+    # propagates instead of being reported as a usage error
+    def broken(quiver, w, lam_tuple):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(engine, "kappa", broken)
+    with pytest.raises(ValueError, match="engine bug"):
+        cli.main(["series", "--quiver", "jordan", "--w", "1", "--max-degree", "2"])
 
 
 class TestBettiReport:
