@@ -5,6 +5,8 @@ rational functions of L and extracts integer class polynomials; the lab
 modules verify every ingredient against brute-force enumeration over small
 prime fields.  The package exports what the README documents; the oracle
 internals and engine building blocks stay importable from their modules.
+The finite-field oracles need numpy; their exports load on first access, so
+importing the package and running the engine never imports numpy.
 """
 
 from .engine import (
@@ -14,13 +16,6 @@ from .engine import (
     motive_class,
     motive_series,
     motive_table,
-)
-from .fflab import (
-    EnumerationBudgetError,
-    centralizer_order,
-    count_moment_fiber,
-    count_stable_fiber,
-    kappa_oracle,
 )
 from .lrat import L, LRat, format_poly
 from .partitions import Partition, pairing, partitions_of, tuples_with_sizes
@@ -40,6 +35,23 @@ from .quiver import (
 from .series import MSeries
 
 __version__ = "0.1.0"
+
+_FFLAB_EXPORTS = (
+    "EnumerationBudgetError",
+    "centralizer_order",
+    "count_moment_fiber",
+    "count_stable_fiber",
+    "kappa_oracle",
+)
+
+
+def __getattr__(name: str):
+    if name in _FFLAB_EXPORTS:
+        from . import fflab
+
+        return getattr(fflab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "A2",

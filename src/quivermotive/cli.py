@@ -15,14 +15,18 @@ other exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import fflab, verify
 from .engine import PolynomialityError, betti_report, motive_class, motive_table
 from .lrat import format_poly
 from .quiver import BUILTIN_QUIVERS, InputError, Quiver, QuiverFormatError, parse_quiver
+
+if TYPE_CHECKING:
+    from .verify import CaseResult
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -32,7 +36,7 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         raise QuiverFormatError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -117,12 +121,16 @@ _SUITES = ("ffcount", "centralizer", "kappa", "harmonic", "all")
 
 
 def cmd_verify(args) -> int:
+    from . import fflab, verify
+
     qs = _parse_int_list(args.q, "--q") if args.q else (2, 3)
+    for q in qs:  # every field, before any suite
+        fflab._require_prime(q)
     if args.suite in ("ffcount", "all"):
         verify.check_level(args.alpha, qs)  # before any suite enumerates
     # without --budget every suite keeps its own default
     budget = {} if args.budget is None else {"budget": args.budget}
-    cases: list[verify.CaseResult] = []
+    cases: list[CaseResult] = []
     if args.suite in ("centralizer", "all"):
         cases += verify.centralizer_suite(qs=qs, **budget)
     if args.suite in ("kappa", "all"):
@@ -145,11 +153,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import verify
+
     cases = verify.run_selftest(fast=args.fast)
     return _report_cases(cases, args.format)
 
 
-def _report_cases(cases: list[verify.CaseResult], fmt: str) -> int:
+def _report_cases(cases: list[CaseResult], fmt: str) -> int:
     tally = {"PASS": 0, "FAIL": 0, "FLAG": 0, "SKIP": 0}
     for case in cases:
         tally[case.status] += 1
@@ -195,10 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "records"), default="human")
         p.add_argument(
             "--threads",
-            type=_thread_count,
+            type=_positive_int,
             default=1,
-            help="worker threads for the numerator sums; the sums are pure Python under the "
-            "GIL, so more threads do not run faster, and the output is the same for any value",
+            help="worker threads for the numerator sums; the sums and their big-int "
+            "arithmetic run under the GIL, so more threads do not run faster, and the output "
+            "is the same for any value",
         )
 
     p_motive = sub.add_parser("motive", help="class of one quiver variety")
@@ -226,11 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=None,
+        # the defaults of fflab.CENTRALIZER_BUDGET and fflab.DEFAULT_BUDGET,
+        # stated without importing fflab (and numpy) for every command
         help="enumeration point budget for the centralizer, harmonic and ffcount suites "
-        f"(default 2^{fflab.CENTRALIZER_BUDGET.bit_length() - 1} for centralizer scans, "
-        f"2^{fflab.DEFAULT_BUDGET.bit_length() - 1} for fiber counts and fiber identities)",
+        "(default 2^20 for centralizer scans, 2^26 for fiber counts and fiber identities)",
     )
     p_verify.set_defaults(func=cmd_verify)
 
@@ -251,6 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("verify", "selftest"):
+        # the oracles, and numpy with them, load with the commands that use
+        # them, before the command runs: module loading is set-up
+        importlib.import_module(".verify", __package__)
     try:
         return args.func(args)
     except InputError as exc:

@@ -19,9 +19,12 @@ at exponent e is kept as a numerator over a denominator fixed by e alone,
     P_e = product over vertices i of (L - 1)(L^2 - 1)...(L^e_i - 1),
 
 and the numerator is a Laurent polynomial: L^offset times an integer
-polynomial.  The centralizer class of a Jordan type lam of size k is L^a
-times P_k / c(lam), where c(lam) = P_k / prod_r P_{m_r} (m_r the part
-multiplicities) is an exact polynomial cofactor and
+polynomial.  The centralizer class of a Jordan type lam of size n with l
+parts is L^a times P_n / c(lam), with the exact polynomial cofactor
+
+    c(lam) = P_n / prod_r P_{m_r} = [l; m_1, ..., m_r]_L * P_n / P_l
+
+(m_r the part multiplicities, [l; m]_L their Gaussian multinomial) and
 a = <lam, lam> - sum_r m_r (m_r + 1) / 2, so a coefficient's numerator is a
 plain sum of L^power * prod_i c(lam_i).  Because P_e / (P_f P_{e-f}) is the
 product of the Gaussian binomials [e_i choose f_i]_L, the framed series F,
@@ -34,22 +37,55 @@ one recursion from the constant term,
 
     N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L * N(U)_f * N(Q)_{e-f}.
 
-The only division is N(Q)_v / P_v in _class_at, exact whenever the class
-is a polynomial; when it is inexact, or leaves a negative power of L, the
-reduced fraction is built only to word the PolynomialityError.
+Packed evaluation.  Every numerator polynomial is held as one Python int,
+its value at L = X = 2^bits, so the cofactors, the numerator sums, the
+L-shifts, the Gaussian binomials and the quotient recursion are big-int
+shifts, adds and multiplies.  Evaluation at X is a ring homomorphism, so the
+packed numerators are exactly the values of the true ones; what needs an
+argument is reading a polynomial back.  An integer polynomial whose
+coefficients all lie in (-X/2, X/2) is the only such polynomial with its
+value at X, and its coefficients are the balanced base-X digits of that
+value (_unpack).  bits is fixed before anything is packed, from an a-priori
+majorant of the L1 norm (sum of absolute coefficients) of every cofactor
+and numerator, which depends only on the degree bound and the vertex count:
+
+    |c(lam)|_1 <= multinomial(l; m) * 2^(n - l), since the Gaussian
+        multinomial has nonnegative coefficients summing to the ordinary
+        multinomial and |L^j - 1|_1 = 2;
+    |N(F)_e|_1 <= prod_i (sum over lam of size e_i of that bound), since
+        kappa and a only shift by powers of L; the same holds for N(U)_e.
+        The sum is 3^(e_i - 1) for e_i > 0: multinomial(l; m) counts the
+        orderings of the parts of lam, so the lam with l parts contribute
+        the binomial(e_i - 1, l - 1) compositions of e_i into l parts;
+    |N(Q)_e|_1 <= |N(F)_e|_1 + sum over 0 < f <= e of
+        prod_i binomial(e_i, f_i) * |N(U)_f|_1 * |N(Q)_{e-f}|_1,
+        by the recursion and |ab|_1 <= |a|_1 |b|_1.
+
+bits is the bit length of the largest of these majorants plus 2, so every
+coefficient of a cofactor or numerator lies in (-X/4, X/4): such a packed
+value is zero exactly when its polynomial is, and unpacking it is exact.
+Nothing else is unpacked or tested for zero.  No packed value is ever
+divided; the cofactors are built as products.  The
+bound depends on nothing the run computes, so a corrupted kappa still
+unpacks to its exact numerator, and exit 3 stays a proof.
+
+The only division is N(Q)_v / P_v in _class_at, on the unpacked polynomial,
+exact whenever the class is a polynomial; when it is inexact, or leaves a
+negative power of L, the reduced fraction is built only to word the
+PolynomialityError.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
+from math import comb
 from typing import Sequence
 
-from .lrat import LRat, Poly, _padd, _pdiv_exact, _pmul, _pneg, _pshift
-from .partitions import Partition, pairing, tuples_with_sizes
+from .lrat import LRat, Poly, _pdiv_exact, _pmul, _pshift
+from .partitions import Partition, pairing, partitions_of, tuples_with_sizes
 from .quiver import InputError, Quiver, check_dim_vector, d_shift
 from .series import MSeries, exponents_upto
 
@@ -77,21 +113,26 @@ class MotiveResult:
 def centralizer_class(lam_tuple: Sequence[Partition]) -> LRat:
     """Class of the centralizer of a tuple of nilpotent Jordan types.
 
-    The product of L^a * P_|lam| / c over the cofactors (a, c) of the
-    entries: the cofactors the series divide by.  Always a polynomial in L;
-    the empty tuple gives 1.
+    The product of L^a * P_|lam| / c over the entries, with (a, c) unpacked
+    from the per-partition data the series numerators are built from.
+    Always a polynomial in L; the empty tuple gives 1.
     """
     power, poly = 0, (1,)
     for lam in lam_tuple:
-        a, c = _cofactor(lam)
+        n = lam.size
+        bits = _packing_bits(1, n)
+        a, multinomial, length = _partition_data(bits, n)[lam]
+        _, c = _unpack((0, multinomial * _cyclo_packed(length, n, bits)), bits)
         power += a
-        poly = _pmul(poly, _pdiv_exact(_cyclo_range(0, lam.size), c))
+        poly = _pmul(poly, _pdiv_exact(_cyclo_range(n), c))
     return LRat._raw(_pshift(poly, power), (1,))
 
 
 def kappa(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]) -> int:
-    """Pairing sum over arrows plus framing pairings against (1,...,1)."""
-    w = check_dim_vector(quiver, w, "w")
+    """Pairing sum over arrows plus framing pairings against (1,...,1).
+
+    w is taken as given: one nonnegative entry per vertex.
+    """
     if len(lam_tuple) != quiver.vertex_count:
         raise ValueError(
             f"partition tuple has {len(lam_tuple)} entries, "
@@ -105,17 +146,83 @@ def kappa(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]) -> i
 
 # A Laurent polynomial L^offset * poly with poly[0] != 0; zero is (0, ()).
 Laurent = tuple[int, Poly]
-# A truncated series as numerators over P_e, keyed by exponent; zeros left out.
-Graded = dict[tuple[int, ...], Laurent]
+# L^offset times a polynomial packed as its value at L = 2^bits; zero is (0, 0).
+Packed = tuple[int, int]
+# A truncated series as packed numerators over P_e, keyed by exponent; zeros
+# left out.
+Graded = dict[tuple[int, ...], Packed]
 
-_LAURENT_ONE: Laurent = (0, (1,))
+
+@lru_cache(maxsize=64)
+def _majorants(nvars: int, bound: int) -> tuple[dict, dict]:
+    """L1-norm majorants of N(F)_e, which bound N(U)_e too, and of N(Q)_e.
+
+    Keyed by the exponents e of total degree <= bound; derived in the
+    module docstring.  The N(F) majorant at (n, 0, ..., 0) bounds every
+    cofactor c(lam) of size n as well.
+    """
+    # the summed majorants of |c(lam)|_1 over the partitions of n: 3^(n-1)
+    sizes = [1] + [3 ** (n - 1) for n in range(1, bound + 1)]
+    framed: dict[tuple[int, ...], int] = {}
+    quotient: dict[tuple[int, ...], int] = {}
+    for exp in exponents_upto(nvars, bound):
+        value = 1
+        for k in exp:
+            value *= sizes[k]
+        framed[exp] = value
+        for f in product(*(range(k + 1) for k in exp)):
+            if any(f):
+                binomials = 1
+                for n, k in zip(exp, f):
+                    binomials *= comb(n, k)
+                value += binomials * framed[f] * quotient[tuple(n - k for n, k in zip(exp, f))]
+        quotient[exp] = value
+    return framed, quotient
+
+
+def _packing_bits(nvars: int, bound: int) -> int:
+    """bits for every packed numerator with nvars vertices and degree <= bound.
+
+    The bit length of the largest majorant plus 2; N(Q)_e's majorant is at
+    least N(F)_e's, so the quotient majorants hold the largest.
+    """
+    return max(_majorants(nvars, bound)[1].values()).bit_length() + 2
+
+
+def _unpack(packed: Packed, bits: int) -> Laurent:
+    """The Laurent polynomial of a packed value, read as balanced base-2^bits digits.
+
+    Exact when every coefficient lies in (-2^(bits-1), 2^(bits-1)); the
+    result is normalized so that poly[0] != 0.
+    """
+    offset, value = packed
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    digits = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << bits
+        digits.append(digit)
+        value = (value - digit) >> bits
+    low = 0
+    while low < len(digits) and not digits[low]:
+        low += 1
+    return (offset + low, tuple(digits[low:])) if digits else (0, ())
+
+
+def _packed_sum(terms: list[Packed], bits: int) -> Packed:
+    """The sum of packed Laurent polynomials, at the lowest offset among them."""
+    if not terms:
+        return (0, 0)
+    base = min(offset for offset, _ in terms)
+    return base, sum(value << (bits * (offset - base)) for offset, value in terms)
 
 
 @lru_cache(maxsize=1024)
-def _cyclo_range(low: int, high: int) -> Poly:
-    """P_high / P_low = (L^(low+1) - 1)...(L^high - 1), for low <= high."""
+def _cyclo_range(high: int) -> Poly:
+    """P_high = (L - 1)(L^2 - 1)...(L^high - 1) as a polynomial."""
     out = [1]
-    for j in range(low + 1, high + 1):
+    for j in range(1, high + 1):
         # times (L^j - 1): a shift by j and a subtraction
         times = [0] * j + out
         for i, c in enumerate(out):
@@ -128,65 +235,54 @@ def _denominator(exp: Sequence[int]) -> Poly:
     """P_e: the product of P_{e_i} over the vertices."""
     out: Poly = (1,)
     for k in exp:
-        out = _pmul(out, _cyclo_range(0, k))
+        out = _pmul(out, _cyclo_range(k))
     return out
 
 
-@lru_cache(maxsize=1024)
-def _gauss_binomial(n: int, k: int) -> Poly:
-    """[n choose k]_L = P_n / (P_k P_{n-k}), by the L-Pascal rule."""
-    if k == 0 or k == n:
-        return (1,)
-    return _padd(_gauss_binomial(n - 1, k - 1), _pshift(_gauss_binomial(n - 1, k), k))
-
-
 @lru_cache(maxsize=4096)
-def _cofactor(lam: Partition) -> tuple[int, Poly]:
-    """(a, c) with centralizer class L^a * P_|lam| / c.
+def _cyclo_packed(low: int, high: int, bits: int) -> int:
+    """P_high / P_low = (L^(low+1) - 1)...(L^high - 1), packed; 1 if high <= low."""
+    if high <= low:
+        return 1
+    rest = _cyclo_packed(low, high - 1, bits)
+    return (rest << (bits * high)) - rest
 
-    a = <lam, lam> - sum_r m_r (m_r + 1) / 2 and c = P_|lam| / prod_r P_{m_r}
-    over the part multiplicities m_r.  With M the largest of them,
-    P_|lam| / P_M is a cached product, divided exactly by the (L^j - 1)
-    factors of the remaining P_{m_r}.
-    """
-    mults = sorted(lam.multiplicities().values())
-    a = pairing(lam, lam) - sum(m * (m + 1) // 2 for m in mults)
-    c = _cyclo_range(mults.pop() if mults else 0, lam.size)
+
+@lru_cache(maxsize=256)
+def _gauss_row(n: int, bits: int) -> tuple[int, ...]:
+    """[n choose k]_L packed, for k = 0..n, by the L-Pascal rule."""
+    if n == 0:
+        return (1,)
+    above = _gauss_row(n - 1, bits)
+    inner = (above[k - 1] + (above[k] << (bits * k)) for k in range(1, n))
+    return (1, *inner, 1)
+
+
+@lru_cache(maxsize=1024)
+def _multinomial(mults: tuple[int, ...], bits: int) -> int:
+    """The Gaussian multinomial [m_1 + ... + m_r; m_1, ..., m_r]_L, packed."""
+    out, total = 1, 0
     for m in mults:
-        for j in range(1, m + 1):
-            c = _divide_cyclo(c, j)
-    return a, c
+        total += m
+        out *= _gauss_row(total, bits)[m]
+    return out
 
 
-def _divide_cyclo(a: Poly, j: int) -> Poly:
-    """a / (L^j - 1), raising ArithmeticError unless the division is exact."""
-    n = len(a) - j
-    q = [-c for c in a[:n]]
-    for i in range(j, n):
-        q[i] += q[i - j]
-    # q matches a below L^n by construction; the top j coefficients of
-    # (L^j - 1) * q are those of L^j * q alone
-    if n < 1 or list(a[n:]) != ([0] * j + q)[n:]:
-        raise ArithmeticError("inexact polynomial division")
-    return tuple(q)
+@lru_cache(maxsize=16)
+def _partition_data(bits: int, bound: int) -> dict[Partition, tuple[int, int, int]]:
+    """(a, M, l) for every partition lam of size <= bound: the cofactor source.
 
-
-def _laurent_sum(terms: list[Laurent]) -> Laurent:
-    """The sum of Laurent polynomials, normalized so that poly[0] != 0."""
-    if not terms:
-        return (0, ())
-    base = min(offset for offset, _ in terms)
-    acc = [0] * max(offset - base + len(poly) for offset, poly in terms)
-    for offset, poly in terms:
-        start = offset - base
-        for i, c in enumerate(poly):
-            acc[start + i] += c
-    for low, c in enumerate(acc):
-        if c:
-            while not acc[-1]:
-                acc.pop()
-            return base + low, tuple(acc[low:])
-    return (0, ())
+    c(lam) = M * P_|lam| / P_l with M = [l; m_1, ..., m_r]_L packed at
+    2^bits, l = len(lam) the number of parts, and a the centralizer class
+    exponent (module docstring).
+    """
+    out = {}
+    for n in range(bound + 1):
+        for lam in partitions_of(n):
+            mults = tuple(sorted(lam.multiplicities().values()))
+            a = pairing(lam, lam) - sum(m * (m + 1) // 2 for m in mults)
+            out[lam] = (a, _multinomial(mults, bits), len(lam))
+    return out
 
 
 def _fraction(num: Laurent, den: Poly) -> LRat:
@@ -197,28 +293,44 @@ def _fraction(num: Laurent, den: Poly) -> LRat:
     return LRat(poly, _pshift(den, -offset))
 
 
-def _nilpotent_numerator(quiver: Quiver, w: tuple[int, ...], exp: tuple[int, ...]) -> Laurent:
-    """Numerator over P_exp of the sum of L^kappa / [Z] over tuples of sizes exp."""
-    terms = []
+def _nilpotent_numerator(
+    quiver: Quiver, w: tuple[int, ...], exp: tuple[int, ...], data: dict, bits: int
+) -> Packed:
+    """Packed numerator over P_exp of the sum of L^kappa / [Z] over tuples of sizes exp.
+
+    Terms are grouped by the part counts of their partitions, so that the
+    large factors P_{e_i} / P_{l_i} multiply each group once.
+    """
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
     for tup in tuples_with_sizes(exp):
         power = kappa(quiver, w, tup)
-        factors = []
+        multinomials, lengths = 1, ()
         for lam in tup:
-            a, c = _cofactor(lam)
+            a, multinomial, length = data[lam]
             power -= a
-            factors.append(c)
-        terms.append((power, reduce(_pmul, factors)))
-    return _laurent_sum(terms)
+            multinomials *= multinomial
+            lengths += (length,)
+        terms = groups.setdefault(lengths, {})
+        terms[power] = terms.get(power, 0) + multinomials
+    parts = []
+    for lengths, terms in groups.items():
+        offset, value = _packed_sum(list(terms.items()), bits)
+        for length, k in zip(lengths, exp):
+            value *= _cyclo_packed(length, k, bits)
+        parts.append((offset, value))
+    return _packed_sum(parts, bits)
 
 
-def _graded_quotient(framed: Graded, unframed: Graded, nvars: int, bound: int) -> Graded:
+def _graded_quotient(
+    framed: Graded, unframed: Graded, nvars: int, bound: int, bits: int
+) -> Graded:
     """Numerators of framed / unframed, by the recursion from the constant term.
 
     N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L N(U)_f N(Q)_{e-f};
     exact because N(U)_0 is 1, which is checked.
     """
-    constant = unframed.get((0,) * nvars, (0, ()))
-    if constant != _LAURENT_ONE:
+    constant = _unpack(unframed.get((0,) * nvars, (0, 0)), bits)
+    if constant != (0, (1,)):
         raise PolynomialityError(
             f"series division needs the unframed constant term 1, got {_fraction(constant, (1,))}"
         )
@@ -231,12 +343,11 @@ def _graded_quotient(framed: Graded, unframed: Graded, nvars: int, bound: int) -
             # out has no entry at exp yet, so y is None at f = 0
             if x is None or y is None:
                 continue
-            poly = _pneg(_pmul(x[1], y[1]))
+            value = -x[1] * y[1]
             for n, k in zip(exp, f):
-                if 0 < k < n:
-                    poly = _pmul(poly, _gauss_binomial(n, k))
-            terms.append((x[0] + y[0], poly))
-        num = _laurent_sum(terms)
+                value *= _gauss_row(n, bits)[k]
+            terms.append((x[0] + y[0], value))
+        num = _packed_sum(terms, bits)
         if num[1]:
             out[exp] = num
     return out
@@ -247,11 +358,16 @@ def _nilpotent_numerators(
     quiver: Quiver, w: tuple[int, ...], bound: int, threads: int
 ) -> Graded:
     exps = exponents_upto(quiver.vertex_count, bound)
+    bits = _packing_bits(quiver.vertex_count, bound)
+    data = _partition_data(bits, bound)
 
-    def numerator_for(exp: tuple[int, ...]) -> Laurent:
-        return _nilpotent_numerator(quiver, w, exp)
+    def numerator_for(exp: tuple[int, ...]) -> Packed:
+        return _nilpotent_numerator(quiver, w, exp, data, bits)
 
     if threads > 1:
+        # imported here: a one-thread run never loads the pool machinery
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             values = list(pool.map(numerator_for, exps))
     else:
@@ -266,7 +382,7 @@ def _quotient_numerators(
     n = quiver.vertex_count
     framed = _nilpotent_numerators(quiver, w, bound, threads)
     unframed = _nilpotent_numerators(quiver, (0,) * n, bound, threads)
-    return _graded_quotient(framed, unframed, n, bound)
+    return _graded_quotient(framed, unframed, n, bound, _packing_bits(n, bound))
 
 
 def nilpotent_series(
@@ -281,23 +397,27 @@ def nilpotent_series(
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
     numerators = _nilpotent_numerators(quiver, w, bound, threads)
-    coeffs = {exp: _fraction(num, _denominator(exp)) for exp, num in numerators.items()}
+    bits = _packing_bits(quiver.vertex_count, bound)
+    coeffs = {
+        exp: _fraction(_unpack(num, bits), _denominator(exp)) for exp, num in numerators.items()
+    }
     return MSeries._raw(quiver.vertex_count, bound, coeffs)
 
 
 def _class_at(
-    quiver: Quiver, v: tuple[int, ...], w: tuple[int, ...], quotient: Graded
+    quiver: Quiver, v: tuple[int, ...], w: tuple[int, ...], quotient: Graded, bits: int
 ) -> MotiveResult:
-    """The class at v read off the quotient numerators: N(Q)_v / P_v * L^-d.
+    """The class at v read off the packed quotient numerators: N(Q)_v / P_v * L^-d.
 
-    One exact division by P_v.  Its quotient has a nonzero constant term
-    (P_v has constant term +-1 and a numerator's poly starts nonzero), so
-    the class is a polynomial only if the division is exact and the L
-    offset is nonnegative; otherwise PolynomialityError shows the reduced
-    fraction.  Negative coefficients are legal but suspicious, and warn.
+    N(Q)_v is unpacked, then divided exactly by P_v once.  Its quotient has
+    a nonzero constant term (P_v has constant term +-1 and an unpacked
+    numerator's poly starts nonzero), so the class is a polynomial only if
+    the division is exact and the L offset is nonnegative; otherwise
+    PolynomialityError shows the reduced fraction.  Negative coefficients
+    are legal but suspicious, and warn.
     """
     d = d_shift(quiver, v, w)
-    offset, num = quotient.get(v, (0, ()))
+    offset, num = _unpack(quotient.get(v, (0, 0)), bits)
     offset -= d
     den = _denominator(v)
     try:
@@ -330,7 +450,9 @@ def motive_class(
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
-    return _class_at(quiver, v, w, _quotient_numerators(quiver, w, sum(v), threads))
+    bound = sum(v)
+    quotient = _quotient_numerators(quiver, w, bound, threads)
+    return _class_at(quiver, v, w, quotient, _packing_bits(quiver.vertex_count, bound))
 
 
 def motive_table(
@@ -344,8 +466,10 @@ def motive_table(
     w = check_dim_vector(quiver, w, "w")
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
+    n = quiver.vertex_count
     quotient = _quotient_numerators(quiver, w, bound, threads)
-    return [_class_at(quiver, v, w, quotient) for v in exponents_upto(quiver.vertex_count, bound)]
+    bits = _packing_bits(n, bound)
+    return [_class_at(quiver, v, w, quotient, bits) for v in exponents_upto(n, bound)]
 
 
 def motive_series(quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1) -> MSeries:

@@ -13,14 +13,15 @@ helpers.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 from typing import Iterable, Iterator
 
 
 class Partition:
     """A weakly decreasing tuple of positive parts, hashable and immutable."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_columns")
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(int(p) for p in parts)
@@ -29,6 +30,11 @@ class Partition:
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"partition parts must be weakly decreasing: {parts!r}")
         self.parts = parts
+        # the conjugate parts: column k has one box per part of size >= k
+        counts = [0] * (parts[0] if parts else 0)
+        for p in parts:
+            counts[p - 1] += 1
+        self._columns = tuple(accumulate(reversed(counts)))[::-1]
 
     @classmethod
     def ones(cls, n: int) -> "Partition":
@@ -74,31 +80,20 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """The transposed Young diagram."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for i in range(p):
-                cols[i] += 1
-        return Partition(cols)
+        return Partition(self._columns)
 
 
 # A tuple of partitions, one per quiver vertex.
 PartitionTuple = tuple[Partition, ...]
 
 
-@lru_cache(maxsize=1 << 14)
 def pairing(lam: Partition, mu: Partition) -> int:
     """The min-weighted multiplicity pairing of two partitions.
 
-    Equals the dot product of the conjugate partitions; the pairing with an
-    empty partition is 0 (empty sum).
+    Computed as the dot product of the conjugate partitions, to which it is
+    equal; the pairing with an empty partition is 0 (empty sum).
     """
-    total = 0
-    for i, mi in lam.multiplicities().items():
-        for j, mj in mu.multiplicities().items():
-            total += min(i, j) * mi * mj
-    return total
+    return sum(map(mul, lam._columns, mu._columns))
 
 
 def _descending_sums(n: int, cap: int) -> Iterator[tuple[int, ...]]:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import quivermotive
 from quivermotive import cli
 from quivermotive.engine import PolynomialityError
 from quivermotive.quiver import JORDAN
@@ -220,21 +224,59 @@ class TestVerifyCommand:
 
     def test_corrupted_cofactor_fails(self, capsys, monkeypatch, fresh_engine_caches):
         # c((1, 1)) times (L^2 - 1) makes the centralizer class L(L - 1): the
-        # suite checks the cofactor the series divide by
+        # suite checks the per-partition cofactor data, and the series are
+        # built from the same data, so the class of jordan v=(2) w=(1),
+        # L^3 + L^4, changes or stops being a polynomial
         from quivermotive import engine
-        from quivermotive.lrat import _pmul
         from quivermotive.partitions import Partition
 
-        original = engine._cofactor
+        original = engine._partition_data
 
-        def wrong_cofactor(lam):
-            a, c = original(lam)
-            return a, _pmul(c, (-1, 0, 1)) if lam == Partition((1, 1)) else c
+        def wrong_data(bits, bound):
+            data = dict(original(bits, bound))
+            lam = Partition((1, 1))
+            if lam in data:  # the tables for bounds 0 and 1 stop short of it
+                a, multinomial, length = data[lam]
+                data[lam] = (a, multinomial * ((1 << 2 * bits) - 1), length)
+            return data
 
-        monkeypatch.setattr(engine, "_cofactor", wrong_cofactor)
+        monkeypatch.setattr(engine, "_partition_data", wrong_data)
         rc, out, _ = run_cli(capsys, "verify", "centralizer", "--q", "2")
         assert rc == 1
         assert "FAIL centralizer: lam=(1, 1) q=2" in out
+        rc, out, _ = run_cli(capsys, "motive", "--quiver", "jordan", "--v", "2", "--w", "1")
+        assert rc == 3 or (rc == 0 and "class = L^3 + L^4\n" not in out)
+
+    @pytest.mark.parametrize(
+        "suite,fields", [("all", "2,0"), ("harmonic", "0"), ("kappa", "0"), ("ffcount", "1")]
+    )
+    def test_non_prime_field_exits_2_before_any_suite(self, capsys, suite, fields):
+        rc, out, err = run_cli(capsys, "verify", suite, "--q", fields)
+        assert rc == 2
+        assert out == ""
+        bad = fields.split(",")[-1]
+        assert err == f"error: field size must be prime, got {bad}\n"
+
+    @pytest.mark.parametrize("suite,budget", [("ffcount", "-1"), ("centralizer", "0")])
+    def test_budget_below_one_exits_2(self, capsys, suite, budget):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", suite, "--q", "2", "--budget", budget])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be at least 1, got {budget}" in captured.err
+
+    def test_budget_help_states_the_fflab_defaults(self, capsys):
+        from quivermotive import fflab
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert (
+            f"(default 2^{fflab.CENTRALIZER_BUDGET.bit_length() - 1} for centralizer scans, "
+            f"2^{fflab.DEFAULT_BUDGET.bit_length() - 1} for fiber counts and fiber identities)"
+        ) in text
 
     def test_ffcount_zero_level_exits_2(self, capsys):
         rc, out, err = run_cli(capsys, "verify", "ffcount", "--q", "2", "--alpha", "0")
@@ -348,6 +390,28 @@ class TestVerifyCommand:
             cli.main(["verify", "nonsense"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_engine_commands_import_no_numpy():
+    # in a fresh interpreter: motive and series never load the oracles or
+    # numpy; verify loads them on demand
+    code = """
+import sys
+from quivermotive import cli
+assert cli.main(["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", "4"]) == 0
+assert cli.main(["motive", "--quiver", "jordan", "--v", "3", "--w", "1"]) == 0
+loaded = [m for m in ("numpy", "quivermotive.fflab", "quivermotive.verify") if m in sys.modules]
+assert not loaded, loaded
+assert cli.main(["verify", "kappa"]) == 0
+assert "numpy" in sys.modules
+"""
+    src = str(Path(quivermotive.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "summary: " in proc.stdout
 
 
 class TestSelftestCommand:

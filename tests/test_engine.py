@@ -1,5 +1,7 @@
+import random
 import time
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -14,13 +16,28 @@ from quivermotive.engine import (
     motive_table,
     nilpotent_series,
 )
-from quivermotive.lrat import L, LRat, gl_class
+from quivermotive.lrat import L, LRat, _peval, gl_class
 from quivermotive.partitions import Partition, pairing, partitions_of, tuples_with_sizes
-from quivermotive.quiver import A2, DOUBLE_ARROW, JORDAN, SINGLE_VERTEX, STAR3, TWO_LOOP
+from quivermotive.quiver import (
+    A2,
+    BUILTIN_QUIVERS,
+    DOUBLE_ARROW,
+    JORDAN,
+    SINGLE_VERTEX,
+    STAR3,
+    TWO_LOOP,
+)
 from quivermotive.series import MSeries, exponents_upto
 
 ONE = LRat.from_int(1)
 P = Partition
+BITS = 8  # packing width for hand-made numerators with small coefficients
+
+
+def packed(num, bits=BITS):
+    """A Laurent numerator (offset, poly) packed at L = 2^bits."""
+    offset, poly = num
+    return offset, _peval(poly, 1 << bits)
 
 
 def literal_hua_term(quiver, w, lam_tuple):
@@ -269,15 +286,15 @@ class TestMotiveClass:
         # exactly but leaves L^-4 after the shift by L^-d = L
         for num, got in (((0, (1,)), "(L^1) / (-1 + L^1)"), ((-5, (-1, 1)), "(1) / (L^4)")):
             with pytest.raises(PolynomialityError) as exc:
-                engine._class_at(JORDAN, (1,), (1,), {(1,): num})
+                engine._class_at(JORDAN, (1,), (1,), {(1,): packed(num)}, BITS)
             assert str(exc.value) == f"polynomiality violated for v=(1,), w=(1,): got {got}"
 
     def test_negative_coefficient_warns(self):
         # (L - L^2)/(L-1) = -L forces class -L^2 after the shift for jordan
         # v=(1), w=(1)
-        quotient = {(1,): (1, (1, -1))}
+        quotient = {(1,): packed((1, (1, -1)))}
         with pytest.warns(RuntimeWarning, match="negative coefficient"):
-            result = engine._class_at(JORDAN, (1,), (1,), quotient)
+            result = engine._class_at(JORDAN, (1,), (1,), quotient, BITS)
         assert result.class_polynomial == (0, 0, -1)
 
 
@@ -299,6 +316,88 @@ class TestMotiveTable:
         elapsed = time.perf_counter() - start
         assert [list(row.class_polynomial) for row in rows] == goettsche_classes(20)
         assert elapsed < 10
+
+
+def l1_norm(packed_num, bits):
+    return sum(abs(c) for c in engine._unpack(packed_num, bits)[1])
+
+
+class TestPacking:
+    def test_unpack_round_trip(self):
+        # balanced digits up to +-(X/2 - 1), zeros at either end, any offset
+        rng = random.Random(8)
+        for bits in (3, 8, 27, 65):
+            top = (1 << (bits - 1)) - 1
+            for _ in range(300):
+                poly = [
+                    rng.choice((-top, top, 0, rng.randint(-top, top)))
+                    for _ in range(rng.randint(0, 12))
+                ]
+                offset = rng.randint(-6, 6)
+                nonzero = [i for i, c in enumerate(poly) if c]
+                expected = (
+                    (offset + nonzero[0], tuple(poly[nonzero[0] : nonzero[-1] + 1]))
+                    if nonzero
+                    else (0, ())
+                )
+                packed_num = (offset, _peval(tuple(poly), 1 << bits))
+                assert engine._unpack(packed_num, bits) == expected, (bits, poly)
+
+    def test_packing_bits_pinned(self):
+        # the a-priori bound alone fixes the width: Jordan at degrees 16 and
+        # 28, star3 at degree 8
+        assert engine._packing_bits(1, 16) == 65
+        assert engine._packing_bits(3, 8) == 27
+        assert engine._packing_bits(1, 28) == 132
+
+    @pytest.mark.parametrize(
+        "quiver,bound",
+        [(q, 5) for q in BUILTIN_QUIVERS.values()] + [(JORDAN, 12)],
+    )
+    def test_majorants_bound_every_numerator(self, quiver, bound, fresh_engine_caches):
+        n = quiver.vertex_count
+        framed_major, quotient_major = engine._majorants(n, bound)
+        bits = engine._packing_bits(n, bound)
+        # every majorant, and so every coefficient, stays below X/4
+        assert 4 * max(quotient_major.values()) < 1 << bits
+        assert all(quotient_major[e] >= framed_major[e] for e in framed_major)
+        w = (1,) * n
+        framed = engine._nilpotent_numerators(quiver, w, bound, 1)
+        unframed = engine._nilpotent_numerators(quiver, (0,) * n, bound, 1)
+        quotient = engine._quotient_numerators(quiver, w, bound, 1)
+        pairs = ((framed, framed_major), (unframed, framed_major), (quotient, quotient_major))
+        for exp in exponents_upto(n, bound):
+            for graded, major in pairs:
+                assert l1_norm(graded.get(exp, (0, 0)), bits) <= major[exp], (quiver, exp)
+        data = engine._partition_data(bits, bound)
+        for size in range(bound + 1):
+            for lam in partitions_of(size):
+                _, multinomial, length = data[lam]
+                c = (0, multinomial * engine._cyclo_packed(length, size, bits))
+                ordered = factorial(length)
+                for m in lam.multiplicities().values():
+                    ordered //= factorial(m)
+                assert l1_norm(c, bits) <= ordered << (size - length), lam
+
+
+def test_pmul_off_the_engine_hot_path(monkeypatch, fresh_engine_caches):
+    # the numerators, cofactors and quotient are packed ints; polynomial
+    # products are left for P_v, once per class row
+    from quivermotive import lrat
+
+    calls = []
+    original = lrat._pmul
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    for module in (lrat, engine):  # the engine imports it by name
+        monkeypatch.setattr(module, "_pmul", counted)
+    rows = motive_table(JORDAN, (1,), 12)
+    assert len(calls) <= len(rows) == 13
+    for gone in ("_divide_cyclo", "_laurent_sum", "_cofactor"):
+        assert not hasattr(engine, gone), gone
 
 
 def test_corrupted_kappa_exits_3(capsys, monkeypatch, fresh_engine_caches):

@@ -144,6 +144,18 @@ class TestPairing:
                 dot = sum(a * b for a, b in zip(ca, cb))
                 assert pairing(lam, mu) == dot
 
+    def test_multiplicity_definition_exhaustive(self):
+        # the defining sum over part sizes i, j of min(i, j) m_i(lam) m_j(mu)
+        pool = [lam for n in range(9) for lam in partitions_of(n)]
+        for lam in pool:
+            for mu in pool:
+                total = sum(
+                    min(i, j) * mi * mj
+                    for i, mi in lam.multiplicities().items()
+                    for j, mj in mu.multiplicities().items()
+                )
+                assert pairing(lam, mu) == total
+
     def test_diagonal_lower_bound(self):
         # pairing(lam, lam) is the sum of squared conjugate parts, so it is
         # at least the size, with equality exactly for single-row partitions
