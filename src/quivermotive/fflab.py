@@ -1,11 +1,13 @@
 """Brute-force oracles over prime fields.
 
 Everything here is deliberately independent of the L-polynomial engine:
-moment-map fiber counts come from explicit enumeration of matrix tuples,
-centralizer orders from scanning all square matrices, kernel dimensions from
-exact rank over the rationals, and character sums are tracked as integer
-count vectors over powers of a fixed p-th root of unity.  Comparisons with
-the engine are therefore exact, with no floating point anywhere.
+moment-map fiber counts come from explicit enumeration of matrix tuples
+(the phi half taken one symmetry orbit at a time, the orbits themselves
+found and measured by enumeration), centralizer orders from scanning every
+matrix of the commutant, kernel dimensions from exact rank over the
+rationals, and character sums are tracked as integer count vectors over
+powers of a fixed p-th root of unity.  Comparisons with the engine are
+therefore exact, with no floating point anywhere.
 
 The moment-map condition is evaluated against the elementary-matrix basis of
 the symmetry Lie algebra through its defining pairing, never through an
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -237,6 +239,16 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def _block_diagonal(blocks) -> np.ndarray:
+    d = sum(b.shape[0] for b in blocks)
+    out = np.zeros((d, d), dtype=np.int64)
+    pos = 0
+    for b in blocks:
+        out[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
+        pos += b.shape[0]
+    return out
+
+
 def _rho_matrix(quiver: Quiver, v, w, X) -> np.ndarray:
     """Integer matrix of phi -> rho'(X) phi in flattened phi coordinates.
 
@@ -249,13 +261,19 @@ def _rho_matrix(quiver: Quiver, v, w, X) -> np.ndarray:
     eye = [np.eye(n, dtype=np.int64) for n in v]
     blocks = [_kron(Xs[t], eye[s]) - _kron(eye[t], Xs[s].T) for s, t in quiver.arrows]
     blocks += [_kron(Xs[i], np.eye(w[i], dtype=np.int64)) for i in range(quiver.vertex_count)]
-    d = sum(b.shape[0] for b in blocks)
-    out = np.zeros((d, d), dtype=np.int64)
-    pos = 0
-    for b in blocks:
-        out[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
-        pos += b.shape[0]
-    return out
+    return _block_diagonal(blocks)
+
+
+def _group_matrix(quiver: Quiver, v, w, g, g_inv) -> np.ndarray:
+    """Integer matrix of phi -> g . phi in flattened phi coordinates.
+
+    g is one invertible matrix per vertex and g_inv their inverses; laid out
+    like _rho_matrix, the block of an arrow s -> t sends E to g_t . E . g_s^-1
+    and the block of a framing sends E to g_i . E.
+    """
+    blocks = [_kron(g[t], g_inv[s].T) for s, t in quiver.arrows]
+    blocks += [_kron(g[i], np.eye(w[i], dtype=np.int64)) for i in range(quiver.vertex_count)]
+    return _block_diagonal(blocks)
 
 
 def _psi_order(quiver: Quiver, v, w) -> np.ndarray:
@@ -295,8 +313,12 @@ def _digit_rows(q: int, d: int, start: int, stop: int) -> np.ndarray:
     The result is the transpose of a C-ordered (d, N) array, so each digit
     column is contiguous.
     """
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((d, stop - start), dtype=np.int32)
+    return _digits(np.arange(start, stop, dtype=np.int64), q, d)
+
+
+def _digits(idx: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Base-q digit expansion of the given point indices, laid out as _digit_rows."""
+    out = np.empty((d, idx.size), dtype=np.int32)
     for col in range(d):
         idx, out[col] = np.divmod(idx, q)
     return out.T
@@ -402,18 +424,127 @@ def _batch_affine_counts(aug: np.ndarray, q: int) -> np.ndarray:
     return counts
 
 
-def _count_fiber_linear(mats, targets, q: int, d: int, alpha: int) -> int:
+def _gl_generators(n: int, q: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Generators of GL_n over the q-element field, each with its inverse.
+
+    The permutation matrices of the transposition (1 2) and of the n-cycle
+    give every permutation.  Conjugating the transvection I + E_12 by them
+    and by diag(r, 1, ..., 1), for a primitive root r, gives every
+    elementary transvection I + c E_ij, and these generate SL_n; the
+    diagonal then reaches every determinant.  Generators equal to the
+    identity or to one already listed are left out.
+    """
+    eye = np.eye(n, dtype=np.int64)
+    root = next(r for r in range(1, q) if len({pow(r, k, q) for k in range(q - 1)}) == q - 1)
+    gens = []
+    if n and root != 1:
+        g, g_inv = eye.copy(), eye.copy()
+        g[0, 0], g_inv[0, 0] = root, pow(root, -1, q)
+        gens.append((g, g_inv))
+    if n >= 2:
+        g, g_inv = eye.copy(), eye.copy()
+        g[0, 1], g_inv[0, 1] = 1, q - 1
+        swap = eye[[1, 0, *range(2, n)]]
+        gens += [(g, g_inv), (swap, swap)]
+    if n >= 3:
+        cycle = eye[np.roll(np.arange(n), 1)]
+        gens.append((cycle, cycle.T))
+    return gens
+
+
+def _phi_orbits(quiver: Quiver, v, w, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of G_v = prod GL(v_i) on the q^d phi points, by brute force.
+
+    Returns (representatives, sizes): the smallest phi index of each orbit,
+    ascending, and the number of phi indices in the orbit, counted.  The
+    orbits are the connected components of the graph that joins each phi to
+    its images under generators of every GL(v_i) (_gl_generators), each
+    acting on flattened phi through its linear map (_group_matrix), which is
+    checked to be invertible mod q and so to permute the phi indices.  The
+    components come from min-label propagation: a pass lowers the labels of
+    a phi and of each of its images to the smaller of the two, then moves
+    every label to the label it points at, and passes repeat until one
+    changes nothing.
+
+    A generating set that is too small only splits orbits into finer
+    pieces, on which a G_v-invariant quantity is still constant, so a count
+    weighted by these sizes stays correct and only gets slower.  Memory: one
+    int32 label per phi (int64 from 2^31 points on), besides arrays of one
+    PHI_CHUNK of phi; the generator images are built chunk by chunk.
+    """
+    d = dim_rep_space(quiver, v, w)
     n_phi = q**d
+    place = q ** np.arange(d, dtype=np.int64)
+    steps = []
+    for i, n in enumerate(v):
+        for g, g_inv in _gl_generators(n, q):
+            elem = [np.eye(m, dtype=np.int64) for m in v]
+            elem_inv = list(elem)
+            elem[i], elem_inv[i] = g, g_inv
+            forward = _group_matrix(quiver, v, w, elem, elem_inv)
+            back = _group_matrix(quiver, v, w, elem_inv, elem)
+            if not ((forward @ back) % q == np.eye(d, dtype=np.int64)).all():
+                raise AssertionError(f"generator {g.tolist()} does not permute the phi points")
+            # image digit c is row c of the map applied to the phi digits,
+            # mod q; rows that copy one digit need no reduction and enter the
+            # index through one weight vector, the few others one at a time
+            forward %= q
+            copies = (forward.sum(axis=1) == 1) & ((forward == 1).sum(axis=1) == 1)
+            mixed = [
+                (place[c], np.flatnonzero(forward[c]), forward[c][forward[c] != 0])
+                for c in np.flatnonzero(~copies)
+            ]
+            steps.append((place[copies] @ forward[copies], mixed))
+    label = np.arange(n_phi, dtype=np.int32 if n_phi < 1 << 31 else np.int64)
+    changed = True
+    while changed:
+        changed = False
+        for start in range(0, n_phi, PHI_CHUNK):
+            digits = _digit_rows(q, d, start, min(start + PHI_CHUNK, n_phi)).T.astype(np.int64)
+            own = label[start : start + PHI_CHUNK]  # a view: writes land in label
+            for copy_weights, mixed in steps:
+                image = copy_weights @ digits
+                for weight, cols, coeffs in mixed:
+                    image += weight * ((coeffs @ digits[cols]) % q)
+                theirs = label[image]
+                low = np.minimum(own, theirs)
+                changed |= bool((low < theirs).any() or (low < own).any())
+                label[image] = low  # a permutation's images are distinct
+                np.minimum(own, low, out=own)
+            jumped = label[own]
+            changed |= bool((jumped < own).any())
+            own[...] = jumped
+    chunks = range(0, n_phi, PHI_CHUNK)
+    reps = []
+    for start in chunks:
+        own = label[start : start + PHI_CHUNK]
+        reps.append(start + np.flatnonzero(own == np.arange(start, start + own.size)))
+    reps = np.concatenate(reps)
+    sizes = np.zeros(reps.size, dtype=np.int64)
+    for start in chunks:
+        owner = np.searchsorted(reps, label[start : start + PHI_CHUNK])
+        sizes += np.bincount(owner, minlength=reps.size)
+    return reps, sizes
+
+
+def _count_fiber_linear(quiver: Quiver, v, w, mats, targets, q: int, d: int, alpha: int) -> int:
+    """Fiber count by eliminating the psi system of one phi per G_v-orbit.
+
+    The moment map is G_v-equivariant and alpha times the identity is
+    central, so g sends the psi solutions of phi onto those of g . phi:
+    their number is constant on orbits and is weighted by the orbit size.
+    """
+    reps, sizes = _phi_orbits(quiver, v, w, q)
     goals = np.array([(alpha * t) % q for t in targets], dtype=np.int32)
-    n_basis = len(mats)
     total = 0
-    for start in range(0, n_phi, PHI_CHUNK):
-        phi = _digit_rows(q, d, start, min(start + PHI_CHUNK, n_phi))
-        systems = np.empty((phi.shape[0], n_basis, d + 1), dtype=np.int32)
+    for start in range(0, reps.size, PHI_CHUNK):
+        phi = _digits(reps[start : start + PHI_CHUNK], q, d)
+        systems = np.empty((phi.shape[0], len(mats), d + 1), dtype=np.int32)
         for k, M in enumerate(mats):
             systems[:, k, :d] = (phi @ M) % q
             systems[:, k, d] = goals[k]
-        total += int(_batch_affine_counts(systems, q).sum())
+        counts = _batch_affine_counts(systems, q).tolist()
+        total += sum(c * n for c, n in zip(counts, sizes[start : start + PHI_CHUNK].tolist()))
     return total
 
 
@@ -433,13 +564,15 @@ def count_moment_fiber(
     basis element's trace.  Strategies:
 
     - "full": enumerate all q^(2 dim) pairs and test every condition;
-    - "linear": enumerate the q^dim phi half only and count psi solutions
-      of the resulting affine-linear system exactly;
+    - "linear": split the q^dim phi half into G_v-orbits by brute force
+      (_phi_orbits), count the psi solutions of one phi per orbit exactly
+      from its affine-linear system, and weight each by the orbit size;
     - "auto": full while the pair count stays within both the budget and an
       internal cap, linear beyond that.
 
     Both strategies count the same set; the overlap is cross-checked in the
-    test suite.
+    test suite.  The budget bounds q^(2 dim) for "full" and q^dim, the phi
+    points labelled by the orbit pass, for "linear".
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
@@ -461,7 +594,7 @@ def count_moment_fiber(
     if strategy == "full":
         goals = [(alpha * t) % q for t in traces]
         return _count_fiber_full(mats, goals, q, d)
-    return _count_fiber_linear(mats, traces, q, d, alpha)
+    return _count_fiber_linear(quiver, v, w, mats, traces, q, d, alpha)
 
 
 def _stability_layout(quiver: Quiver, v, w):
@@ -640,30 +773,36 @@ def jordan_nilpotent(lam: Partition) -> tuple[tuple[int, ...], ...]:
 def _det_mod(batch: np.ndarray, q: int) -> np.ndarray:
     """Determinants mod q of a batch of small square matrices, by expansion.
 
-    Each permutation term is a product of n entries below q, taken along
-    contiguous int64 entry columns and reduced mod q once; the sum of the
-    n! signed terms is reduced at the end.  Every intermediate stays below
-    n! * (q-1)^n in absolute value, so int64 is exact while
-    n! * (q-1)^n < 2^63.  That bound is below q^(n^2), so it holds for every
-    scan whose point indices fit in int64.
+    The entries must lie in [0, q).  Laplace expansion along the rows with
+    shared minors: after row r the determinant of rows 0..r on every set of
+    r + 1 columns is known, and the next row extends each set by one
+    column, which costs n 2^(n-1) products per matrix where the permutation
+    sum costs n * n!.  The minors of row r are below bound = (r+1)! (q-1)^(r+1)
+    in absolute value; they are reduced mod q only where the next row could
+    leave int64, so the result is exact whenever n (q-1)^2 < 2^63.
     """
-    n = batch.shape[1]
+    n_mat, n = batch.shape[0], batch.shape[1]
     # entries[i * n + j] holds entry (i, j) of every matrix
-    entries = np.ascontiguousarray(batch.reshape(batch.shape[0], n * n).T, dtype=np.int64)
-    dets = np.zeros(batch.shape[0], dtype=np.int64)
-    if n == 0:
-        return dets + 1
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = entries[perm[0]].copy()
-        for i in range(1, n):
-            term *= entries[i * n + perm[i]]
-        term %= q
-        if inversions % 2:
-            dets -= term
-        else:
-            dets += term
-    return dets % q
+    entries = np.ascontiguousarray(batch.reshape(n_mat, n * n).T, dtype=np.int64)
+    minors = {(): np.ones(n_mat, dtype=np.int64)}
+    bound = 1
+    for row in range(n):
+        extended = {}
+        for cols in combinations(range(n), row + 1):
+            acc = np.zeros(n_mat, dtype=np.int64)
+            for pos, col in enumerate(cols):
+                term = entries[row * n + col] * minors[cols[:pos] + cols[pos + 1 :]]
+                if (row + pos) % 2:
+                    acc -= term
+                else:
+                    acc += term
+            extended[cols] = acc
+        minors = extended
+        bound *= (row + 1) * (q - 1)
+        if (row + 2) * (q - 1) * bound >= 1 << 63:
+            minors = {cols: m % q for cols, m in minors.items()}
+            bound = q - 1
+    return minors[tuple(range(n))] % q
 
 
 def _commutator_map(J: np.ndarray) -> np.ndarray:
@@ -673,36 +812,50 @@ def _commutator_map(J: np.ndarray) -> np.ndarray:
 
 
 def centralizer_order(lam: Partition, q: int, budget: int = CENTRALIZER_BUDGET) -> int:
-    """Invertible matrices commuting with the Jordan nilpotent of type lam.
+    """Invertible matrices commuting with the Jordan nilpotent J of type lam.
 
-    Counts by scanning every square matrix over the field, so the search
-    space is q to the n^2; sizes beyond the budget raise.  A chunk of
-    matrices is filtered through the commutator map M -> M J - J M one
-    coordinate at a time (each has at most two nonzero coefficients), and
-    only the commuting survivors have their determinants taken.
+    The commuting matrices are the kernel of the commutator map
+    vec(M) -> vec(M J - J M), eliminated once over the field.  Each of the
+    q^k kernel elements is enumerated and counted when its determinant is
+    nonzero, so the scan is still brute force over the commutant; the
+    budget bounds q^k, the number of matrices scanned, and larger scans
+    raise.  A kernel element's entries at the free columns of the
+    elimination are its coefficients, so only the pivot entries are
+    computed, each from the few coefficients its basis column touches.
     """
     _require_prime(q)
     n = lam.size
     if n == 0:
         return 1
-    need = q ** (n * n)
+    J = np.array(jordan_nilpotent(lam), dtype=np.int64)
+    echelon, rank, pivots = _batch_echelon(_commutator_map(J)[None], q, n * n)
+    k = n * n - int(rank[0])
+    need = q**k
     if need > budget:
         raise EnumerationBudgetError(need, budget, f"centralizer scan for {lam!r} at q={q}")
-    J = np.array(jordan_nilpotent(lam), dtype=np.int64)
-    conditions = []
-    for row in _commutator_map(J):
-        cols = np.flatnonzero(row)
-        if cols.size:
-            conditions.append((cols, row[cols]))
+    basis = _null_basis(echelon, pivots, q)[0, :k]
+    pivot_cols = pivots[0, : int(rank[0])]
+    pivot_terms = [(p, np.flatnonzero(basis[:, p])) for p in pivot_cols]
+    is_free = np.ones(n * n, dtype=bool)
+    is_free[pivot_cols] = False
+    free_cols = np.flatnonzero(is_free)
+    # coefficient vectors a block of at most 2^14 at a time: the first `low`
+    # coefficients run through all their values within a block, the others
+    # are fixed per block, so no index is split into digits
+    low = 1
+    while low < k and q ** (low + 1) <= 1 << 14:
+        low += 1
+    coeffs = np.empty((k, q**low), dtype=np.int64)
+    coeffs[:low] = np.indices((q,) * low).reshape(low, -1)
     total = 0
-    chunk = 1 << 16
-    for start in range(0, need, chunk):
-        # entries[k] holds entry k of the row-major vec(M), one matrix per column
-        entries = _digit_rows(q, n * n, start, min(start + chunk, need)).T
-        for cols, coeffs in conditions:
-            entries = entries[:, (coeffs @ entries[cols]) % q == 0]
-        if entries.shape[1]:
-            total += int(np.count_nonzero(_det_mod(entries.T.reshape(-1, n, n), q)))
+    for high in product(range(q), repeat=k - low):
+        coeffs[low:] = np.array(high, dtype=np.int64).reshape(-1, 1)
+        # entries[c] holds entry c of the row-major vec(M), one matrix per column
+        entries = np.empty((n * n, coeffs.shape[1]), dtype=np.int64)
+        entries[free_cols] = coeffs
+        for p, rows in pivot_terms:
+            entries[p] = (basis[rows, p] @ coeffs[rows]) % q
+        total += int(np.count_nonzero(_det_mod(entries.T.reshape(-1, n, n), q)))
     return total
 
 
@@ -870,16 +1023,31 @@ def charsum_linear_lemma(n: int, family: Iterable[tuple[Sequence[int], int]], q:
 
 
 def fourier_transform(f: dict, q: int, n: int) -> dict:
-    """Unnormalized discrete transform of a cyclotomic-valued function."""
+    """Unnormalized discrete transform of a cyclotomic-valued function.
+
+    The term of v at w is f(v) times zeta^<v, w>, which shifts the count
+    vector of f(v) by the phase <v, w> mod q; the phases come from one
+    table, and each output point sums plain count lists, exactly, before it
+    becomes a CycloCount.
+    """
     points = list(product(range(q), repeat=n))
+    # phases[i][j] = <points[i], points[j]> mod q, built one coordinate at a
+    # time from the multiplication table, as product orders the points
+    times = [[(a * b) % q for b in range(q)] for a in range(q)]
+    phases = [[0]]
+    for _ in range(n):
+        phases = [[(t + m) % q for t in row for m in mult] for row in phases for mult in times]
+    # shifts[t] is the count list of f(v) multiplied by zeta^t
+    terms = []
+    for vv, phase_row in zip(points, phases):
+        val = f.get(vv)
+        if val is not None:
+            counts = list(val.counts)
+            terms.append((phase_row, [counts[q - t :] + counts[: q - t] for t in range(q)]))
     out = {}
-    for wv in points:
-        acc = CycloCount(q)
-        for vv in points:
-            val = f.get(vv)
-            if val is not None:
-                acc = acc + val.shifted(sum(a * b for a, b in zip(vv, wv)) % q)
-        out[wv] = acc
+    for j, wv in enumerate(points):
+        shifted = [shifts[phase_row[j]] for phase_row, shifts in terms]
+        out[wv] = CycloCount(q, map(sum, zip((0,) * q, *shifted)))
     return out
 
 

@@ -49,9 +49,11 @@ def _case(suite: str, name: str, check, miss: str = "FAIL") -> CaseResult:
 def centralizer_suite(
     qs=(2, 3), max_size: int = 4, budget: int = fflab.CENTRALIZER_BUDGET
 ) -> list[CaseResult]:
-    """Centralizer orders by matrix scan against the engine's centralizer class.
+    """Centralizer orders by commutant scan against the engine's centralizer class.
 
-    The class is L^a * P_|lam| / c(lam), built from the cofactor (a, c) the
+    fflab.centralizer_order enumerates the q^k matrices of the commutant of
+    the Jordan nilpotent, k = sum of lam'_i^2, and budget bounds q^k.  The
+    class is L^a * P_|lam| / c(lam), built from the cofactor (a, c) the
     series numerators divide by, so a wrong cofactor FAILs here.
     """
 

@@ -191,7 +191,7 @@ class TestVerifyCommand:
         rc, out, _ = run_cli(capsys, "verify", "centralizer")
         assert rc == 0
         assert "FAIL" not in out
-        assert out.count("PASS") == 19
+        assert out.count("PASS") == 23
 
     def test_centralizer_runs_the_requested_field(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "centralizer", "--q", "5", "--format", "records")
@@ -199,9 +199,10 @@ class TestVerifyCommand:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert all(r["case"].endswith(" q=5") for r in records)
         statuses = [r["status"] for r in records]
-        # sizes 0-2 scan at most 5^4 matrices; size 3 needs 5^9 > budget
-        assert statuses.count("PASS") == 4
-        assert statuses.count("SKIP") == 8
+        # a commutant of dimension k holds 5^k matrices: k <= 8 fits the
+        # budget, k = 9, 10, 16 for (1,1,1), (2,1,1), (1,1,1,1) do not
+        assert statuses.count("PASS") == 9
+        assert statuses.count("SKIP") == 3
         by_case = {r["case"]: r for r in records}
         assert by_case["lam=(1, 1) q=5"]["detail"] == "order=480"
 
@@ -218,8 +219,9 @@ class TestVerifyCommand:
         assert rc == 0
         records = [json.loads(line) for line in out.strip().splitlines()]
         statuses = [r["status"] for r in records]
-        assert statuses.count("PASS") == 2
-        assert statuses.count("SKIP") == 10
+        # 2^k <= 10 for the commutants of (), (1), (2) and (3), k = 0, 1, 2, 3
+        assert statuses.count("PASS") == 4
+        assert statuses.count("SKIP") == 8
         assert all("budget is 10" in r["detail"] for r in records if r["status"] == "SKIP")
 
     def test_corrupted_cofactor_fails(self, capsys, monkeypatch, fresh_engine_caches):

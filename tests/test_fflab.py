@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -152,19 +153,31 @@ class TestFiberCounts:
         assert count_moment_fiber(SINGLE_VERTEX, (1,), (2,), 1, 2) == 6
 
     def test_strategies_agree(self):
+        # "linear" is orbit-reduced: one psi elimination per G_v-orbit of phi
         cases = (
-            (JORDAN, (1,), (1,), 2),
-            (JORDAN, (1,), (1,), 3),
-            (JORDAN, (1,), (0,), 5),
-            (SINGLE_VERTEX, (1,), (2,), 3),
-            (SINGLE_VERTEX, (2,), (2,), 2),
-            (A2, (1, 1), (1, 0), 2),
-            (A2, (1, 1), (1, 1), 3),
+            (JORDAN, (1,), (1,), (2, 3)),
+            (JORDAN, (1,), (0,), (5,)),
+            (JORDAN, (2,), (1,), (2, 3)),
+            (SINGLE_VERTEX, (1,), (2,), (3,)),
+            (SINGLE_VERTEX, (2,), (2,), (2,)),
+            (A2, (1, 1), (1, 0), (2, 3, 5)),
+            (A2, (1, 1), (1, 1), (2, 3, 5)),
+            (A2, (2, 1), (1, 0), (2, 3, 5)),
+            (A2, (1, 2), (0, 1), (2, 3)),
+            (STAR3, (1, 1, 1), (1, 0, 0), (2, 3, 5)),
+            (STAR3, (1, 1, 1), (1, 1, 1), (2, 3)),
+            (STAR3, (2, 1, 1), (1, 0, 0), (2, 3)),
+            (DOUBLE_ARROW, (1, 1), (1, 0), (2, 3, 5)),
+            (DOUBLE_ARROW, (2, 1), (1, 0), (2, 3)),
+            (TWO_LOOP, (1,), (1,), (2, 3, 5)),
+            (TWO_LOOP, (2,), (0,), (2,)),
         )
-        for quiver, v, w, q in cases:
-            full = count_moment_fiber(quiver, v, w, 1, q, strategy="full")
-            linear = count_moment_fiber(quiver, v, w, 1, q, strategy="linear")
-            assert full == linear, (quiver, v, w, q)
+        for quiver, v, w, qs in cases:
+            for q in qs:
+                for alpha in (0, 1):
+                    full = count_moment_fiber(quiver, v, w, alpha, q, strategy="full")
+                    linear = count_moment_fiber(quiver, v, w, alpha, q, strategy="linear")
+                    assert full == linear, (quiver, v, w, q, alpha)
 
     def test_alpha_zero_includes_origin(self):
         # the zero fiber contains (0, 0), the unit fiber does not
@@ -190,16 +203,114 @@ class TestFiberCounts:
         assert count_moment_fiber(JORDAN, (3,), (1,), 1, 2, strategy="linear") == 29568
 
     def test_zero_dimension_vector(self):
-        assert count_moment_fiber(JORDAN, (0,), (1,), 1, 3) == 1
+        for strategy in ("full", "linear"):
+            assert count_moment_fiber(JORDAN, (0,), (1,), 1, 3, strategy=strategy) == 1
 
     def test_zero_dimensional_rep_space(self):
         # no arrows and no framing: only the origin exists, and it maps to 0
-        assert count_moment_fiber(SINGLE_VERTEX, (2,), (0,), 1, 2) == 0
-        assert count_moment_fiber(SINGLE_VERTEX, (2,), (0,), 0, 2) == 1
+        for strategy in ("full", "linear"):
+            assert count_moment_fiber(SINGLE_VERTEX, (2,), (0,), 1, 2, strategy=strategy) == 0
+            assert count_moment_fiber(SINGLE_VERTEX, (2,), (0,), 0, 2, strategy=strategy) == 1
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError, match="prime"):
             count_moment_fiber(JORDAN, (1,), (1,), 1, 4)
+
+
+class TestPhiOrbits:
+    # small enough to scan the whole group for stabilizers
+    SMALL = (
+        (JORDAN, (2,), (1,), 2),
+        (JORDAN, (2,), (1,), 3),
+        (A2, (1, 1), (1, 1), 3),
+        (A2, (2, 1), (1, 0), 2),
+        (DOUBLE_ARROW, (2, 1), (1, 0), 2),
+        (SINGLE_VERTEX, (2,), (0,), 2),
+    )
+    CASES = SMALL + (
+        (JORDAN, (3,), (1,), 2),
+        (SINGLE_VERTEX, (2,), (2,), 5),
+        (STAR3, (1, 1, 1), (1, 1, 1), 3),
+        (TWO_LOOP, (2,), (0,), 2),
+        (A2, (0, 1), (0, 1), 3),
+        (JORDAN, (0,), (1,), 3),
+    )
+
+    def test_sizes_partition_the_phi_points(self):
+        for quiver, v, w, q in self.CASES:
+            reps, sizes = fflab._phi_orbits(quiver, v, w, q)
+            d = fflab.dim_rep_space(quiver, v, w)
+            assert int(sizes.sum()) == q**d, (quiver, v, w, q)
+            assert reps[0] == 0 and (sizes >= 1).all()
+            assert (np.diff(reps) > 0).all()
+
+    def test_orbit_stabilizer(self):
+        # each orbit size is |G_v| / |Stab(phi)|, with the stabilizer of the
+        # representative found by scanning all of G_v
+        for quiver, v, w, q in self.SMALL:
+            d = fflab.dim_rep_space(quiver, v, w)
+            group = list(product(*(_invertible_matrices(n, q) for n in v)))
+            assert len(group) == group_order(v, q)
+            reps, sizes = fflab._phi_orbits(quiver, v, w, q)
+            for rep, size in zip(reps.tolist(), sizes.tolist()):
+                digits = [(rep // q**c) % q for c in range(d)]
+                arrows, framing = fflab._unflatten_phi(quiver, v, w, digits)
+                stabilizer = sum(_fixes(quiver, g, arrows, framing, q) for g in group)
+                assert size * stabilizer == len(group), (quiver, v, w, q, rep)
+
+    def test_generators_generate(self):
+        for n, q in ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2)):
+            gens = [g.tolist() for g, _ in fflab._gl_generators(n, q)]
+            for g, g_inv in fflab._gl_generators(n, q):
+                assert ((g @ g_inv) % q == np.eye(n)).all()
+            identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            seen, frontier = {identity}, [identity]
+            while frontier:
+                m = frontier.pop()
+                for g in gens:
+                    image = tuple(
+                        tuple(sum(m[i][k] * g[k][j] for k in range(n)) % q for j in range(n))
+                        for i in range(n)
+                    )
+                    if image not in seen:
+                        seen.add(image)
+                        frontier.append(image)
+            assert len(seen) == group_order((n,), q), (n, q)
+
+    def test_fewer_generators_only_refine(self, monkeypatch):
+        # with fewer generators the orbits split, down to single points with
+        # none, and the count stays the same
+        cases = ((JORDAN, (2,), (1,), 1, 2), (JORDAN, (2,), (1,), 0, 3), (A2, (2, 1), (1, 0), 1, 3))
+        expected = [count_moment_fiber(*case, strategy="full") for case in cases]
+        original = fflab._gl_generators
+        for keep in (1, 0):
+            monkeypatch.setattr(fflab, "_gl_generators", lambda n, q: original(n, q)[:keep])
+            for case, count in zip(cases, expected):
+                assert count_moment_fiber(*case, strategy="linear") == count, (keep, case)
+        assert len(fflab._phi_orbits(JORDAN, (2,), (1,), 2)[0]) == 2**6
+
+
+def _invertible_matrices(n, q):
+    return [
+        tuple(entries[i * n : (i + 1) * n] for i in range(n))
+        for entries in product(range(q), repeat=n * n)
+        if _leibniz_det_mod([entries[i * n : (i + 1) * n] for i in range(n)], q)
+    ]
+
+
+def _fixes(quiver, g, arrows, framing, q):
+    """Whether g . phi = phi: g_t E = E g_s on each arrow, g_i F = F on each framing."""
+
+    def mul(a, b):
+        cols = len(b[0]) if b else 0
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) % q for j in range(cols))
+            for i in range(len(a))
+        )
+
+    return all(mul(g[t], e) == mul(e, g[s]) for (s, t), e in zip(quiver.arrows, arrows)) and all(
+        mul(g[i], f) == f for i, f in enumerate(framing)
+    )
 
 
 class TestStableFiber:
@@ -290,9 +401,34 @@ class TestCentralizerOrder:
         with pytest.raises(EnumerationBudgetError):
             centralizer_order(P((1, 1, 1, 1)), 3)
 
+    def test_scan_is_the_commutant(self):
+        # the scan enumerates the kernel of the commutator map, whose
+        # dimension is the classical sum of squared conjugate parts; the
+        # budget error reports q to that dimension
+        for q in (2, 3, 5):
+            for n in range(1, 6):
+                for lam in partitions_of(n):
+                    k = sum(c * c for c in lam.conjugate().parts)
+                    with pytest.raises(EnumerationBudgetError) as exc:
+                        centralizer_order(lam, q, budget=q**k - 1)
+                    assert exc.value.needed == q**k, (lam, q)
+
+    def test_whole_space_kernel_is_fast(self):
+        # J = 0: every 4x4 matrix commutes, 2^16 of them; best of five runs
+        # within 25 ms, the full scan's time before the kernel scan (7-11 ms
+        # on a 2-core Xeon)
+        best = min(_timed(centralizer_order, P((1, 1, 1, 1)), 2) for _ in range(5))
+        assert best < 0.025
+
     def test_jordan_matrix_shape(self):
         assert jordan_nilpotent(P((2, 1))) == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
         assert jordan_nilpotent(P()) == ()
+
+
+def _timed(f, *args):
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
 
 
 class TestKappaOracle:
@@ -375,6 +511,12 @@ class TestOracleReferences:
                 batch = rng.integers(0, q, size=(40, n, n))
                 expected = [_leibniz_det_mod(m.tolist(), q) for m in batch]
                 assert fflab._det_mod(batch, q).tolist() == expected, (q, n)
+        # near 2^28 the shared minors must be reduced part way to stay in int64
+        q = (1 << 28) - 57
+        for n in (4, 5):
+            batch = rng.integers(0, q, size=(20, n, n))
+            expected = [_leibniz_det_mod(m.tolist(), q) for m in batch]
+            assert fflab._det_mod(batch, q).tolist() == expected, (q, n)
 
     def test_rho_matrix_columns_match_derivative(self):
         rng = random.Random(31)
@@ -505,6 +647,25 @@ class TestFourier:
         assert transformed[(0,)] == CycloCount.from_int(q, 3)
         assert transformed[(1,)] == CycloCount(q)
         assert transformed[(2,)] == CycloCount(q)
+
+    def test_matches_literal_sum(self):
+        # the term of v at w is f(v) times zeta^<v, w>; points missing from
+        # f contribute nothing
+        rng = random.Random(13)
+        for q, n in ((2, 1), (3, 2), (5, 2), (2, 3)):
+            points = list(product(range(q), repeat=n))
+            f = {
+                vv: CycloCount(q, [rng.randint(-4, 4) for _ in range(q)])
+                for vv in points
+                if rng.random() < 0.7
+            }
+            transformed = fourier_transform(f, q, n)
+            assert list(transformed) == points
+            for wv in points:
+                literal = CycloCount(q)
+                for vv, val in f.items():
+                    literal = literal + val.shifted(sum(a * b for a, b in zip(vv, wv)))
+                assert transformed[wv].counts == literal.counts, (q, n, wv)
 
     def test_inversion_random(self):
         for q in (2, 3, 5):
