@@ -37,6 +37,20 @@ one recursion from the constant term,
 
     N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L * N(U)_f * N(Q)_{e-f}.
 
+One pass over partition tuples.  The framing part of kappa is
+sum_i w_i * len(lam_i) = w . l, with l the vector of part counts of the
+tuple, and the cofactors depend on the tuple only through (a, M, l).  So the
+tuples of sizes e are enumerated once and grouped by l: each group's sum of
+L^(kappa_0 - a) * M, with kappa_0 the kappa of w = 0, is multiplied once by
+the product of P_{e_i} / P_{l_i}, giving a w-free G_{e,l}.  Then
+
+    N(U)_e = sum over l of G_{e,l},    N(F)_e = sum over l of L^(w . l) G_{e,l},
+
+and the groups are cached per quiver and degree bound, so the framed and
+the unframed series, and the tables for further framings, share one
+enumeration.  kappa and the group shift use the one framing helper, so the
+exponents the kappa checks test are the ones the series use.
+
 Packed evaluation.  Every numerator polynomial is held as one Python int,
 its value at L = X = 2^bits, so the cofactors, the numerator sums, the
 L-shifts, the Gaussian binomials and the quotient recursion are big-int
@@ -47,7 +61,7 @@ coefficients all lie in (-X/2, X/2) is the only such polynomial with its
 value at X, and its coefficients are the balanced base-X digits of that
 value (_unpack).  bits is fixed before anything is packed, from an a-priori
 majorant of the L1 norm (sum of absolute coefficients) of every cofactor
-and numerator, which depends only on the degree bound and the vertex count:
+and numerator, which depends only on the degree bound:
 
     |c(lam)|_1 <= multinomial(l; m) * 2^(n - l), since the Gaussian
         multinomial has nonnegative coefficients summing to the ordinary
@@ -61,7 +75,16 @@ and numerator, which depends only on the degree bound and the vertex count:
         prod_i binomial(e_i, f_i) * |N(U)_f|_1 * |N(Q)_{e-f}|_1,
         by the recursion and |ab|_1 <= |a|_1 |b|_1.
 
-bits is the bit length of the largest of these majorants plus 2, so every
+Write s(0) = 1 and s(k) = 3^(k - 1), so that |N(F)_e|_1 <= prod_i s(e_i),
+and let m(n) = s(n) + sum over k = 1..n of binomial(n, k) * s(k) * m(n - k).
+Then |N(Q)_e|_1 <= m(|e|) with |e| the total degree, by induction on |e|:
+prod_i s(f_i) <= s(|f|), since s(a) s(b) <= s(a + b), and by Vandermonde
+the sum of prod_i binomial(e_i, f_i) over the f <= e with |f| = k is
+binomial(|e|, k).  At e = (n, 0, ..., 0) both recursions coincide, so m(n)
+is the largest multi-variable majorant at total degree n, and it bounds
+every cofactor of size n as well, since s(n) <= m(n).  m increases with n.
+
+bits is the bit length of m(bound) plus 2, so every
 coefficient of a cofactor or numerator lies in (-X/4, X/4): such a packed
 value is zero exactly when its polynomial is, and unpacking it is exact.
 Nothing else is unpacked or tested for zero.  No packed value is ever
@@ -82,10 +105,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .lrat import LRat, Poly, _pdiv_exact, _pmul, _pshift
-from .partitions import Partition, pairing, partitions_of, tuples_with_sizes
+from .partitions import Partition, PartitionTuple, pairing, partitions_of, tuples_with_sizes
 from .quiver import InputError, Quiver, check_dim_vector, d_shift
 from .series import MSeries, exponents_upto
 
@@ -139,9 +163,16 @@ def kappa(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]) -> i
             f"quiver has {quiver.vertex_count} vertices"
         )
     total = sum(pairing(lam_tuple[s], lam_tuple[t]) for s, t in quiver.arrows)
-    # <(1,...,1), lam> with wi ones is wi times the number of parts of lam
-    total += sum(wi * len(lam) for wi, lam in zip(w, lam_tuple))
-    return total
+    return total + _framing(w, lam_tuple)
+
+
+def _framing(w: Sequence[int], lam_tuple: Sequence[Partition]) -> int:
+    """The framing part of kappa: the pairings of (1,...,1) with wi ones and lam_i.
+
+    <(1,...,1), lam> is the number of parts of lam, so this is w . l for the
+    part counts l, the same for every tuple of one numerator group.
+    """
+    return sum(map(mul, w, map(len, lam_tuple)))
 
 
 # A Laurent polynomial L^offset * poly with poly[0] != 0; zero is (0, ()).
@@ -151,42 +182,30 @@ Packed = tuple[int, int]
 # A truncated series as packed numerators over P_e, keyed by exponent; zeros
 # left out.
 Graded = dict[tuple[int, ...], Packed]
+# Per exponent e, one entry per part-count vector l: a tuple of the group and
+# the packed w-free group sum G_{e,l}.
+Groups = dict[tuple[int, ...], list[tuple[PartitionTuple, Packed]]]
 
 
 @lru_cache(maxsize=64)
-def _majorants(nvars: int, bound: int) -> tuple[dict, dict]:
-    """L1-norm majorants of N(F)_e, which bound N(U)_e too, and of N(Q)_e.
-
-    Keyed by the exponents e of total degree <= bound; derived in the
-    module docstring.  The N(F) majorant at (n, 0, ..., 0) bounds every
-    cofactor c(lam) of size n as well.
-    """
-    # the summed majorants of |c(lam)|_1 over the partitions of n: 3^(n-1)
-    sizes = [1] + [3 ** (n - 1) for n in range(1, bound + 1)]
-    framed: dict[tuple[int, ...], int] = {}
-    quotient: dict[tuple[int, ...], int] = {}
-    for exp in exponents_upto(nvars, bound):
-        value = 1
-        for k in exp:
-            value *= sizes[k]
-        framed[exp] = value
-        for f in product(*(range(k + 1) for k in exp)):
-            if any(f):
-                binomials = 1
-                for n, k in zip(exp, f):
-                    binomials *= comb(n, k)
-                value += binomials * framed[f] * quotient[tuple(n - k for n, k in zip(exp, f))]
-        quotient[exp] = value
-    return framed, quotient
+def _majorants(bound: int) -> tuple[int, ...]:
+    """m(0), ..., m(bound): the one-variable L1-norm majorants of the module docstring."""
+    # s(k), the summed majorants of |c(lam)|_1 over the partitions of k
+    sizes = [1] + [3 ** (k - 1) for k in range(1, bound + 1)]
+    out: list[int] = []
+    for n in range(bound + 1):
+        tail = sum(comb(n, k) * sizes[k] * out[n - k] for k in range(1, n + 1))
+        out.append(sizes[n] + tail)
+    return tuple(out)
 
 
 def _packing_bits(nvars: int, bound: int) -> int:
     """bits for every packed numerator with nvars vertices and degree <= bound.
 
-    The bit length of the largest majorant plus 2; N(Q)_e's majorant is at
-    least N(F)_e's, so the quotient majorants hold the largest.
+    The bit length of m(bound) plus 2; m(bound) bounds the numerators of
+    every vertex count, so nvars does not change the width.
     """
-    return max(_majorants(nvars, bound)[1].values()).bit_length() + 2
+    return _majorants(bound)[-1].bit_length() + 2
 
 
 def _unpack(packed: Packed, bits: int) -> Laurent:
@@ -293,32 +312,38 @@ def _fraction(num: Laurent, den: Poly) -> LRat:
     return LRat(poly, _pshift(den, -offset))
 
 
-def _nilpotent_numerator(
-    quiver: Quiver, w: tuple[int, ...], exp: tuple[int, ...], data: dict, bits: int
-) -> Packed:
-    """Packed numerator over P_exp of the sum of L^kappa / [Z] over tuples of sizes exp.
+def _numerator_groups_at(
+    quiver: Quiver, exp: tuple[int, ...], data: dict, bits: int
+) -> list[tuple[PartitionTuple, Packed]]:
+    """The w-free groups G_{exp,l} of the tuples of sizes exp, one per part counts l.
 
-    Terms are grouped by the part counts of their partitions, so that the
-    large factors P_{e_i} / P_{l_i} multiply each group once.
+    G_{exp,l} is the packed numerator over P_exp of the sum of
+    L^kappa(w = 0) / [Z] over the tuples with part counts l: their
+    L^(kappa - a) * M, multiplied once by the factors P_{e_i} / P_{l_i}.
+    Each group keeps its first tuple, the argument of its framing shift.
     """
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    zero = (0,) * len(exp)
+    groups: dict[tuple[int, ...], tuple[PartitionTuple, dict[int, int]]] = {}
     for tup in tuples_with_sizes(exp):
-        power = kappa(quiver, w, tup)
+        power = kappa(quiver, zero, tup)
         multinomials, lengths = 1, ()
         for lam in tup:
             a, multinomial, length = data[lam]
             power -= a
             multinomials *= multinomial
             lengths += (length,)
-        terms = groups.setdefault(lengths, {})
+        group = groups.get(lengths)
+        if group is None:
+            group = groups[lengths] = (tup, {})
+        terms = group[1]
         terms[power] = terms.get(power, 0) + multinomials
-    parts = []
-    for lengths, terms in groups.items():
+    out = []
+    for lengths, (first, terms) in groups.items():
         offset, value = _packed_sum(list(terms.items()), bits)
         for length, k in zip(lengths, exp):
             value *= _cyclo_packed(length, k, bits)
-        parts.append((offset, value))
-    return _packed_sum(parts, bits)
+        out.append((first, (offset, value)))
+    return out
 
 
 def _graded_quotient(
@@ -354,25 +379,42 @@ def _graded_quotient(
 
 
 @lru_cache(maxsize=16)
-def _nilpotent_numerators(
-    quiver: Quiver, w: tuple[int, ...], bound: int, threads: int
-) -> Graded:
+def _numerator_groups(quiver: Quiver, bound: int, threads: int) -> Groups:
+    """The w-free groups at every exponent of total degree <= bound: one enumeration."""
     exps = exponents_upto(quiver.vertex_count, bound)
     bits = _packing_bits(quiver.vertex_count, bound)
     data = _partition_data(bits, bound)
 
-    def numerator_for(exp: tuple[int, ...]) -> Packed:
-        return _nilpotent_numerator(quiver, w, exp, data, bits)
+    def groups_for(exp: tuple[int, ...]) -> list[tuple[PartitionTuple, Packed]]:
+        return _numerator_groups_at(quiver, exp, data, bits)
 
     if threads > 1:
         # imported here: a one-thread run never loads the pool machinery
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(numerator_for, exps))
+            values = list(pool.map(groups_for, exps))
     else:
-        values = [numerator_for(exp) for exp in exps]
-    return {exp: num for exp, num in zip(exps, values) if num[1]}
+        values = [groups_for(exp) for exp in exps]
+    return dict(zip(exps, values))
+
+
+def _nilpotent_numerators(
+    quiver: Quiver, w: tuple[int, ...], bound: int, threads: int
+) -> Graded:
+    """Packed numerators of the nilpotent series framed by w (w = 0: unframed).
+
+    N_e = sum over l of L^(w . l) G_{e,l}, one packed sum per exponent.
+    """
+    bits = _packing_bits(quiver.vertex_count, bound)
+    out: Graded = {}
+    for exp, groups in _numerator_groups(quiver, bound, threads).items():
+        num = _packed_sum(
+            [(offset + _framing(w, first), value) for first, (offset, value) in groups], bits
+        )
+        if num[1]:
+            out[exp] = num
+    return out
 
 
 @lru_cache(maxsize=16)

@@ -12,6 +12,7 @@ helpers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul
@@ -82,6 +83,17 @@ class Partition:
         """The transposed Young diagram."""
         return Partition(self._columns)
 
+    def _prepend(self, first: int) -> "Partition":
+        """(first, *self.parts) for first >= every part, without re-validating.
+
+        The new part adds one box to each of the first `first` columns.
+        """
+        lam = object.__new__(Partition)
+        lam.parts = (first,) + self.parts
+        cols = self._columns
+        lam._columns = tuple(c + 1 for c in cols) + (1,) * (first - len(cols))
+        return lam
+
 
 # A tuple of partitions, one per quiver vertex.
 PartitionTuple = tuple[Partition, ...]
@@ -96,18 +108,26 @@ def pairing(lam: Partition, mu: Partition) -> int:
     return sum(map(mul, lam._columns, mu._columns))
 
 
-def _descending_sums(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _descending_sums(n - first, first):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=256)
 def _partitions_cached(n: int) -> tuple[Partition, ...]:
-    return tuple(Partition(p) for p in _descending_sums(n, n))
+    """partitions_of(n) from the cached smaller sizes, one _prepend per partition.
+
+    The partitions of n with largest part `first` are `first` prepended to
+    the partitions of n - first with largest part at most `first`, which
+    form a suffix of partitions_of(n - first) in reverse-lexicographic order.
+    """
+    if n == 0:
+        return (Partition(),)
+    out = []
+    for first in range(n, 0, -1):
+        rest = _partitions_cached(n - first)
+        start = bisect_left(rest, -first, key=_minus_largest_part)
+        out.extend(lam._prepend(first) for lam in rest[start:])
+    return tuple(out)
+
+
+def _minus_largest_part(lam: Partition) -> int:
+    return -lam.parts[0] if lam.parts else 0
 
 
 def partitions_of(n: int) -> list[Partition]:

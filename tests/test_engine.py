@@ -1,7 +1,8 @@
 import random
 import time
+from collections import Counter
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -322,6 +323,31 @@ def l1_norm(packed_num, bits):
     return sum(abs(c) for c in engine._unpack(packed_num, bits)[1])
 
 
+def multi_variable_majorants(nvars, bound):
+    """L1-norm majorants of N(F)_e, which bound N(U)_e too, and of N(Q)_e.
+
+    The recursion of the engine docstring over the exponents e of total
+    degree <= bound, with products of ordinary binomials; the reference
+    the one-variable majorant m(|e|) is checked against.
+    """
+    # the summed majorants of |c(lam)|_1 over the partitions of n: 3^(n-1)
+    sizes = [1] + [3 ** (n - 1) for n in range(1, bound + 1)]
+    framed, quotient = {}, {}
+    for exp in exponents_upto(nvars, bound):
+        value = 1
+        for k in exp:
+            value *= sizes[k]
+        framed[exp] = value
+        for f in product(*(range(k + 1) for k in exp)):
+            if any(f):
+                binomials = 1
+                for n, k in zip(exp, f):
+                    binomials *= comb(n, k)
+                value += binomials * framed[f] * quotient[tuple(n - k for n, k in zip(exp, f))]
+        quotient[exp] = value
+    return framed, quotient
+
+
 class TestPacking:
     def test_unpack_round_trip(self):
         # balanced digits up to +-(X/2 - 1), zeros at either end, any offset
@@ -350,34 +376,44 @@ class TestPacking:
         assert engine._packing_bits(3, 8) == 27
         assert engine._packing_bits(1, 28) == 132
 
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_one_variable_majorant_bounds_the_recursion(self, nvars):
+        # M_Q(e) <= m(|e|) at every exponent, with equality at (n, 0, ..., 0),
+        # so the one-variable majorant fixes the same width as the recursion
+        framed_major, quotient_major = multi_variable_majorants(nvars, 10)
+        m = engine._majorants(10)
+        for exp, major in quotient_major.items():
+            assert framed_major[exp] <= major <= m[sum(exp)], exp
+        for bound in range(11):
+            widest = max(major for exp, major in quotient_major.items() if sum(exp) <= bound)
+            assert widest == m[bound], bound
+
     @pytest.mark.parametrize(
         "quiver,bound",
         [(q, 5) for q in BUILTIN_QUIVERS.values()] + [(JORDAN, 12)],
     )
     def test_majorants_bound_every_numerator(self, quiver, bound, fresh_engine_caches):
         n = quiver.vertex_count
-        framed_major, quotient_major = engine._majorants(n, bound)
+        m = engine._majorants(bound)
         bits = engine._packing_bits(n, bound)
         # every majorant, and so every coefficient, stays below X/4
-        assert 4 * max(quotient_major.values()) < 1 << bits
-        assert all(quotient_major[e] >= framed_major[e] for e in framed_major)
+        assert 4 * m[bound] < 1 << bits
         w = (1,) * n
         framed = engine._nilpotent_numerators(quiver, w, bound, 1)
         unframed = engine._nilpotent_numerators(quiver, (0,) * n, bound, 1)
         quotient = engine._quotient_numerators(quiver, w, bound, 1)
-        pairs = ((framed, framed_major), (unframed, framed_major), (quotient, quotient_major))
         for exp in exponents_upto(n, bound):
-            for graded, major in pairs:
-                assert l1_norm(graded.get(exp, (0, 0)), bits) <= major[exp], (quiver, exp)
+            for graded in (framed, unframed, quotient):
+                assert l1_norm(graded.get(exp, (0, 0)), bits) <= m[sum(exp)], (quiver, exp)
         data = engine._partition_data(bits, bound)
         for size in range(bound + 1):
             for lam in partitions_of(size):
                 _, multinomial, length = data[lam]
                 c = (0, multinomial * engine._cyclo_packed(length, size, bits))
                 ordered = factorial(length)
-                for m in lam.multiplicities().values():
-                    ordered //= factorial(m)
-                assert l1_norm(c, bits) <= ordered << (size - length), lam
+                for m_r in lam.multiplicities().values():
+                    ordered //= factorial(m_r)
+                assert l1_norm(c, bits) <= ordered << (size - length) <= m[size], lam
 
 
 def test_pmul_off_the_engine_hot_path(monkeypatch, fresh_engine_caches):
@@ -400,14 +436,34 @@ def test_pmul_off_the_engine_hot_path(monkeypatch, fresh_engine_caches):
         assert not hasattr(engine, gone), gone
 
 
+def test_one_enumeration_per_exponent(monkeypatch, fresh_engine_caches):
+    # the framed and the unframed numerators come from one w-free pass over
+    # the partition tuples, which a second framing at the same bound reuses
+    counts = Counter()
+    original = engine.tuples_with_sizes
+
+    def counted(sizes):
+        counts[tuple(sizes)] += 1
+        return original(sizes)
+
+    monkeypatch.setattr(engine, "tuples_with_sizes", counted)
+    motive_table(STAR3, (1, 1, 1), 6)
+    assert counts == Counter(exponents_upto(3, 6))
+    counts.clear()
+    motive_table(STAR3, (2, 1, 0), 6)
+    assert not counts
+
+
 def test_corrupted_kappa_exits_3(capsys, monkeypatch, fresh_engine_caches):
-    original = engine.kappa
+    # kappa + 1 on the framed term of ((2,),): the framing shift of the group
+    # with part counts l = (1,) at e = (2,), whose only tuple that is
+    original = engine._framing
 
-    def corrupted(quiver, w, lam_tuple):
+    def corrupted(w, lam_tuple):
         bump = 1 if tuple(lam_tuple) == (P((2,)),) and any(w) else 0
-        return original(quiver, w, lam_tuple) + bump
+        return original(w, lam_tuple) + bump
 
-    monkeypatch.setattr(engine, "kappa", corrupted)
+    monkeypatch.setattr(engine, "_framing", corrupted)
     rc = cli.main(["series", "--quiver", "jordan", "--w", "1", "--max-degree", "3"])
     assert rc == 3
     assert "polynomiality violated for v=(3,)" in capsys.readouterr().err

@@ -24,6 +24,16 @@ def brute_force_partitions(n):
     return sorted(found, reverse=True)
 
 
+def descending_sums(n, cap):
+    """The weakly decreasing tuples of parts <= cap summing to n, largest first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in descending_sums(n - first, first):
+            yield (first,) + rest
+
+
 def partition_counts(limit):
     """p(0..limit) by the coin-style recurrence, independent of the enumerator."""
     table = [1] + [0] * limit
@@ -107,6 +117,15 @@ class TestEnumeration:
         table = partition_counts(30)
         for n in range(31):
             assert len(partitions_of(n)) == table[n]
+
+    def test_matches_validated_constructor(self):
+        # the enumeration skips Partition's checks: it must give what the
+        # checked constructor gives, conjugate columns included, in order
+        for n in range(31):
+            got = partitions_of(n)
+            expected = [Partition(parts) for parts in descending_sums(n, n)]
+            assert [lam.parts for lam in got] == [lam.parts for lam in expected], n
+            assert [lam._columns for lam in got] == [lam._columns for lam in expected], n
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
