@@ -6,7 +6,9 @@ modules verify every ingredient against brute-force enumeration over small
 prime fields.  The package exports what the README documents; the oracle
 internals and engine building blocks stay importable from their modules.
 The finite-field oracles need numpy; their exports load on first access, so
-importing the package and running the engine never imports numpy.
+importing the package and running the engine never imports numpy.  MSeries
+loads the same way, and the motive and series commands import neither
+numpy, dataclasses, fractions nor MSeries.
 """
 
 from .engine import (
@@ -32,7 +34,6 @@ from .quiver import (
     parse_quiver,
     serialize_quiver,
 )
-from .series import MSeries
 
 __version__ = "0.1.0"
 
@@ -50,6 +51,10 @@ def __getattr__(name: str):
         from . import fflab
 
         return getattr(fflab, name)
+    if name == "MSeries":
+        from .series import MSeries
+
+        return MSeries
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

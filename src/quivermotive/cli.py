@@ -207,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=_positive_int,
             default=1,
-            help="worker threads for the numerator sums; the sums and their big-int "
-            "arithmetic run under the GIL, so more threads do not run faster, and the output "
-            "is the same for any value",
+            help="accepted for compatibility, at least 1; the numerator sums run in one "
+            "thread whatever the value, and the output is the same for any value",
         )
 
     p_motive = sub.add_parser("motive", help="class of one quiver variety")

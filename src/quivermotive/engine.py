@@ -96,37 +96,54 @@ The only division is N(Q)_v / P_v in _class_at, on the unpacked polynomial,
 exact whenever the class is a polynomial; when it is inexact, or leaves a
 negative power of L, the reduced fraction is built only to word the
 PolynomialityError.
+
+The public functions accept a threads argument for compatibility and ignore
+it: the sums are Python and big-integer work under the GIL, and worker
+threads over the exponents measured no faster than one thread.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .lrat import LRat, Poly, _pdiv_exact, _pmul, _pshift
-from .partitions import Partition, PartitionTuple, pairing, partitions_of, tuples_with_sizes
-from .quiver import InputError, Quiver, check_dim_vector, d_shift
-from .series import MSeries, exponents_upto
+from .partitions import (
+    Partition,
+    PartitionTuple,
+    exponents_upto,
+    pairing,
+    partitions_of,
+    tuples_with_sizes,
+)
+from .quiver import InputError, Quiver, _Record, check_dim_vector, d_shift
+
+if TYPE_CHECKING:
+    from .series import MSeries
 
 
 class PolynomialityError(ArithmeticError):
     """The extracted class failed to reduce to an integer polynomial in L."""
 
 
-@dataclass(frozen=True)
-class MotiveResult:
+class MotiveResult(_Record):
     """The class of one quiver variety as a polynomial, with its shift d."""
 
-    quiver: Quiver
-    v: tuple[int, ...]
-    w: tuple[int, ...]
-    d_shift: int
-    class_polynomial: tuple[int, ...]
+    __slots__ = ("quiver", "v", "w", "d_shift", "class_polynomial")
+
+    def __init__(
+        self,
+        quiver: Quiver,
+        v: tuple[int, ...],
+        w: tuple[int, ...],
+        d_shift: int,
+        class_polynomial: tuple[int, ...],
+    ):
+        self._init(quiver, v, w, d_shift, class_polynomial)
 
     @property
     def coefficient_raw(self) -> LRat:
@@ -144,7 +161,7 @@ def centralizer_class(lam_tuple: Sequence[Partition]) -> LRat:
     power, poly = 0, (1,)
     for lam in lam_tuple:
         n = lam.size
-        bits = _packing_bits(1, n)
+        bits = _packing_bits(n)
         a, multinomial, length = _partition_data(bits, n)[lam]
         _, c = _unpack((0, multinomial * _cyclo_packed(length, n, bits)), bits)
         power += a
@@ -199,11 +216,11 @@ def _majorants(bound: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _packing_bits(nvars: int, bound: int) -> int:
-    """bits for every packed numerator with nvars vertices and degree <= bound.
+def _packing_bits(bound: int) -> int:
+    """bits for every packed numerator of total degree <= bound, at any vertex count.
 
     The bit length of m(bound) plus 2; m(bound) bounds the numerators of
-    every vertex count, so nvars does not change the width.
+    every vertex count.
     """
     return _majorants(bound)[-1].bit_length() + 2
 
@@ -379,36 +396,24 @@ def _graded_quotient(
 
 
 @lru_cache(maxsize=16)
-def _numerator_groups(quiver: Quiver, bound: int, threads: int) -> Groups:
+def _numerator_groups(quiver: Quiver, bound: int) -> Groups:
     """The w-free groups at every exponent of total degree <= bound: one enumeration."""
-    exps = exponents_upto(quiver.vertex_count, bound)
-    bits = _packing_bits(quiver.vertex_count, bound)
+    bits = _packing_bits(bound)
     data = _partition_data(bits, bound)
-
-    def groups_for(exp: tuple[int, ...]) -> list[tuple[PartitionTuple, Packed]]:
-        return _numerator_groups_at(quiver, exp, data, bits)
-
-    if threads > 1:
-        # imported here: a one-thread run never loads the pool machinery
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(groups_for, exps))
-    else:
-        values = [groups_for(exp) for exp in exps]
-    return dict(zip(exps, values))
+    return {
+        exp: _numerator_groups_at(quiver, exp, data, bits)
+        for exp in exponents_upto(quiver.vertex_count, bound)
+    }
 
 
-def _nilpotent_numerators(
-    quiver: Quiver, w: tuple[int, ...], bound: int, threads: int
-) -> Graded:
+def _nilpotent_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> Graded:
     """Packed numerators of the nilpotent series framed by w (w = 0: unframed).
 
     N_e = sum over l of L^(w . l) G_{e,l}, one packed sum per exponent.
     """
-    bits = _packing_bits(quiver.vertex_count, bound)
+    bits = _packing_bits(bound)
     out: Graded = {}
-    for exp, groups in _numerator_groups(quiver, bound, threads).items():
+    for exp, groups in _numerator_groups(quiver, bound).items():
         num = _packed_sum(
             [(offset + _framing(w, first), value) for first, (offset, value) in groups], bits
         )
@@ -418,13 +423,11 @@ def _nilpotent_numerators(
 
 
 @lru_cache(maxsize=16)
-def _quotient_numerators(
-    quiver: Quiver, w: tuple[int, ...], bound: int, threads: int
-) -> Graded:
+def _quotient_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> Graded:
     n = quiver.vertex_count
-    framed = _nilpotent_numerators(quiver, w, bound, threads)
-    unframed = _nilpotent_numerators(quiver, (0,) * n, bound, threads)
-    return _graded_quotient(framed, unframed, n, bound, _packing_bits(n, bound))
+    framed = _nilpotent_numerators(quiver, w, bound)
+    unframed = _nilpotent_numerators(quiver, (0,) * n, bound)
+    return _graded_quotient(framed, unframed, n, bound, _packing_bits(bound))
 
 
 def nilpotent_series(
@@ -435,11 +438,13 @@ def nilpotent_series(
     The T-exponent of a tuple is its vector of partition sizes; the constant
     term is always 1.
     """
+    from .series import MSeries
+
     w = check_dim_vector(quiver, w, "w")
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
-    numerators = _nilpotent_numerators(quiver, w, bound, threads)
-    bits = _packing_bits(quiver.vertex_count, bound)
+    numerators = _nilpotent_numerators(quiver, w, bound)
+    bits = _packing_bits(bound)
     coeffs = {
         exp: _fraction(_unpack(num, bits), _denominator(exp)) for exp, num in numerators.items()
     }
@@ -493,8 +498,8 @@ def motive_class(
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
     bound = sum(v)
-    quotient = _quotient_numerators(quiver, w, bound, threads)
-    return _class_at(quiver, v, w, quotient, _packing_bits(quiver.vertex_count, bound))
+    quotient = _quotient_numerators(quiver, w, bound)
+    return _class_at(quiver, v, w, quotient, _packing_bits(bound))
 
 
 def motive_table(
@@ -509,8 +514,8 @@ def motive_table(
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
     n = quiver.vertex_count
-    quotient = _quotient_numerators(quiver, w, bound, threads)
-    bits = _packing_bits(n, bound)
+    quotient = _quotient_numerators(quiver, w, bound)
+    bits = _packing_bits(bound)
     return [_class_at(quiver, v, w, quotient, bits) for v in exponents_upto(n, bound)]
 
 
@@ -522,6 +527,8 @@ def motive_series(quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1
     rows, so a coefficient that is no polynomial after the shift raises
     PolynomialityError.
     """
+    from .series import MSeries
+
     rows = motive_table(quiver, w, bound, threads)
     coeffs = {row.v: row.coefficient_raw for row in rows if row.class_polynomial}
     return MSeries._raw(quiver.vertex_count, bound, coeffs)

@@ -14,8 +14,10 @@ golden output files rely on that byte for byte.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Poly = tuple  # integer coefficients, ascending powers, no trailing zeros
 
@@ -307,6 +309,9 @@ class LRat:
 
     def eval_at(self, q: int) -> Fraction:
         """Exact value at L = q; raises if the denominator vanishes there."""
+        # imported here: the engine commands never evaluate, so never load it
+        from fractions import Fraction
+
         d = _peval(self.den, q)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at L = {q}")

@@ -10,7 +10,6 @@ unknown fields are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -22,21 +21,59 @@ class QuiverFormatError(InputError):
     """Raised for malformed quiver spec files, with a field diagnostic."""
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertex_count: int
-    arrows: tuple[tuple[int, int], ...] = ()
+class _Record:
+    """Value semantics over the fields named in __slots__: a frozen record.
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    Equality and hashing compare the field values of records of one class,
+    the repr lists them as field=value, assignment raises, and copies and
+    pickles go through the constructor.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        """Set the fields in __slots__ order, once, from the constructor."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Quiver(_Record):
+    """A finite directed multigraph on vertices 0..vertex_count-1."""
+
+    __slots__ = ("vertex_count", "arrows")
+
+    def __init__(self, vertex_count: int, arrows: tuple[tuple[int, int], ...] = ()):
+        if vertex_count < 1:
             raise ValueError("a quiver needs at least one vertex")
-        arrows = tuple((int(s), int(t)) for s, t in self.arrows)
+        arrows = tuple((int(s), int(t)) for s, t in arrows)
         for s, t in arrows:
-            if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
-                raise ValueError(
-                    f"arrow ({s}, {t}) out of range for {self.vertex_count} vertices"
-                )
-        object.__setattr__(self, "arrows", arrows)
+            if not (0 <= s < vertex_count and 0 <= t < vertex_count):
+                raise ValueError(f"arrow ({s}, {t}) out of range for {vertex_count} vertices")
+        self._init(vertex_count, arrows)
 
 
 def check_dim_vector(quiver: Quiver, vec: Sequence[int], name: str = "dimension vector") -> tuple[int, ...]:

@@ -9,28 +9,10 @@ of a partition tuple.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .lrat import LRat, ZERO
-
-
-def _vectors_with_sum(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _vectors_with_sum(nvars - 1, total - first):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=64)
-def exponents_upto(nvars: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors with total degree <= bound, graded lexicographic."""
-    out = []
-    for total in range(bound + 1):
-        out.extend(_vectors_with_sum(nvars, total))
-    return tuple(out)
+from .partitions import exponents_upto  # its home is partitions; importable here too
 
 
 class MSeries:

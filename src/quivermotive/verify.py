@@ -22,8 +22,8 @@ from functools import partial
 
 from . import engine, fflab, partitions, quiver
 from .lrat import _peval
+from .partitions import exponents_upto
 from .quiver import A2, JORDAN, SINGLE_VERTEX, InputError, Quiver
-from .series import exponents_upto
 
 
 @dataclass

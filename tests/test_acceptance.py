@@ -33,7 +33,7 @@ from quivermotive.fflab import (
     kappa_oracle,
 )
 from quivermotive.lrat import LRat
-from quivermotive.partitions import partitions_of, tuples_with_sizes
+from quivermotive.partitions import exponents_upto, partitions_of, tuples_with_sizes
 from quivermotive.quiver import (
     A2,
     DOUBLE_ARROW,
@@ -42,7 +42,6 @@ from quivermotive.quiver import (
     STAR3,
     TWO_LOOP,
 )
-from quivermotive.series import exponents_upto
 
 
 def report(number: int, ok: bool, elapsed: float, detail: str) -> None:

@@ -395,15 +395,23 @@ class TestVerifyCommand:
 
 
 def test_engine_commands_import_no_numpy():
-    # in a fresh interpreter: motive and series never load the oracles or
-    # numpy; verify loads them on demand
+    # in a fresh interpreter: motive and series, whatever --threads says,
+    # load neither the oracles and numpy nor the modules that only
+    # other code runs; the series type and verify load on demand.  Modules
+    # the bare interpreter already holds (host site hooks vary) are exempt.
     code = """
 import sys
+bare = set(sys.modules)
 from quivermotive import cli
-assert cli.main(["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", "4"]) == 0
+args = ["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", "4", "--threads", "2"]
+assert cli.main(args) == 0
 assert cli.main(["motive", "--quiver", "jordan", "--v", "3", "--w", "1"]) == 0
-loaded = [m for m in ("numpy", "quivermotive.fflab", "quivermotive.verify") if m in sys.modules]
+unused = ("numpy", "quivermotive.fflab", "quivermotive.verify", "quivermotive.series",
+          "dataclasses", "fractions", "decimal", "concurrent.futures", "logging")
+loaded = [m for m in unused if m in sys.modules and m not in bare]
 assert not loaded, loaded
+from quivermotive import JORDAN, MSeries, motive_series
+assert isinstance(motive_series(JORDAN, (1,), 2), MSeries)
 assert cli.main(["verify", "kappa"]) == 0
 assert "numpy" in sys.modules
 """

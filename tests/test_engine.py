@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 from collections import Counter
@@ -18,7 +19,13 @@ from quivermotive.engine import (
     nilpotent_series,
 )
 from quivermotive.lrat import L, LRat, _peval, gl_class
-from quivermotive.partitions import Partition, pairing, partitions_of, tuples_with_sizes
+from quivermotive.partitions import (
+    Partition,
+    exponents_upto,
+    pairing,
+    partitions_of,
+    tuples_with_sizes,
+)
 from quivermotive.quiver import (
     A2,
     BUILTIN_QUIVERS,
@@ -28,7 +35,7 @@ from quivermotive.quiver import (
     STAR3,
     TWO_LOOP,
 )
-from quivermotive.series import MSeries, exponents_upto
+from quivermotive.series import MSeries
 
 ONE = LRat.from_int(1)
 P = Partition
@@ -249,6 +256,19 @@ class TestMotiveClass:
         assert result.class_polynomial == (1,)
         assert result.d_shift == 0
 
+    def test_result_is_a_value(self):
+        result = motive_class(JORDAN, (1,), (1,))
+        fresh = engine.MotiveResult(JORDAN, (1,), (1,), -1, (0, 0, 1))
+        assert result == fresh and hash(result) == hash(fresh)
+        assert result != engine.MotiveResult(JORDAN, (1,), (2,), -1, (0, 0, 1))
+        assert repr(result) == (
+            "MotiveResult(quiver=Quiver(vertex_count=1, arrows=((0, 0),)), "
+            "v=(1,), w=(1,), d_shift=-1, class_polynomial=(0, 0, 1))"
+        )
+        with pytest.raises(AttributeError, match="cannot assign to field 'd_shift'"):
+            result.d_shift = 0
+        assert pickle.loads(pickle.dumps(result)) == result
+
     def test_hilbert_scheme_family(self):
         # cell count: points of length n on the plane decompose into cells
         # indexed by partitions, of dimension n + (number of parts)
@@ -311,6 +331,26 @@ class TestMotiveTable:
         rows = motive_table(A2, (1, 1), 2)
         assert [row.v for row in rows] == list(exponents_upto(2, 2))
 
+    def test_thread_counts_agree(self, fresh_engine_caches):
+        tables = [motive_table(STAR3, (1, 1, 1), 6, threads=t) for t in (1, 2, 3)]
+        assert tables[0] == tables[1] == tables[2]
+        assert len(tables[0]) == len(exponents_upto(3, 6)) == 84
+        # the thread count is no cache key: the other counts reuse the first run
+        assert engine._numerator_groups.cache_info().currsize == 1
+
+    def test_group_exception_reaches_caller(self, monkeypatch, fresh_engine_caches):
+        original = engine._numerator_groups_at
+
+        def broken(quiver, exp, data, bits):
+            if exp == (1, 1, 0):
+                raise ZeroDivisionError("groups failed at (1, 1, 0)")
+            return original(quiver, exp, data, bits)
+
+        monkeypatch.setattr(engine, "_numerator_groups_at", broken)
+        with pytest.raises(ZeroDivisionError, match=r"at \(1, 1, 0\)"):
+            motive_table(STAR3, (1, 1, 1), 4, threads=2)
+        assert engine._numerator_groups.cache_info().currsize == 0
+
     def test_jordan_family_matches_goettsche_product(self):
         start = time.perf_counter()
         rows = motive_table(JORDAN, (1,), 20)
@@ -372,9 +412,9 @@ class TestPacking:
     def test_packing_bits_pinned(self):
         # the a-priori bound alone fixes the width: Jordan at degrees 16 and
         # 28, star3 at degree 8
-        assert engine._packing_bits(1, 16) == 65
-        assert engine._packing_bits(3, 8) == 27
-        assert engine._packing_bits(1, 28) == 132
+        assert engine._packing_bits(16) == 65
+        assert engine._packing_bits(8) == 27
+        assert engine._packing_bits(28) == 132
 
     @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
     def test_one_variable_majorant_bounds_the_recursion(self, nvars):
@@ -395,13 +435,13 @@ class TestPacking:
     def test_majorants_bound_every_numerator(self, quiver, bound, fresh_engine_caches):
         n = quiver.vertex_count
         m = engine._majorants(bound)
-        bits = engine._packing_bits(n, bound)
+        bits = engine._packing_bits(bound)
         # every majorant, and so every coefficient, stays below X/4
         assert 4 * m[bound] < 1 << bits
         w = (1,) * n
-        framed = engine._nilpotent_numerators(quiver, w, bound, 1)
-        unframed = engine._nilpotent_numerators(quiver, (0,) * n, bound, 1)
-        quotient = engine._quotient_numerators(quiver, w, bound, 1)
+        framed = engine._nilpotent_numerators(quiver, w, bound)
+        unframed = engine._nilpotent_numerators(quiver, (0,) * n, bound)
+        quotient = engine._quotient_numerators(quiver, w, bound)
         for exp in exponents_upto(n, bound):
             for graded in (framed, unframed, quotient):
                 assert l1_norm(graded.get(exp, (0, 0)), bits) <= m[sum(exp)], (quiver, exp)

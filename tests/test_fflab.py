@@ -24,7 +24,7 @@ from quivermotive.fflab import (
     kappa_oracle,
     moment_pairing,
 )
-from quivermotive.partitions import Partition, partitions_of
+from quivermotive.partitions import Partition, exponents_upto, partitions_of
 from quivermotive.quiver import (
     A2,
     BUILTIN_QUIVERS,
@@ -34,7 +34,6 @@ from quivermotive.quiver import (
     STAR3,
     TWO_LOOP,
 )
-from quivermotive.series import exponents_upto
 
 P = Partition
 

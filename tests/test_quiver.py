@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from quivermotive.quiver import (
@@ -27,6 +30,26 @@ class TestQuiver:
 
     def test_hashable(self):
         assert hash(JORDAN) == hash(Quiver(1, ((0, 0),)))
+
+    def test_value_semantics(self):
+        # what a frozen dataclass gave: equality and hash by field values,
+        # the field=value repr, no assignment, copies through the constructor
+        fresh = Quiver(1, [[0, 0]])
+        assert fresh == JORDAN and hash(fresh) == hash(JORDAN)
+        assert fresh != Quiver(1, ((0, 0), (0, 0))) and fresh != SINGLE_VERTEX
+        assert fresh != (1, ((0, 0),))
+        assert repr(A2) == "Quiver(vertex_count=2, arrows=((0, 1),))"
+        with pytest.raises(AttributeError, match="cannot assign to field 'arrows'"):
+            fresh.arrows = ()
+        with pytest.raises(AttributeError):
+            fresh.extra = 1
+        with pytest.raises(AttributeError):
+            del fresh.vertex_count
+        assert copy.deepcopy(A2) == pickle.loads(pickle.dumps(A2)) == A2
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Quiver(0, ())
+        with pytest.raises(ValueError, match=r"arrow \(1, -1\) out of range for 2 vertices"):
+            Quiver(2, ((0, 1), (1, -1)))
 
 
 class TestDimensions:
