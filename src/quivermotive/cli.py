@@ -126,6 +126,8 @@ def cmd_verify(args) -> int:
     qs = _parse_int_list(args.q, "--q") if args.q else (2, 3)
     for q in qs:  # every field, before any suite
         fflab._require_prime(q)
+    if len(set(qs)) != len(qs):
+        raise InputError(f"--q repeats a field size: {args.q}")
     if args.suite in ("ffcount", "all"):
         verify.check_level(args.alpha, qs)  # before any suite enumerates
     # without --budget every suite keeps its own default
@@ -227,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=_SUITES)
     add_common(p_verify, quiver_required=False)
     p_verify.add_argument("--w", help="framing vector for the ffcount suite")
-    p_verify.add_argument("--q", help="field sizes, comma separated (default 2,3)")
+    p_verify.add_argument(
+        "--q", help="distinct prime field sizes, comma separated (default 2,3)"
+    )
     p_verify.add_argument(
         "--alpha",
         type=int,

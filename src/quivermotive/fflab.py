@@ -5,9 +5,10 @@ moment-map fiber counts come from explicit enumeration of matrix tuples
 (the phi half taken one symmetry orbit at a time, the orbits themselves
 found and measured by enumeration), centralizer orders from scanning every
 matrix of the commutant, kernel dimensions from exact rank over the
-rationals, and character sums are tracked as integer count vectors over
-powers of a fixed p-th root of unity.  Comparisons with the engine are
-therefore exact, with no floating point anywhere.
+rationals (taken per arrow and framing block of the structure matrix, once
+per distinct block), and character sums are tracked as integer count
+vectors over powers of a fixed p-th root of unity.  Comparisons with the
+engine are therefore exact, with no floating point anywhere.
 
 The moment-map condition is evaluated against the elementary-matrix basis of
 the symmetry Lie algebra through its defining pairing, never through an
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -249,18 +251,37 @@ def _block_diagonal(blocks) -> np.ndarray:
     return out
 
 
+def _square(m) -> np.ndarray:
+    """A square matrix given as row tuples, as an int64 array (0 x 0 when empty)."""
+    return np.array(m, dtype=np.int64).reshape(len(m), len(m))
+
+
+def _arrow_block(X_t: np.ndarray, X_s: np.ndarray) -> np.ndarray:
+    """Block of rho'(X) on the phi component of an arrow s -> t.
+
+    It sends E to X_t . E - E . X_s; row-major that is X_t (x) I - I (x) X_s^T.
+    """
+    return _kron(X_t, np.eye(X_s.shape[0], dtype=np.int64)) - _kron(
+        np.eye(X_t.shape[0], dtype=np.int64), X_s.T
+    )
+
+
+def _framing_block(X_i: np.ndarray, w_i: int) -> np.ndarray:
+    """Block of rho'(X) on the framing component at a vertex: E -> X_i . E, or X_i (x) I."""
+    return _kron(X_i, np.eye(w_i, dtype=np.int64))
+
+
 def _rho_matrix(quiver: Quiver, v, w, X) -> np.ndarray:
     """Integer matrix of phi -> rho'(X) phi in flattened phi coordinates.
 
     Column a is the image of the a-th unit phi vector, flattened like phi:
     components in arrow-then-framing order, each row-major.  The matrix is
-    block diagonal with one block per phi component: for an arrow s -> t it
-    sends E to X_t . E - E . X_s, for a framing it sends E to X_i . E.
+    block diagonal with one block per phi component: _arrow_block for each
+    arrow, then _framing_block for each vertex.
     """
-    Xs = [np.array(m, dtype=np.int64).reshape(v[i], v[i]) for i, m in enumerate(X)]
-    eye = [np.eye(n, dtype=np.int64) for n in v]
-    blocks = [_kron(Xs[t], eye[s]) - _kron(eye[t], Xs[s].T) for s, t in quiver.arrows]
-    blocks += [_kron(Xs[i], np.eye(w[i], dtype=np.int64)) for i in range(quiver.vertex_count)]
+    Xs = [_square(m) for m in X]
+    blocks = [_arrow_block(Xs[t], Xs[s]) for s, t in quiver.arrows]
+    blocks += [_framing_block(Xs[i], w[i]) for i in range(quiver.vertex_count)]
     return _block_diagonal(blocks)
 
 
@@ -888,6 +909,22 @@ def _rank_rational(rows: list[list[int]]) -> int:
     return rank
 
 
+def _nullity(block: np.ndarray) -> int:
+    return block.shape[0] - _rank_rational(block.tolist())
+
+
+@lru_cache(maxsize=None)
+def _arrow_nullity(X_t: tuple, X_s: tuple) -> int:
+    """Nullity of _arrow_block, cached on the two Jordan matrices."""
+    return _nullity(_arrow_block(_square(X_t), _square(X_s)))
+
+
+@lru_cache(maxsize=None)
+def _framing_nullity(X_i: tuple, w_i: int) -> int:
+    """Nullity of _framing_block, cached on the Jordan matrix and the framing width."""
+    return _nullity(_framing_block(_square(X_i), w_i))
+
+
 def kappa_oracle(
     quiver: Quiver,
     v: Sequence[int],
@@ -897,9 +934,13 @@ def kappa_oracle(
 ) -> int:
     """Kernel dimension of the derived action of a Jordan-type nilpotent.
 
-    Builds the integer structure matrix of phi -> rho'(X) phi for X the
-    blockwise Jordan representative of the partition tuple and returns the
-    nullity from an exact rational rank.
+    The matrix of phi -> rho'(X) phi, for X the blockwise Jordan
+    representative of the partition tuple, is block diagonal with one block
+    per arrow and per framing (_rho_matrix), and the rank of a block-diagonal
+    matrix is the sum of its blocks' ranks.  So the nullity is the sum of the
+    block nullities, each from an exact rational rank of its block, taken
+    once per distinct block: the block nullities are cached on the Jordan
+    matrices and the framing width.
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
@@ -911,12 +952,19 @@ def kappa_oracle(
     if sum(sizes) > max_total:
         raise EnumerationBudgetError(sum(sizes), max_total, "kernel-dimension oracle")
     X = tuple(jordan_nilpotent(lam) for lam in lam_tuple)
-    rho = _rho_matrix(quiver, v, w, X)
-    return rho.shape[0] - _rank_rational(rho.tolist())
+    return sum(_arrow_nullity(X[t], X[s]) for s, t in quiver.arrows) + sum(
+        _framing_nullity(X[i], w[i]) for i in range(quiver.vertex_count)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Exact character sums
+
+def _canonical(counts) -> tuple[int, ...]:
+    """Count vector normalized so the last entry is zero."""
+    c = counts[-1]
+    return tuple(x - c for x in counts)
+
 
 class CycloCount:
     """An element of the cyclotomic integers at a prime p, as a count vector.
@@ -971,8 +1019,7 @@ class CycloCount:
 
     def canonical(self) -> tuple[int, ...]:
         """Counts normalized so the last entry is zero."""
-        c = self.counts[-1]
-        return tuple(x - c for x in self.counts)
+        return _canonical(self.counts)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -1022,53 +1069,72 @@ def charsum_linear_lemma(n: int, family: Iterable[tuple[Sequence[int], int]], q:
     return True
 
 
-def fourier_transform(f: dict, q: int, n: int) -> dict:
-    """Unnormalized discrete transform of a cyclotomic-valued function.
+def _phase_table(q: int, n: int) -> list[list[int]]:
+    """phases[i][j] = <points[i], points[j]> mod q over the n-dimensional space.
 
-    The term of v at w is f(v) times zeta^<v, w>, which shifts the count
-    vector of f(v) by the phase <v, w> mod q; the phases come from one
-    table, and each output point sums plain count lists, exactly, before it
-    becomes a CycloCount.
+    The points are in the order product(range(q), repeat=n) gives them; the
+    table is built one coordinate at a time from the multiplication table.
     """
-    points = list(product(range(q), repeat=n))
-    # phases[i][j] = <points[i], points[j]> mod q, built one coordinate at a
-    # time from the multiplication table, as product orders the points
     times = [[(a * b) % q for b in range(q)] for a in range(q)]
     phases = [[0]]
     for _ in range(n):
         phases = [[(t + m) % q for t in row for m in mult] for row in phases for mult in times]
-    # shifts[t] is the count list of f(v) multiplied by zeta^t
-    terms = []
-    for vv, phase_row in zip(points, phases):
-        val = f.get(vv)
-        if val is not None:
-            counts = list(val.counts)
-            terms.append((phase_row, [counts[q - t :] + counts[: q - t] for t in range(q)]))
-    out = {}
-    for j, wv in enumerate(points):
-        shifted = [shifts[phase_row[j]] for phase_row, shifts in terms]
-        out[wv] = CycloCount(q, map(sum, zip((0,) * q, *shifted)))
-    return out
+    return phases
+
+
+def _transform_counts(f: list, q: int, phases: list[list[int]]) -> list[list[int]]:
+    """The unnormalized discrete transform on count lists, the core of fourier_transform.
+
+    f[i] is the count list of the value at point i, or None where there is
+    none; the result holds one count list per point.  The term of point i at
+    point j is f[i] times zeta^phases[i][j], which shifts its count list by
+    that phase, and each output sums plain count lists, exactly.
+    """
+    # shifts[t] is the count list of f[i] multiplied by zeta^t
+    terms = [
+        (phase_row, [counts[q - t :] + counts[: q - t] for t in range(q)])
+        for phase_row, counts in zip(phases, f)
+        if counts is not None
+    ]
+    return [
+        list(map(sum, zip((0,) * q, *(shifts[phase_row[j]] for phase_row, shifts in terms))))
+        for j in range(len(phases))
+    ]
+
+
+def fourier_transform(f: dict, q: int, n: int) -> dict:
+    """Unnormalized discrete transform of a cyclotomic-valued function.
+
+    The term of v at w is f(v) times zeta^<v, w>.  A thin wrapper over the
+    count-list core _transform_counts, which fourier_inversion_check runs
+    directly: the values go in as their count lists and come out as
+    CycloCounts.
+    """
+    points = list(product(range(q), repeat=n))
+    values = [f[vv].counts if vv in f else None for vv in points]
+    out = _transform_counts(values, q, _phase_table(q, n))
+    return {wv: CycloCount(q, counts) for wv, counts in zip(points, out)}
 
 
 def fourier_inversion_check(n: int, q: int, trials: int = 100, seed: int = 7) -> bool:
     """Transforming twice must scale by q^n and flip the argument's sign.
 
-    Checked exactly for `trials` pseudo-random cyclotomic-valued functions.
+    Checked exactly for `trials` pseudo-random cyclotomic-valued functions,
+    held as count lists and transformed by _transform_counts, with one phase
+    table for every trial; values are compared in canonical form.
     """
     _require_prime(q)
     rng = random.Random(seed)
     points = list(product(range(q), repeat=n))
+    index = {vv: i for i, vv in enumerate(points)}
+    negated = [index[tuple((-x) % q for x in vv)] for vv in points]
+    phases = _phase_table(q, n)
     scale = q**n
     for _ in range(trials):
-        f = {
-            vv: CycloCount(q, tuple(rng.randint(-3, 3) for _ in range(q)))
-            for vv in points
-        }
-        ff = fourier_transform(fourier_transform(f, q, n), q, n)
-        for vv in points:
-            neg = tuple((-x) % q for x in vv)
-            if ff[vv] != scale * f[neg]:
+        f = [[rng.randint(-3, 3) for _ in range(q)] for _ in points]
+        ff = _transform_counts(_transform_counts(f, q, phases), q, phases)
+        for i, neg in enumerate(negated):
+            if _canonical(ff[i]) != _canonical([scale * c for c in f[neg]]):
                 return False
     return True
 

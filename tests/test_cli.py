@@ -259,6 +259,20 @@ class TestVerifyCommand:
         bad = fields.split(",")[-1]
         assert err == f"error: field size must be prime, got {bad}\n"
 
+    @pytest.mark.parametrize("suite,fields", [("all", "2,2"), ("centralizer", "3,2,3")])
+    def test_repeated_field_exits_2_before_any_suite(self, capsys, monkeypatch, suite, fields):
+        from quivermotive import fflab
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("enumerated before refusing the fields")
+
+        monkeypatch.setattr(fflab, "centralizer_order", no_scan)
+        monkeypatch.setattr(fflab, "count_moment_fiber", no_scan)
+        rc, out, err = run_cli(capsys, "verify", suite, "--q", fields)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --q repeats a field size: {fields}\n"
+
     @pytest.mark.parametrize("suite,budget", [("ffcount", "-1"), ("centralizer", "0")])
     def test_budget_below_one_exits_2(self, capsys, suite, budget):
         with pytest.raises(SystemExit) as exc:
@@ -338,6 +352,34 @@ class TestVerifyCommand:
         assert statuses == ["PASS", "SKIP", "SKIP"]
         assert all("budget is 10" in r["detail"] for r in records[1:])
 
+    def test_corrupted_rank_fails_kappa(self, capsys, monkeypatch, fresh_fflab_caches):
+        # one rank short on every nonzero block raises the oracle's nullity
+        from quivermotive import fflab
+
+        rank = fflab._rank_rational
+        monkeypatch.setattr(fflab, "_rank_rational", lambda rows: max(rank(rows) - 1, 0))
+        rc, out, _ = run_cli(capsys, "verify", "kappa", "--format", "records")
+        assert rc == 1
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert sum(r["status"] == "FAIL" for r in records) > len(records) // 2
+
+    def test_corrupted_transform_fails_fourier_inversion(self, capsys, monkeypatch):
+        # a transform that drops the term of the origin; a flipped phase sign
+        # would not do, since the conjugate transform applied twice also
+        # scales by q^n and negates the argument
+        from quivermotive import fflab
+
+        transform = fflab._transform_counts
+        monkeypatch.setattr(
+            fflab, "_transform_counts", lambda f, q, phases: transform([None, *f[1:]], q, phases)
+        )
+        rc, out, _ = run_cli(capsys, "verify", "harmonic", "--q", "2", "--format", "records")
+        assert rc == 1
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        failed = [r["case"] for r in records if r["status"] == "FAIL"]
+        assert failed == [r["case"] for r in records if r["case"].startswith("fourier-inversion ")]
+        assert len(failed) == 2
+
     def test_kappa_oracle_over_budget_skips(self, capsys, monkeypatch):
         from quivermotive import fflab
 
@@ -394,6 +436,16 @@ class TestVerifyCommand:
         capsys.readouterr()
 
 
+def _run_fresh_interpreter(code):
+    src = str(Path(quivermotive.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "summary: " in proc.stdout
+
+
 def test_engine_commands_import_no_numpy():
     # in a fresh interpreter: motive and series, whatever --threads says,
     # load neither the oracles and numpy nor the modules that only
@@ -415,13 +467,23 @@ assert isinstance(motive_series(JORDAN, (1,), 2), MSeries)
 assert cli.main(["verify", "kappa"]) == 0
 assert "numpy" in sys.modules
 """
-    src = str(Path(quivermotive.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "summary: " in proc.stdout
+    _run_fresh_interpreter(code)
+
+
+def test_verify_imports_no_fractions():
+    # in a fresh interpreter: the verify suites evaluate every class as an
+    # integer polynomial and compare character sums as count lists, so
+    # neither fractions nor decimal loads.  Modules the bare interpreter
+    # already holds (host site hooks vary) are exempt.
+    code = """
+import sys
+bare = set(sys.modules)
+from quivermotive import cli
+assert cli.main(["verify", "all", "--q", "2"]) == 0
+loaded = [m for m in ("fractions", "decimal") if m in sys.modules and m not in bare]
+assert not loaded, loaded
+"""
+    _run_fresh_interpreter(code)
 
 
 class TestSelftestCommand:

@@ -24,7 +24,7 @@ from quivermotive.fflab import (
     kappa_oracle,
     moment_pairing,
 )
-from quivermotive.partitions import Partition, exponents_upto, partitions_of
+from quivermotive.partitions import Partition, exponents_upto, partitions_of, tuples_with_sizes
 from quivermotive.quiver import (
     A2,
     BUILTIN_QUIVERS,
@@ -443,6 +443,32 @@ class TestKappaOracle:
     def test_out_of_range(self):
         with pytest.raises(EnumerationBudgetError):
             kappa_oracle(JORDAN, (9,), (1,), (P((9,)),), max_total=8)
+
+    def test_block_sum_matches_dense_nullity(self, fresh_fflab_caches):
+        # the per-block nullities against one rank of the whole block-diagonal
+        # matrix: the verify kappa grid, then multi-arrow and loop quivers
+        from quivermotive.verify import _KAPPA_GRID
+
+        grid = [(quiver, w, 5) for _, quiver, ws in _KAPPA_GRID for w in ws]
+        grid += [
+            (STAR3, (0, 0, 0), 3),
+            (STAR3, (1, 0, 2), 3),
+            (DOUBLE_ARROW, (0, 0), 4),
+            (DOUBLE_ARROW, (1, 1), 4),
+            (TWO_LOOP, (0,), 4),
+            (TWO_LOOP, (2,), 4),
+        ]
+        checked = 0
+        for quiver, w, max_total in grid:
+            for v in exponents_upto(quiver.vertex_count, max_total):
+                for tup in tuples_with_sizes(v):
+                    X = tuple(jordan_nilpotent(lam) for lam in tup)
+                    d = fflab.dim_rep_space(quiver, v, w)
+                    dense = d - fflab._rank_rational(fflab._rho_matrix(quiver, v, w, X).tolist())
+                    assert kappa_oracle(quiver, v, w, tup) == dense, (quiver, v, w, tup)
+                    checked += 1
+        assert checked > 400
+        assert fflab._arrow_nullity.cache_info().hits > 0
 
 
 def _leibniz_det_mod(rows, q):
