@@ -37,26 +37,51 @@ one recursion from the constant term,
 
     N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L * N(U)_f * N(Q)_{e-f}.
 
-One pass over partition tuples.  The framing part of kappa is
-sum_i w_i * len(lam_i) = w . l, with l the vector of part counts of the
-tuple, and the cofactors depend on the tuple only through (a, M, l).  So the
-tuples of sizes e are enumerated once and grouped by l: each group's sum of
-L^(kappa_0 - a) * M, with kappa_0 the kappa of w = 0, is multiplied once by
-the product of P_{e_i} / P_{l_i}, giving a w-free G_{e,l}.  Then
+Column chains.  A tuple of partitions, one per vertex, is a chain of column
+vectors c_1 >= c_2 >= ... > 0 in Z^n, c_k[i] the k-th column of lam_i, and
+every factor of its term depends only on consecutive columns.  With
+m = c_k - c_(k+1) (the column after the last is 0), kappa_0, the kappa of
+w = 0, is the sum over k of arrows(c_k) = sum over arrows s -> t of
+c_k[s] c_k[t]; a is the sum over k of |c_k|^2 - sum_i m_i (m_i + 1) / 2; and
+M is the product over k and i of [c_k[i] choose c_(k+1)[i]]_L.  The framing
+part of kappa is sum_i w_i * len(lam_i) = w . l, with l = c_1 the vector of
+part counts, so the tuples of sizes e are summed in groups of equal l: the
+sum of L^(kappa_0 - a) * M over a group, times the product of
+P_(e_i) / P_(l_i), is a w-free G_(e,l).  By the locality of the factors,
 
-    N(U)_e = sum over l of G_{e,l},    N(F)_e = sum over l of L^(w . l) G_{e,l},
+    G_(e,l) = prod_i (P_(e_i) / P_(l_i)) * H(l, e - l),
+    H(c, r) = L^(arrows(c) - |c|^2)
+              * sum over c' of prod_i f(c_i, c'_i) * H(c', r - c'),
+    f(a, b) = L^((a - b)(a - b + 1) / 2) * [a choose b]_L,
+
+where c'_i runs over 1..min(c_i, r_i) when r_i > 0 and is 0 when r_i = 0,
+so H(c, 0) has the single term c' = 0, and H(0, 0) = 1.  H is needed only
+where |c| + |r| <= bound.  The engine runs the recursion through the
+remaining sizes r in graded order; the table K(c') = H(c', r - c') is
+complete by then, since its totals c' + (r - c') are r.  The sum over c' is
+a product over vertices, so it is contracted one vertex at a time (sum
+factorization), and a partial state is dropped as soon as its columns
+exceed bound - |r|.  No partition is enumerated.  Then
+
+    N(U)_e = sum over l of G_(e,l),    N(F)_e = sum over l of L^(w . l) G_(e,l),
 
 and the groups are cached per quiver and degree bound, so the framed and
 the unframed series, and the tables for further framings, share one
-enumeration.  kappa and the group shift use the one framing helper, so the
-exponents the kappa checks test are the ones the series use.
+recursion.  kappa sums the same arrow term over the columns of a tuple and
+adds the framing helper the group shift uses, and centralizer_class folds
+the same column step f over the columns of a partition, so the exponents
+and classes the kappa and centralizer checks test are the ones the series
+use.  Before any arithmetic, the recursion's size is estimated from the
+vertex count and the bound alone, as its C(bound + 2n, 2n) states (c, r)
+times the bits of one value, and a run above MAX_CHAIN_COST is refused as
+input.
 
 Packed evaluation.  Every numerator polynomial is held as one Python int,
-its value at L = X = 2^bits, so the cofactors, the numerator sums, the
-L-shifts, the Gaussian binomials and the quotient recursion are big-int
-shifts, adds and multiplies.  Evaluation at X is a ring homomorphism, so the
-packed numerators are exactly the values of the true ones; what needs an
-argument is reading a polynomial back.  An integer polynomial whose
+its value at L = X = 2^bits, so the column steps, the chain sums, the
+L-shifts, the factors P_(e_i) / P_(l_i), the Gaussian binomials and the
+quotient recursion are big-int shifts, adds and multiplies.  Evaluation at
+X is a ring homomorphism, so the packed numerators are exactly the values
+of the true ones; what needs an argument is reading a polynomial back.  An integer polynomial whose
 coefficients all lie in (-X/2, X/2) is the only such polynomial with its
 value at X, and its coefficients are the balanced base-X digits of that
 value (_unpack).  bits is fixed before anything is packed, from an a-priori
@@ -87,10 +112,13 @@ every cofactor of size n as well, since s(n) <= m(n).  m increases with n.
 bits is the bit length of m(bound) plus 2, so every
 coefficient of a cofactor or numerator lies in (-X/4, X/4): such a packed
 value is zero exactly when its polynomial is, and unpacking it is exact.
-Nothing else is unpacked or tested for zero.  No packed value is ever
-divided; the cofactors are built as products.  The
-bound depends on nothing the run computes, so a corrupted kappa still
-unpacks to its exact numerator, and exit 3 stays a proof.
+The only other value unpacked is the fold of one partition's column steps
+in centralizer_class, L^(sum m(m+1)/2) * M at the width of its size n,
+whose L1 norm multinomial(l; m) <= s(n) <= m(n) is covered too.  Nothing
+else is unpacked or tested for zero: the chain values H and the groups are
+only multiplied and added.  No packed value is ever divided.  The bound
+depends on nothing the run computes, so a corrupted kappa still unpacks to
+its exact numerator, and exit 3 stays a proof.
 
 The only division is N(Q)_v / P_v in _class_at, on the unpacked polynomial,
 exact whenever the class is a polynomial; when it is inexact, or leaves a
@@ -106,24 +134,28 @@ from __future__ import annotations
 
 import warnings
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .lrat import LRat, Poly, _pdiv_exact, _pmul, _pshift
-from .partitions import (
-    Partition,
-    PartitionTuple,
-    exponents_upto,
-    pairing,
-    partitions_of,
-    tuples_with_sizes,
-)
+from .partitions import Partition, exponents_upto
+
+# perfbench/trace_child.py wraps engine.tuples_with_sizes to time and count
+# the tuples the engine enumerates; it enumerates none, so both read 0
+from .partitions import tuples_with_sizes  # noqa: F401
 from .quiver import InputError, Quiver, _Record, check_dim_vector, d_shift
 
 if TYPE_CHECKING:
     from .series import MSeries
+
+
+# The largest column-chain recursion the engine runs, in the estimate of
+# _check_cost (states times the bits of a value).  On a 2-core Xeon host,
+# in-process, star3 at degree 20 (4.2 * 10^9) took 6 s and Jordan at degree
+# 48 (3.7 * 10^8) 7 s; star3 at degree 30 would be 1.3 * 10^11.
+MAX_CHAIN_COST = 10**10
 
 
 class PolynomialityError(ArithmeticError):
@@ -154,42 +186,59 @@ class MotiveResult(_Record):
 def centralizer_class(lam_tuple: Sequence[Partition]) -> LRat:
     """Class of the centralizer of a tuple of nilpotent Jordan types.
 
-    The product of L^a * P_|lam| / c over the entries, with (a, c) unpacked
-    from the per-partition data the series numerators are built from.
+    Per entry, with columns c_1 >= c_2 >= ... > 0 and l = c_1 parts, the
+    column steps fold to L^(sum m(m+1)/2) * M, and the class is
+    L^(sum c_k^2) * P_l divided by that product: L^a * P_|lam| / c(lam) of the
+    module docstring, built from the steps the series numerators multiply.
     Always a polynomial in L; the empty tuple gives 1.
     """
     power, poly = 0, (1,)
     for lam in lam_tuple:
-        n = lam.size
-        bits = _packing_bits(n)
-        a, multinomial, length = _partition_data(bits, n)[lam]
-        _, c = _unpack((0, multinomial * _cyclo_packed(length, n, bits)), bits)
-        power += a
-        poly = _pmul(poly, _pdiv_exact(_cyclo_range(n), c))
+        columns = lam._columns
+        bits = _packing_bits(lam.size)
+        offset, value = 0, 1
+        for high, low in zip(columns, columns[1:] + (0,)):
+            step_offset, step_value = _column_step(high, low, bits)
+            offset += step_offset
+            value *= step_value
+        shift, steps = _unpack((offset, value), bits)
+        power += sum(c * c for c in columns) - shift
+        poly = _pmul(poly, _pdiv_exact(_cyclo_range(len(lam)), steps))
     return LRat._raw(_pshift(poly, power), (1,))
 
 
 def kappa(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]) -> int:
     """Pairing sum over arrows plus framing pairings against (1,...,1).
 
-    w is taken as given: one nonnegative entry per vertex.
+    w is taken as given: one nonnegative entry per vertex.  The arrow
+    pairings are summed column by column of the tuple (module docstring).
     """
     if len(lam_tuple) != quiver.vertex_count:
         raise ValueError(
             f"partition tuple has {len(lam_tuple)} entries, "
             f"quiver has {quiver.vertex_count} vertices"
         )
-    total = sum(pairing(lam_tuple[s], lam_tuple[t]) for s, t in quiver.arrows)
-    return total + _framing(w, lam_tuple)
+    columns = zip_longest(*(lam._columns for lam in lam_tuple), fillvalue=0)
+    total = sum(_arrow_column(quiver, column) for column in columns)
+    return total + _framing(w, tuple(map(len, lam_tuple)))
 
 
-def _framing(w: Sequence[int], lam_tuple: Sequence[Partition]) -> int:
-    """The framing part of kappa: the pairings of (1,...,1) with wi ones and lam_i.
+def _arrow_column(quiver: Quiver, column: Sequence[int]) -> int:
+    """The arrow part of kappa at one column vector: sum over arrows s -> t of c_s * c_t.
 
-    <(1,...,1), lam> is the number of parts of lam, so this is w . l for the
-    part counts l, the same for every tuple of one numerator group.
+    <lam, mu> is the dot product of the conjugate partitions, so the arrow
+    pairings of a tuple are the sum of this over its columns.
     """
-    return sum(map(mul, w, map(len, lam_tuple)))
+    return sum(column[s] * column[t] for s, t in quiver.arrows)
+
+
+def _framing(w: Sequence[int], parts: Sequence[int]) -> int:
+    """The framing part of kappa: w . l for the part counts l of the tuple.
+
+    <(1,...,1), lam> with wi ones is wi times the number of parts of lam, so
+    this is the same for every tuple of one numerator group.
+    """
+    return sum(map(mul, w, parts))
 
 
 # A Laurent polynomial L^offset * poly with poly[0] != 0; zero is (0, ()).
@@ -199,9 +248,9 @@ Packed = tuple[int, int]
 # A truncated series as packed numerators over P_e, keyed by exponent; zeros
 # left out.
 Graded = dict[tuple[int, ...], Packed]
-# Per exponent e, one entry per part-count vector l: a tuple of the group and
-# the packed w-free group sum G_{e,l}.
-Groups = dict[tuple[int, ...], list[tuple[PartitionTuple, Packed]]]
+# Per exponent e, one entry per part-count vector l: l and the packed w-free
+# group sum G_{e,l}.
+Groups = dict[tuple[int, ...], list[tuple[tuple[int, ...], Packed]]]
 
 
 @lru_cache(maxsize=64)
@@ -294,31 +343,15 @@ def _gauss_row(n: int, bits: int) -> tuple[int, ...]:
     return (1, *inner, 1)
 
 
-@lru_cache(maxsize=1024)
-def _multinomial(mults: tuple[int, ...], bits: int) -> int:
-    """The Gaussian multinomial [m_1 + ... + m_r; m_1, ..., m_r]_L, packed."""
-    out, total = 1, 0
-    for m in mults:
-        total += m
-        out *= _gauss_row(total, bits)[m]
-    return out
+def _column_step(high: int, low: int, bits: int) -> Packed:
+    """f(high, low) = L^(m(m+1)/2) * [high choose low]_L with m = high - low, packed.
 
-
-@lru_cache(maxsize=16)
-def _partition_data(bits: int, bound: int) -> dict[Partition, tuple[int, int, int]]:
-    """(a, M, l) for every partition lam of size <= bound: the cofactor source.
-
-    c(lam) = M * P_|lam| / P_l with M = [l; m_1, ..., m_r]_L packed at
-    2^bits, l = len(lam) the number of parts, and a the centralizer class
-    exponent (module docstring).
+    The factor one vertex contributes between consecutive columns of its
+    partition: the multiplicity part of the centralizer exponent a and one
+    Gaussian binomial of the multinomial M (module docstring).
     """
-    out = {}
-    for n in range(bound + 1):
-        for lam in partitions_of(n):
-            mults = tuple(sorted(lam.multiplicities().values()))
-            a = pairing(lam, lam) - sum(m * (m + 1) // 2 for m in mults)
-            out[lam] = (a, _multinomial(mults, bits), len(lam))
-    return out
+    m = high - low
+    return m * (m + 1) // 2, _gauss_row(high, bits)[low]
 
 
 def _fraction(num: Laurent, den: Poly) -> LRat:
@@ -327,40 +360,6 @@ def _fraction(num: Laurent, den: Poly) -> LRat:
     if offset >= 0:
         return LRat(_pshift(poly, offset), den)
     return LRat(poly, _pshift(den, -offset))
-
-
-def _numerator_groups_at(
-    quiver: Quiver, exp: tuple[int, ...], data: dict, bits: int
-) -> list[tuple[PartitionTuple, Packed]]:
-    """The w-free groups G_{exp,l} of the tuples of sizes exp, one per part counts l.
-
-    G_{exp,l} is the packed numerator over P_exp of the sum of
-    L^kappa(w = 0) / [Z] over the tuples with part counts l: their
-    L^(kappa - a) * M, multiplied once by the factors P_{e_i} / P_{l_i}.
-    Each group keeps its first tuple, the argument of its framing shift.
-    """
-    zero = (0,) * len(exp)
-    groups: dict[tuple[int, ...], tuple[PartitionTuple, dict[int, int]]] = {}
-    for tup in tuples_with_sizes(exp):
-        power = kappa(quiver, zero, tup)
-        multinomials, lengths = 1, ()
-        for lam in tup:
-            a, multinomial, length = data[lam]
-            power -= a
-            multinomials *= multinomial
-            lengths += (length,)
-        group = groups.get(lengths)
-        if group is None:
-            group = groups[lengths] = (tup, {})
-        terms = group[1]
-        terms[power] = terms.get(power, 0) + multinomials
-    out = []
-    for lengths, (first, terms) in groups.items():
-        offset, value = _packed_sum(list(terms.items()), bits)
-        for length, k in zip(lengths, exp):
-            value *= _cyclo_packed(length, k, bits)
-        out.append((first, (offset, value)))
-    return out
 
 
 def _graded_quotient(
@@ -395,15 +394,90 @@ def _graded_quotient(
     return out
 
 
+def _check_cost(nvars: int, bound: int) -> None:
+    """Refuse a recursion larger than MAX_CHAIN_COST, before any arithmetic.
+
+    The estimate is the number of states (c, r) with |c| + |r| <= bound,
+    C(bound + 2n, 2n), times the bits of one value: the packing width times
+    bound (bound + 1) / 2 + 1 digits, the length of P_e at |e| = bound.  At
+    one vertex there are few states, but their values are long.
+    """
+    states = comb(bound + 2 * nvars, 2 * nvars)
+    value_bits = _packing_bits(bound) * (bound * (bound + 1) // 2 + 1)
+    cost = states * value_bits
+    if cost > MAX_CHAIN_COST:
+        raise InputError(
+            f"degree bound {bound} on {nvars} vertices is too large: the column-chain "
+            f"recursion is estimated at {cost} bits ({states} states of {value_bits} bits), "
+            f"the limit is {MAX_CHAIN_COST}"
+        )
+
+
+def _contract(table: dict, i: int, room: int, steps: list, bits: int) -> dict:
+    """Replace coordinate i of every key, a column c'_i, by each c_i >= c'_i.
+
+    The value is multiplied by the column step f(c_i, c'_i), and values that
+    land on one key are merged in place at the lower L offset.  A key is
+    kept only while the columns it stands for fit in room: the coordinates
+    not yet replaced only grow.
+    """
+    out: dict = {}
+    for key, (offset, value) in table.items():
+        low = key[i]
+        head, tail = key[:i], key[i + 1 :]
+        for high in range(low, low + room - sum(key) + 1):
+            step_offset, step_value = steps[high][low]
+            new = head + (high,) + tail
+            o, v = offset + step_offset, value if step_value == 1 else value * step_value
+            acc = out.get(new)
+            if acc is not None:
+                if o >= acc[0]:
+                    o, v = acc[0], acc[1] + (v << bits * (o - acc[0]))
+                else:
+                    v = (acc[1] << bits * (acc[0] - o)) + v
+            out[new] = (o, v)
+    return out
+
+
 @lru_cache(maxsize=16)
 def _numerator_groups(quiver: Quiver, bound: int) -> Groups:
-    """The w-free groups at every exponent of total degree <= bound: one enumeration."""
+    """The w-free groups G_{e,l} at every exponent of total degree <= bound.
+
+    One column-chain recursion (module docstring): each remaining size r,
+    in graded order, takes the table K(c') = H(c', r - c') of its finished
+    chains, contracts it one vertex at a time with the column steps, and
+    shifts by the arrow term, giving H(c, r) for every c that fits; that is
+    the group G_{c+r,c} once multiplied by prod P_{e_i} / P_{c_i}, and the
+    table entry at c of the remaining size c + r.  No partition is
+    enumerated.
+    """
+    n = quiver.vertex_count
+    _check_cost(n, bound)
     bits = _packing_bits(bound)
-    data = _partition_data(bits, bound)
-    return {
-        exp: _numerator_groups_at(quiver, exp, data, bits)
-        for exp in exponents_upto(quiver.vertex_count, bound)
-    }
+    steps = [
+        [_column_step(high, low, bits) for low in range(high + 1)] for high in range(bound + 1)
+    ]
+    # H(c, e - c) by the total e and then c, kept until e comes up as a
+    # remaining size
+    chains: dict[tuple[int, ...], dict[tuple[int, ...], Packed]] = {}
+    groups: Groups = {}
+    for rest in exponents_upto(n, bound):
+        table = chains.pop(rest, None) if any(rest) else {rest: (0, 1)}
+        if table is None:
+            continue
+        room = bound - sum(rest)
+        for i in range(n):
+            table = _contract(table, i, room, steps, bits)
+        for column, (offset, value) in table.items():
+            offset += _arrow_column(quiver, column) - sum(map(mul, column, column))
+            total = tuple(map(add, column, rest))
+            if 0 < sum(total) < bound:
+                chains.setdefault(total, {})[column] = (offset, value)
+            for c, r in zip(column, rest):
+                if r:
+                    value *= _cyclo_packed(c, c + r, bits)
+            groups.setdefault(total, []).append((column, (offset, value)))
+    return groups
 
 
 def _nilpotent_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> Graded:
@@ -415,7 +489,7 @@ def _nilpotent_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> Gra
     out: Graded = {}
     for exp, groups in _numerator_groups(quiver, bound).items():
         num = _packed_sum(
-            [(offset + _framing(w, first), value) for first, (offset, value) in groups], bits
+            [(offset + _framing(w, parts), value) for parts, (offset, value) in groups], bits
         )
         if num[1]:
             out[exp] = num

@@ -1121,7 +1121,11 @@ def fourier_inversion_check(n: int, q: int, trials: int = 100, seed: int = 7) ->
 
     Checked exactly for `trials` pseudo-random cyclotomic-valued functions,
     held as count lists and transformed by _transform_counts, with one phase
-    table for every trial; values are compared in canonical form.
+    table for every trial; values are compared in canonical form.  The
+    complex-conjugate transform passes that test too, so first the transform
+    of the delta function at every point u must be zeta^<u, w>, with the
+    phase summed here rather than read from the table (at q = 2 the two
+    transforms coincide).
     """
     _require_prime(q)
     rng = random.Random(seed)
@@ -1129,6 +1133,13 @@ def fourier_inversion_check(n: int, q: int, trials: int = 100, seed: int = 7) ->
     index = {vv: i for i, vv in enumerate(points)}
     negated = [index[tuple((-x) % q for x in vv)] for vv in points]
     phases = _phase_table(q, n)
+    one = [1] + [0] * (q - 1)
+    for i, u in enumerate(points):
+        delta = [one if j == i else None for j in range(len(points))]
+        for wv, counts in zip(points, _transform_counts(delta, q, phases)):
+            phase = sum(a * b for a, b in zip(u, wv)) % q
+            if _canonical(counts) != _canonical([int(t == phase) for t in range(q)]):
+                return False
     scale = q**n
     for _ in range(trials):
         f = [[rng.randint(-3, 3) for _ in range(q)] for _ in points]

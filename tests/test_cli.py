@@ -225,24 +225,21 @@ class TestVerifyCommand:
         assert all("budget is 10" in r["detail"] for r in records if r["status"] == "SKIP")
 
     def test_corrupted_cofactor_fails(self, capsys, monkeypatch, fresh_engine_caches):
-        # c((1, 1)) times (L^2 - 1) makes the centralizer class L(L - 1): the
-        # suite checks the per-partition cofactor data, and the series are
-        # built from the same data, so the class of jordan v=(2) w=(1),
-        # L^3 + L^4, changes or stops being a polynomial
+        # the column step from 2 to 0 times (L^2 - 1) makes the centralizer
+        # class of (1, 1) L(L - 1): the suite folds the column steps the
+        # series multiply, so the class of jordan v=(2) w=(1), L^3 + L^4,
+        # changes or stops being a polynomial
         from quivermotive import engine
-        from quivermotive.partitions import Partition
 
-        original = engine._partition_data
+        original = engine._column_step
 
-        def wrong_data(bits, bound):
-            data = dict(original(bits, bound))
-            lam = Partition((1, 1))
-            if lam in data:  # the tables for bounds 0 and 1 stop short of it
-                a, multinomial, length = data[lam]
-                data[lam] = (a, multinomial * ((1 << 2 * bits) - 1), length)
-            return data
+        def wrong_step(high, low, bits):
+            offset, value = original(high, low, bits)
+            if (high, low) == (2, 0):
+                value *= (1 << 2 * bits) - 1
+            return offset, value
 
-        monkeypatch.setattr(engine, "_partition_data", wrong_data)
+        monkeypatch.setattr(engine, "_column_step", wrong_step)
         rc, out, _ = run_cli(capsys, "verify", "centralizer", "--q", "2")
         assert rc == 1
         assert "FAIL centralizer: lam=(1, 1) q=2" in out
@@ -380,6 +377,25 @@ class TestVerifyCommand:
         assert failed == [r["case"] for r in records if r["case"].startswith("fourier-inversion ")]
         assert len(failed) == 2
 
+    def test_negated_phases_fail_fourier_inversion(self, capsys, monkeypatch):
+        # the conjugate transform: applied twice it still scales by q^n and
+        # negates the argument, so only the delta-function check catches it;
+        # q = 3, since at q = 2 every phase is its own negative
+        from quivermotive import fflab
+
+        phase_table = fflab._phase_table
+        monkeypatch.setattr(
+            fflab,
+            "_phase_table",
+            lambda q, n: [[(-t) % q for t in row] for row in phase_table(q, n)],
+        )
+        rc, out, _ = run_cli(capsys, "verify", "harmonic", "--q", "3", "--format", "records")
+        assert rc == 1
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        failed = [r["case"] for r in records if r["status"] == "FAIL"]
+        assert failed == [r["case"] for r in records if r["case"].startswith("fourier-inversion ")]
+        assert len(failed) == 2
+
     def test_kappa_oracle_over_budget_skips(self, capsys, monkeypatch):
         from quivermotive import fflab
 
@@ -508,12 +524,14 @@ class TestSelftestCommand:
     def test_corrupted_pairing_is_caught(self, capsys, monkeypatch, fresh_engine_caches):
         from quivermotive import engine
 
-        original = engine.pairing
+        # kappa sums the pairings over the arrows column by column; one wrong
+        # column term, at the first column (1, 2) of ((2,), (1, 1)) on a2
+        original = engine._arrow_column
 
-        def wrong_pairing(lam, mu):
-            return original(lam, mu) + (1 if (lam.parts, mu.parts) == ((2,), (1, 1)) else 0)
+        def wrong_column(quiver, column):
+            return original(quiver, column) + (1 if tuple(column) == (1, 2) else 0)
 
-        monkeypatch.setattr(engine, "pairing", wrong_pairing)
+        monkeypatch.setattr(engine, "_arrow_column", wrong_column)
         rc, out, _ = run_cli(capsys, "selftest", "--fast")
         assert rc == 1
         assert "FAIL kappa: a2 w=(0, 0) lam=((2,), (1, 1))" in out

@@ -86,6 +86,117 @@ def goettsche_classes(n_max):
     return coeffs
 
 
+def torus_fixed_point_classes(r, n_max):
+    """[M(r, n)] for the Jordan quiver with w = (r), for n <= n_max, from torus fixed points.
+
+    The fixed points are the r-tuples of partitions Y with |Y| = n, and the
+    Bialynicki-Birula cell of Y has dimension rn + sum over a = 1..r of
+    a * len(Y_a) (Nakajima and Yoshioka, Instanton counting on blowup I,
+    section 3).  Plain integer lists, ascending in L.
+    """
+    # per copy a: the partitions of k counted by L^(a * parts), as lists
+    copies = []
+    for a in range(1, r + 1):
+        copy = []
+        for k in range(n_max + 1):
+            poly = [0] * (a * k + 1)
+            for lam in partitions_of(k):
+                poly[a * len(lam)] += 1
+            copy.append(poly)
+        copies.append(copy)
+    # tuples[n]: the r-tuples of total size n, before the shift by L^(rn)
+    tuples = [[1]] + [[0] for _ in range(n_max)]
+    for copy in copies:
+        convolved = [[0] for _ in range(n_max + 1)]
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                left, right = tuples[n - k], copy[k]
+                out = convolved[n] + [0] * (len(left) + len(right) - 1 - len(convolved[n]))
+                for i, x in enumerate(left):
+                    for j, y in enumerate(right):
+                        out[i + j] += x * y
+                convolved[n] = out
+        tuples = convolved
+    classes = []
+    for n, poly in enumerate(tuples):
+        poly = [0] * (r * n) + poly
+        while len(poly) > 1 and not poly[-1]:
+            poly.pop()
+        classes.append(poly)
+    return classes
+
+
+def weight_multiplicities(quiver, w):
+    """dim of the weight space Lambda_w - alpha_v of the tensor product of V(omega_i)^(w_i), by v.
+
+    Type A only: every fundamental representation is minuscule, so its
+    weights are the Weyl orbit of omega_i, each once.  The orbit is found by
+    simple reflections s_k(mu) = mu - mu_k alpha_k on the Cartan matrix of
+    the underlying graph, tracking mu = omega_i - sum_k depth_k alpha_k.
+    By Nakajima (Duke 1998) the Euler characteristic of M(v, w), the class
+    at L = 1, is this multiplicity.
+    """
+    n = quiver.vertex_count
+    assert all(s != t for s, t in quiver.arrows)
+    cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for s, t in quiver.arrows:
+        cartan[s][t] -= 1
+        cartan[t][s] -= 1
+    mults = Counter({(0,) * n: 1})
+    for i, copies in enumerate(w):
+        start = tuple(int(j == i) for j in range(n))
+        seen, frontier = {start: (0,) * n}, [start]
+        while frontier:
+            labels = frontier.pop()
+            depth = seen[labels]
+            for k in range(n):
+                if labels[k] > 0:
+                    image = tuple(x - labels[k] * c for x, c in zip(labels, cartan[k]))
+                    if image not in seen:
+                        seen[image] = tuple(d + labels[k] * (j == k) for j, d in enumerate(depth))
+                        frontier.append(image)
+        for _ in range(copies):
+            step = Counter()
+            for v, m in mults.items():
+                for depth in seen.values():
+                    step[tuple(map(sum, zip(v, depth)))] += m
+            mults = step
+    return mults
+
+
+def tuple_sum_groups(quiver, bound):
+    """The groups G_{e,l}, summed one partition tuple at a time: the reference for the recursion.
+
+    Per tuple of sizes e the term L^(kappa_0 - a) * M, with kappa_0 the
+    arrow pairings, a = <lam, lam> - sum of m(m+1)/2 over the part
+    multiplicities and M the Gaussian multinomial [l; m]_L from L-Pascal
+    rows, summed by the part counts l and multiplied once by
+    prod P_{e_i} / P_{l_i}.  Packed as the engine packs, returned unpacked.
+    """
+    bits = engine._packing_bits(bound)
+    out = {}
+    for exp in exponents_upto(quiver.vertex_count, bound):
+        sums = {}
+        for tup in tuples_with_sizes(exp):
+            power = sum(pairing(tup[s], tup[t]) for s, t in quiver.arrows)
+            value = 1
+            for lam in tup:
+                mults = list(lam.multiplicities().values())
+                power -= pairing(lam, lam) - sum(m * (m + 1) // 2 for m in mults)
+                parts = 0
+                for m in mults:
+                    parts += m
+                    value *= engine._gauss_row(parts, bits)[m]
+            sums.setdefault(tuple(map(len, tup)), []).append((power, value))
+        out[exp] = {}
+        for parts, terms in sums.items():
+            offset, value = engine._packed_sum(terms, bits)
+            for length, k in zip(parts, exp):
+                value *= engine._cyclo_packed(length, k, bits)
+            out[exp][parts] = engine._unpack((offset, value), bits)
+    return out
+
+
 class TestCentralizerClass:
     def test_single_box(self):
         assert centralizer_class((P((1,)),)) == L - ONE
@@ -339,14 +450,14 @@ class TestMotiveTable:
         assert engine._numerator_groups.cache_info().currsize == 1
 
     def test_group_exception_reaches_caller(self, monkeypatch, fresh_engine_caches):
-        original = engine._numerator_groups_at
+        original = engine._arrow_column
 
-        def broken(quiver, exp, data, bits):
-            if exp == (1, 1, 0):
+        def broken(quiver, column):
+            if column == (1, 1, 0):
                 raise ZeroDivisionError("groups failed at (1, 1, 0)")
-            return original(quiver, exp, data, bits)
+            return original(quiver, column)
 
-        monkeypatch.setattr(engine, "_numerator_groups_at", broken)
+        monkeypatch.setattr(engine, "_arrow_column", broken)
         with pytest.raises(ZeroDivisionError, match=r"at \(1, 1, 0\)"):
             motive_table(STAR3, (1, 1, 1), 4, threads=2)
         assert engine._numerator_groups.cache_info().currsize == 0
@@ -445,10 +556,14 @@ class TestPacking:
         for exp in exponents_upto(n, bound):
             for graded in (framed, unframed, quotient):
                 assert l1_norm(graded.get(exp, (0, 0)), bits) <= m[sum(exp)], (quiver, exp)
-        data = engine._partition_data(bits, bound)
         for size in range(bound + 1):
             for lam in partitions_of(size):
-                _, multinomial, length = data[lam]
+                # c(lam) = M * P_size / P_length, M from the column steps
+                columns = lam.conjugate().parts
+                multinomial = 1
+                for high, low in zip(columns, columns[1:] + (0,)):
+                    multinomial *= engine._column_step(high, low, bits)[1]
+                length = len(lam)
                 c = (0, multinomial * engine._cyclo_packed(length, size, bits))
                 ordered = factorial(length)
                 for m_r in lam.multiplicities().values():
@@ -476,32 +591,108 @@ def test_pmul_off_the_engine_hot_path(monkeypatch, fresh_engine_caches):
         assert not hasattr(engine, gone), gone
 
 
-def test_one_enumeration_per_exponent(monkeypatch, fresh_engine_caches):
-    # the framed and the unframed numerators come from one w-free pass over
-    # the partition tuples, which a second framing at the same bound reuses
-    counts = Counter()
-    original = engine.tuples_with_sizes
+def test_motive_table_enumerates_no_partitions(monkeypatch, fresh_engine_caches):
+    # the framed and the unframed numerators come from one w-free
+    # column-chain recursion, which enumerates no partition and which a
+    # second framing at the same bound reuses
+    from quivermotive import partitions
 
-    def counted(sizes):
-        counts[tuple(sizes)] += 1
-        return original(sizes)
+    def forbidden(*args):
+        raise AssertionError("partition enumeration on the engine path")
 
-    monkeypatch.setattr(engine, "tuples_with_sizes", counted)
-    motive_table(STAR3, (1, 1, 1), 6)
-    assert counts == Counter(exponents_upto(3, 6))
-    counts.clear()
+    for module, name in (
+        (partitions, "partitions_of"),
+        (partitions, "tuples_with_sizes"),
+        (partitions, "_partitions_cached"),
+        (engine, "tuples_with_sizes"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    rows = motive_table(STAR3, (1, 1, 1), 6)
+    assert len(rows) == len(exponents_upto(3, 6))
     motive_table(STAR3, (2, 1, 0), 6)
-    assert not counts
+    assert cli.main(["series", "--quiver", "jordan", "--w", "1", "--max-degree", "8"]) == 0
+    # one recursion per quiver and bound: star3 at 6, jordan at 8
+    assert engine._numerator_groups.cache_info().misses == 2
+    for gone in ("_numerator_groups_at", "_partition_data", "_multinomial"):
+        assert not hasattr(engine, gone), gone
+
+
+def test_recursion_matches_tuple_sum():
+    # the groups of the column-chain recursion equal the sum over partition
+    # tuples on every builtin, polynomial for polynomial
+    for quiver in BUILTIN_QUIVERS.values():
+        bound = 10 if quiver.vertex_count == 1 else 6
+        bits = engine._packing_bits(bound)
+        groups = {
+            exp: {parts: engine._unpack(value, bits) for parts, value in entries}
+            for exp, entries in engine._numerator_groups(quiver, bound).items()
+        }
+        assert groups == tuple_sum_groups(quiver, bound), quiver
+
+
+class TestIndependentOracles:
+    @pytest.mark.parametrize("r,n_max", [(1, 12), (2, 7), (3, 5), (4, 4)])
+    def test_jordan_torus_fixed_points(self, r, n_max):
+        rows = motive_table(JORDAN, (r,), n_max)
+        assert [list(row.class_polynomial) for row in rows] == torus_fixed_point_classes(r, n_max)
+
+    def test_hilbert_scheme_euler_characteristic(self):
+        # chi(Hilb^n(A^2)) = p(n), the number of partitions of n
+        rows = motive_table(JORDAN, (1,), 12)
+        partition_counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+        assert [sum(row.class_polynomial) for row in rows] == partition_counts
+
+    @pytest.mark.parametrize(
+        "quiver,w,bound",
+        [
+            (SINGLE_VERTEX, (4,), 6),
+            (A2, (1, 1), 6),
+            (A2, (2, 1), 6),
+            (STAR3, (1, 1, 1), 12),
+            (STAR3, (2, 0, 1), 7),
+        ],
+    )
+    def test_type_a_euler_characteristic(self, quiver, w, bound):
+        mults = weight_multiplicities(quiver, w)
+        for row in motive_table(quiver, w, bound):
+            assert sum(row.class_polynomial) == mults.get(row.v, 0), row.v
+
+
+class TestCostGuard:
+    def test_refuses_before_any_arithmetic(self, capsys, monkeypatch, fresh_engine_caches):
+        def forbidden(*args):
+            raise AssertionError("column step computed")
+
+        monkeypatch.setattr(engine, "_column_step", forbidden)
+        start = time.perf_counter()
+        rc = cli.main(["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", "30"])
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        # C(30 + 6, 6) states of (30 * 31 / 2 + 1) digits at the packing width
+        estimate = comb(36, 6) * engine._packing_bits(30) * 466
+        assert estimate > engine.MAX_CHAIN_COST
+        err = capsys.readouterr().err
+        assert f"estimated at {estimate} bits" in err
+        assert f"the limit is {engine.MAX_CHAIN_COST}" in err
+
+    def test_admits_deep_runs(self, fresh_engine_caches):
+        rows = motive_table(JORDAN, (1,), 36)
+        assert [list(row.class_polynomial) for row in rows] == goettsche_classes(36)
+        mults = weight_multiplicities(STAR3, (1, 1, 1))
+        rows = motive_table(STAR3, (1, 1, 1), 16)
+        assert [sum(row.class_polynomial) for row in rows] == [
+            mults.get(row.v, 0) for row in rows
+        ]
 
 
 def test_corrupted_kappa_exits_3(capsys, monkeypatch, fresh_engine_caches):
-    # kappa + 1 on the framed term of ((2,),): the framing shift of the group
-    # with part counts l = (1,) at e = (2,), whose only tuple that is
+    # kappa + 1 on the framed term of ((1, 1, 1),): the framing shift of the
+    # group with part counts l = (3,), which at degree <= 3 is that tuple alone
     original = engine._framing
 
-    def corrupted(w, lam_tuple):
-        bump = 1 if tuple(lam_tuple) == (P((2,)),) and any(w) else 0
-        return original(w, lam_tuple) + bump
+    def corrupted(w, parts):
+        bump = 1 if tuple(parts) == (3,) and any(w) else 0
+        return original(w, parts) + bump
 
     monkeypatch.setattr(engine, "_framing", corrupted)
     rc = cli.main(["series", "--quiver", "jordan", "--w", "1", "--max-degree", "3"])
@@ -510,17 +701,20 @@ def test_corrupted_kappa_exits_3(capsys, monkeypatch, fresh_engine_caches):
 
 
 def test_corrupted_constant_term_exits_3(capsys, monkeypatch, fresh_engine_caches):
-    # kappa + 1 on the empty tuple makes the unframed constant term L, not 1
-    original = engine.kappa
+    # the arrow term + 1 at every column: the chain of the empty tuple, H(0, 0),
+    # gets L, so the unframed constant term is L, not 1; kappa sums the same
+    # term over the columns of a tuple, so the kappa suite fails too
+    original = engine._arrow_column
 
-    def corrupted(quiver, w, lam_tuple):
-        bump = 0 if any(lam.size for lam in lam_tuple) else 1
-        return original(quiver, w, lam_tuple) + bump
+    def corrupted(quiver, column):
+        return original(quiver, column) + 1
 
-    monkeypatch.setattr(engine, "kappa", corrupted)
+    monkeypatch.setattr(engine, "_arrow_column", corrupted)
     rc = cli.main(["series", "--quiver", "jordan", "--w", "1", "--max-degree", "2"])
     assert rc == 3
     assert "unframed constant term 1, got L" in capsys.readouterr().err
+    assert cli.main(["verify", "kappa"]) == 1
+    assert "FAIL kappa: jordan w=(0,) lam=((1,),)" in capsys.readouterr().out
 
 
 def test_motive_and_series_build_no_lrat(capsys, monkeypatch, fresh_engine_caches):
@@ -540,10 +734,10 @@ def test_motive_and_series_build_no_lrat(capsys, monkeypatch, fresh_engine_cache
 def test_engine_value_error_is_not_a_usage_error(monkeypatch, fresh_engine_caches):
     # exit 2 is for refused input only; a ValueError inside the engine
     # propagates instead of being reported as a usage error
-    def broken(quiver, w, lam_tuple):
+    def broken(quiver, column):
         raise ValueError("engine bug")
 
-    monkeypatch.setattr(engine, "kappa", broken)
+    monkeypatch.setattr(engine, "_arrow_column", broken)
     with pytest.raises(ValueError, match="engine bug"):
         cli.main(["series", "--quiver", "jordan", "--w", "1", "--max-degree", "2"])
 
