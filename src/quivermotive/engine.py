@@ -37,6 +37,18 @@ one recursion from the constant term,
 
     N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L * N(U)_f * N(Q)_{e-f}.
 
+The recursion runs in push form.  The pending entry at e starts as N(F)_e,
+and the exponents g come up in graded order; every term pushed to g comes
+from a lower total degree, so the entry at g is N(Q)_g when g comes up.  A
+nonzero N(Q)_g then pushes -[g + f choose f]_L * N(U)_f * N(Q)_g to g + f,
+for every nonzero N(U)_f with 0 < |f| <= bound - |g|, and a zero N(Q)_g
+pushes nothing.  Most N(Q)_g are zero for a Dynkin quiver, since M(v, w)
+is empty unless Lambda_w - alpha_v is a weight of the tensor product of the
+fundamental representations (Nakajima, Duke 1998): star3 with w = (1,1,1)
+has 34 nonzero N(Q)_g among the 165 exponents of degree <= 8.  The zero
+test reads the packed value, and is exact (Packed evaluation, below).  An
+exponent with no N(Q)_v is the empty class, and no P_v is built for it.
+
 Column chains.  A tuple of partitions, one per vertex, is a chain of column
 vectors c_1 >= c_2 >= ... > 0 in Z^n, c_k[i] the k-th column of lam_i, and
 every factor of its term depends only on consecutive columns.  With
@@ -65,16 +77,17 @@ exceed bound - |r|.  No partition is enumerated.  Then
 
     N(U)_e = sum over l of G_(e,l),    N(F)_e = sum over l of L^(w . l) G_(e,l),
 
-and the groups are cached per quiver and degree bound, so the framed and
-the unframed series, and the tables for further framings, share one
-recursion.  kappa sums the same arrow term over the columns of a tuple and
-adds the framing helper the group shift uses, and centralizer_class folds
-the same column step f over the columns of a partition, so the exponents
-and classes the kappa and centralizer checks test are the ones the series
-use.  Before any arithmetic, the recursion's size is estimated from the
+both summed in one pass over the groups, which are cached per quiver and
+degree bound, so the framed and the unframed series, and the tables for
+further framings, share one recursion.  kappa sums the same arrow term over
+the columns of a tuple and adds the framing helper the group shift uses,
+and centralizer_class folds the same column step f over the columns of a
+partition, so the exponents and classes the kappa and centralizer checks
+test are the ones the series use.  Before any arithmetic, the recursion's size is estimated from the
 vertex count and the bound alone, as its C(bound + 2n, 2n) states (c, r)
-times the bits of one value, and a run above MAX_CHAIN_COST is refused as
-input.
+times the bits of one value, weighted by the value's LONG_VALUE_BITS
+blocks because a product of long values costs more than their length, and
+a run above MAX_CHAIN_COST is refused as input.
 
 Packed evaluation.  Every numerator polynomial is held as one Python int,
 its value at L = X = 2^bits, so the column steps, the chain sums, the
@@ -111,7 +124,9 @@ every cofactor of size n as well, since s(n) <= m(n).  m increases with n.
 
 bits is the bit length of m(bound) plus 2, so every
 coefficient of a cofactor or numerator lies in (-X/4, X/4): such a packed
-value is zero exactly when its polynomial is, and unpacking it is exact.
+value is zero exactly when its polynomial is, and unpacking it is exact;
+in particular the quotient's zero test on a pending N(Q)_g is exact, since
+the popped value is N(Q)_g packed.
 The only other value unpacked is the fold of one partition's column steps
 in centralizer_class, L^(sum m(m+1)/2) * M at the width of its size n,
 whose L1 norm multinomial(l; m) <= s(n) <= m(n) is covered too.  Nothing
@@ -120,10 +135,10 @@ only multiplied and added.  No packed value is ever divided.  The bound
 depends on nothing the run computes, so a corrupted kappa still unpacks to
 its exact numerator, and exit 3 stays a proof.
 
-The only division is N(Q)_v / P_v in _class_at, on the unpacked polynomial,
-exact whenever the class is a polynomial; when it is inexact, or leaves a
-negative power of L, the reduced fraction is built only to word the
-PolynomialityError.
+The only division is N(Q)_v / P_v in _class_at, for a nonzero N(Q)_v, on
+the unpacked polynomial, exact whenever the class is a polynomial; when it
+is inexact, or leaves a negative power of L, the reduced fraction is built
+only to word the PolynomialityError.
 
 The public functions accept a threads argument for compatibility and ignore
 it: the sums are Python and big-integer work under the GIL, and worker
@@ -134,7 +149,7 @@ from __future__ import annotations
 
 import warnings
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import zip_longest
 from math import comb
 from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
@@ -152,10 +167,13 @@ if TYPE_CHECKING:
 
 
 # The largest column-chain recursion the engine runs, in the estimate of
-# _check_cost (states times the bits of a value).  On a 2-core Xeon host,
-# in-process, star3 at degree 20 (4.2 * 10^9) took 6 s and Jordan at degree
-# 48 (3.7 * 10^8) 7 s; star3 at degree 30 would be 1.3 * 10^11.
+# _check_cost (states times the bits of a value, weighted by its
+# LONG_VALUE_BITS blocks).  On a shared 2-core Xeon host, in-process,
+# star3 at degree 20 (4.2 * 10^9) took 5-6 s, a2 at degree 30 (9.3 * 10^9)
+# 10-12 s and Jordan at degree 48 (3.7 * 10^9) 5-9 s; Jordan at degree 60
+# (2.4 * 10^10, now refused) took 40 s.
 MAX_CHAIN_COST = 10**10
+LONG_VALUE_BITS = 2**15
 
 
 class PolynomialityError(ArithmeticError):
@@ -362,35 +380,58 @@ def _fraction(num: Laurent, den: Poly) -> LRat:
     return LRat(poly, _pshift(den, -offset))
 
 
+def _merge(table: dict, key: tuple[int, ...], offset: int, value: int, bits: int) -> None:
+    """Add L^offset * value into table[key], in place, at the lower L offset of the two."""
+    acc = table.get(key)
+    if acc is not None:
+        if offset >= acc[0]:
+            offset, value = acc[0], acc[1] + (value << bits * (offset - acc[0]))
+        else:
+            value = (acc[1] << bits * (acc[0] - offset)) + value
+    table[key] = (offset, value)
+
+
 def _graded_quotient(
     framed: Graded, unframed: Graded, nvars: int, bound: int, bits: int
 ) -> Graded:
-    """Numerators of framed / unframed, by the recursion from the constant term.
+    """Numerators of framed / unframed, pushed forward from each nonzero N(Q)_g.
 
-    N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L N(U)_f N(Q)_{e-f};
-    exact because N(U)_0 is 1, which is checked.
+    N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L N(U)_f N(Q)_{e-f},
+    exact because N(U)_0 is 1, which is checked.  Each pending entry starts
+    as N(F)_e; in graded order, the entry at g is complete once popped, and
+    a nonzero N(Q)_g pushes -[g + f choose f]_L N(U)_f N(Q)_g to g + f for
+    every nonzero N(U)_f with 0 < |f| <= bound - |g|.  A zero N(Q)_g costs
+    nothing.  The zero test is exact: the popped value is N(Q)_g packed, and
+    the majorant m(|g|) keeps its coefficients inside (-X/4, X/4).
     """
     constant = _unpack(unframed.get((0,) * nvars, (0, 0)), bits)
     if constant != (0, (1,)):
         raise PolynomialityError(
             f"series division needs the unframed constant term 1, got {_fraction(constant, (1,))}"
         )
+    gauss = [_gauss_row(n, bits) for n in range(bound + 1)]
+    # the nonzero N(U)_f with f != 0, by total degree, so the push can stop
+    # at the room left
+    units = sorted((sum(f), f, x) for f, x in unframed.items() if any(f))
+    pending = dict(framed)
     out: Graded = {}
-    for exp in exponents_upto(nvars, bound):
-        terms = [framed[exp]] if exp in framed else []
-        for f in product(*(range(k + 1) for k in exp)):
-            x = unframed.get(f)
-            y = out.get(tuple(k - j for k, j in zip(exp, f)))
-            # out has no entry at exp yet, so y is None at f = 0
-            if x is None or y is None:
-                continue
-            value = -x[1] * y[1]
-            for n, k in zip(exp, f):
-                value *= _gauss_row(n, bits)[k]
-            terms.append((x[0] + y[0], value))
-        num = _packed_sum(terms, bits)
-        if num[1]:
-            out[exp] = num
+    for g in exponents_upto(nvars, bound):
+        num = pending.pop(g, None)
+        if num is None or not num[1]:
+            continue
+        out[g] = num
+        room = bound - sum(g)
+        offset, value = num
+        for size, f, (unit_offset, unit_value) in units:
+            if size > room:
+                break
+            e = tuple(map(add, g, f))
+            term = -unit_value * value
+            for top, k in zip(e, f):
+                # [top choose k]_L is 1 at k = 0 and at k = top
+                if 0 < k < top:
+                    term *= gauss[top][k]
+            _merge(pending, e, offset + unit_offset, term, bits)
     return out
 
 
@@ -399,17 +440,20 @@ def _check_cost(nvars: int, bound: int) -> None:
 
     The estimate is the number of states (c, r) with |c| + |r| <= bound,
     C(bound + 2n, 2n), times the bits of one value: the packing width times
-    bound (bound + 1) / 2 + 1 digits, the length of P_e at |e| = bound.  At
-    one vertex there are few states, but their values are long.
+    bound (bound + 1) / 2 + 1 digits, the length of P_e at |e| = bound.
+    That length is weighted by its number of LONG_VALUE_BITS blocks,
+    rounded up, because a product of two long values costs more than their
+    length.  At one vertex there are few states, but their values are long.
     """
     states = comb(bound + 2 * nvars, 2 * nvars)
     value_bits = _packing_bits(bound) * (bound * (bound + 1) // 2 + 1)
-    cost = states * value_bits
+    weight = -(-value_bits // LONG_VALUE_BITS)
+    cost = states * value_bits * weight
     if cost > MAX_CHAIN_COST:
         raise InputError(
             f"degree bound {bound} on {nvars} vertices is too large: the column-chain "
-            f"recursion is estimated at {cost} bits ({states} states of {value_bits} bits), "
-            f"the limit is {MAX_CHAIN_COST}"
+            f"recursion is estimated at {cost} bits ({states} states of {value_bits} bits, "
+            f"weighted {weight} for long products), the limit is {MAX_CHAIN_COST}"
         )
 
 
@@ -424,18 +468,17 @@ def _contract(table: dict, i: int, room: int, steps: list, bits: int) -> dict:
     out: dict = {}
     for key, (offset, value) in table.items():
         low = key[i]
-        head, tail = key[:i], key[i + 1 :]
+        new = list(key)
         for high in range(low, low + room - sum(key) + 1):
             step_offset, step_value = steps[high][low]
-            new = head + (high,) + tail
-            o, v = offset + step_offset, value if step_value == 1 else value * step_value
-            acc = out.get(new)
-            if acc is not None:
-                if o >= acc[0]:
-                    o, v = acc[0], acc[1] + (v << bits * (o - acc[0]))
-                else:
-                    v = (acc[1] << bits * (acc[0] - o)) + v
-            out[new] = (o, v)
+            new[i] = high
+            _merge(
+                out,
+                tuple(new),
+                offset + step_offset,
+                value if step_value == 1 else value * step_value,
+                bits,
+            )
     return out
 
 
@@ -460,6 +503,8 @@ def _numerator_groups(quiver: Quiver, bound: int) -> Groups:
     # H(c, e - c) by the total e and then c, kept until e comes up as a
     # remaining size
     chains: dict[tuple[int, ...], dict[tuple[int, ...], Packed]] = {}
+    # the shift arrows(c) - |c|^2 of each column c met
+    shifts: dict[tuple[int, ...], int] = {}
     groups: Groups = {}
     for rest in exponents_upto(n, bound):
         table = chains.pop(rest, None) if any(rest) else {rest: (0, 1)}
@@ -469,7 +514,11 @@ def _numerator_groups(quiver: Quiver, bound: int) -> Groups:
         for i in range(n):
             table = _contract(table, i, room, steps, bits)
         for column, (offset, value) in table.items():
-            offset += _arrow_column(quiver, column) - sum(map(mul, column, column))
+            shift = shifts.get(column)
+            if shift is None:
+                shift = _arrow_column(quiver, column) - sum(map(mul, column, column))
+                shifts[column] = shift
+            offset += shift
             total = tuple(map(add, column, rest))
             if 0 < sum(total) < bound:
                 chains.setdefault(total, {})[column] = (offset, value)
@@ -480,28 +529,28 @@ def _numerator_groups(quiver: Quiver, bound: int) -> Groups:
     return groups
 
 
-def _nilpotent_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> Graded:
-    """Packed numerators of the nilpotent series framed by w (w = 0: unframed).
+def _series_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> tuple[Graded, Graded]:
+    """Packed numerators of the nilpotent series framed by w and of the unframed one.
 
-    N_e = sum over l of L^(w . l) G_{e,l}, one packed sum per exponent.
+    N(F)_e = sum over l of L^(w . l) G_{e,l} and N(U)_e = sum over l of
+    G_{e,l}, both summed in one pass over the groups.
     """
     bits = _packing_bits(bound)
-    out: Graded = {}
+    framed: Graded = {}
+    unframed: Graded = {}
     for exp, groups in _numerator_groups(quiver, bound).items():
-        num = _packed_sum(
-            [(offset + _framing(w, parts), value) for parts, (offset, value) in groups], bits
-        )
-        if num[1]:
-            out[exp] = num
-    return out
+        framed_terms = [(offset + _framing(w, parts), value) for parts, (offset, value) in groups]
+        for out, terms in ((framed, framed_terms), (unframed, [packed for _, packed in groups])):
+            num = _packed_sum(terms, bits)
+            if num[1]:
+                out[exp] = num
+    return framed, unframed
 
 
 @lru_cache(maxsize=16)
 def _quotient_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> Graded:
-    n = quiver.vertex_count
-    framed = _nilpotent_numerators(quiver, w, bound)
-    unframed = _nilpotent_numerators(quiver, (0,) * n, bound)
-    return _graded_quotient(framed, unframed, n, bound, _packing_bits(bound))
+    framed, unframed = _series_numerators(quiver, w, bound)
+    return _graded_quotient(framed, unframed, quiver.vertex_count, bound, _packing_bits(bound))
 
 
 def nilpotent_series(
@@ -517,7 +566,7 @@ def nilpotent_series(
     w = check_dim_vector(quiver, w, "w")
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
-    numerators = _nilpotent_numerators(quiver, w, bound)
+    numerators, _ = _series_numerators(quiver, w, bound)
     bits = _packing_bits(bound)
     coeffs = {
         exp: _fraction(_unpack(num, bits), _denominator(exp)) for exp, num in numerators.items()
@@ -530,22 +579,26 @@ def _class_at(
 ) -> MotiveResult:
     """The class at v read off the packed quotient numerators: N(Q)_v / P_v * L^-d.
 
-    N(Q)_v is unpacked, then divided exactly by P_v once.  Its quotient has
-    a nonzero constant term (P_v has constant term +-1 and an unpacked
+    An exponent absent from the quotient has N(Q)_v = 0 and is the empty
+    class, read without building P_v.  Otherwise N(Q)_v is unpacked, then
+    divided exactly by P_v once.  Its quotient is nonzero with a nonzero
+    constant term (P_v has constant term +-1 and an unpacked
     numerator's poly starts nonzero), so the class is a polynomial only if
     the division is exact and the L offset is nonnegative; otherwise
     PolynomialityError shows the reduced fraction.  Negative coefficients
     are legal but suspicious, and warn.
     """
     d = d_shift(quiver, v, w)
-    offset, num = _unpack(quotient.get(v, (0, 0)), bits)
+    if v not in quotient:
+        return MotiveResult(quiver, v, w, d, ())
+    offset, num = _unpack(quotient[v], bits)
     offset -= d
     den = _denominator(v)
     try:
         poly = _pdiv_exact(num, den)
     except ArithmeticError:
         poly = None
-    if poly is None or (offset < 0 and poly):
+    if poly is None or offset < 0:
         raise PolynomialityError(
             f"polynomiality violated for v={v}, w={w}: got {_fraction((offset, num), den)}"
         )

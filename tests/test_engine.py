@@ -34,6 +34,7 @@ from quivermotive.quiver import (
     SINGLE_VERTEX,
     STAR3,
     TWO_LOOP,
+    InputError,
 )
 from quivermotive.series import MSeries
 
@@ -195,6 +196,32 @@ def tuple_sum_groups(quiver, bound):
                 value *= engine._cyclo_packed(length, k, bits)
             out[exp][parts] = engine._unpack((offset, value), bits)
     return out
+
+
+def pull_quotient(framed, unframed, nvars, bound, bits):
+    """The quotient numerators by the full-box pull recursion: the reference for the push form.
+
+    N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L N(U)_f N(Q)_{e-f},
+    every f in the box f <= e visited at every e, the Gaussian binomials
+    from L-Pascal rows.  Packed as the engine packs, returned unpacked.
+    """
+    out = {}
+    for exp in exponents_upto(nvars, bound):
+        terms = [framed[exp]] if exp in framed else []
+        for f in product(*(range(k + 1) for k in exp)):
+            x = unframed.get(f)
+            y = out.get(tuple(k - j for k, j in zip(exp, f)))
+            # out has no entry at exp yet, so y is None at f = 0
+            if x is None or y is None:
+                continue
+            value = -x[1] * y[1]
+            for n, k in zip(exp, f):
+                value *= engine._gauss_row(n, bits)[k]
+            terms.append((x[0] + y[0], value))
+        num = engine._packed_sum(terms, bits)
+        if num[1]:
+            out[exp] = num
+    return {exp: engine._unpack(num, bits) for exp, num in out.items()}
 
 
 class TestCentralizerClass:
@@ -550,8 +577,7 @@ class TestPacking:
         # every majorant, and so every coefficient, stays below X/4
         assert 4 * m[bound] < 1 << bits
         w = (1,) * n
-        framed = engine._nilpotent_numerators(quiver, w, bound)
-        unframed = engine._nilpotent_numerators(quiver, (0,) * n, bound)
+        framed, unframed = engine._series_numerators(quiver, w, bound)
         quotient = engine._quotient_numerators(quiver, w, bound)
         for exp in exponents_upto(n, bound):
             for graded in (framed, unframed, quotient):
@@ -630,6 +656,58 @@ def test_recursion_matches_tuple_sum():
         assert groups == tuple_sum_groups(quiver, bound), quiver
 
 
+@pytest.mark.parametrize(
+    "quiver,w,bound",
+    [(q, (1,) * q.vertex_count, 6) for q in BUILTIN_QUIVERS.values()]
+    + [(STAR3, (1, 1, 1), 12), (JORDAN, (1,), 20)],
+)
+def test_push_quotient_matches_pull_reference(quiver, w, bound):
+    # the push form visits only the nonzero N(Q)_g; the full-box pull
+    # recursion gives the same numerators, polynomial for polynomial
+    bits = engine._packing_bits(bound)
+    framed, unframed = engine._series_numerators(quiver, w, bound)
+    quotient = engine._quotient_numerators(quiver, w, bound)
+    expected = pull_quotient(framed, unframed, quiver.vertex_count, bound, bits)
+    assert {exp: engine._unpack(num, bits) for exp, num in quotient.items()} == expected
+
+
+def test_empty_classes_build_no_denominator(monkeypatch, fresh_engine_caches):
+    # an exponent with N(Q)_v = 0 is read as the empty class without P_v
+    expected = motive_table(STAR3, (1, 1, 1), 8)
+    empty = {row.v for row in expected if not row.class_polynomial}
+    assert 0 < len(empty) < len(expected) == 165
+    original = engine._denominator
+
+    def guarded(exp):
+        if tuple(exp) in empty:
+            raise AssertionError(f"P_v built for the empty class at {exp}")
+        return original(exp)
+
+    monkeypatch.setattr(engine, "_denominator", guarded)
+    assert motive_table(STAR3, (1, 1, 1), 8) == expected
+
+
+@pytest.mark.parametrize(
+    "quiver,w,v",
+    [("jordan", "1", "v=(2,)"), ("star3", "1,1,1", "v=(0, 0, 2)")],
+)
+def test_wrong_gaussian_binomial_exits_3(capsys, fresh_engine_caches, monkeypatch, quiver, w, v):
+    # [2 choose 1]_L = 1 + L bumped to 2 + L: the quotient recursion and the
+    # column steps read it, and the first class it spoils is not a polynomial.
+    # The rows above 2 are built from the bumped one and cached, so the
+    # caches are cleared after the patch is undone.
+    original = engine._gauss_row
+
+    def bumped(n, bits):
+        row = original(n, bits)
+        return (row[0], row[1] + 1, row[2]) if n == 2 else row
+
+    monkeypatch.setattr(engine, "_gauss_row", bumped)
+    rc = cli.main(["series", "--quiver", quiver, "--w", w, "--max-degree", "4"])
+    assert rc == 3
+    assert f"polynomiality violated for {v}," in capsys.readouterr().err
+
+
 class TestIndependentOracles:
     @pytest.mark.parametrize("r,n_max", [(1, 12), (2, 7), (3, 5), (4, 4)])
     def test_jordan_torus_fixed_points(self, r, n_max):
@@ -659,21 +737,41 @@ class TestIndependentOracles:
 
 
 class TestCostGuard:
-    def test_refuses_before_any_arithmetic(self, capsys, monkeypatch, fresh_engine_caches):
+    @staticmethod
+    def assert_refused(capsys, monkeypatch, quiver, w, bound, weight):
         def forbidden(*args):
             raise AssertionError("column step computed")
 
         monkeypatch.setattr(engine, "_column_step", forbidden)
         start = time.perf_counter()
-        rc = cli.main(["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", "30"])
+        rc = cli.main(["series", "--quiver", quiver, "--w", w, "--max-degree", str(bound)])
         assert time.perf_counter() - start < 1
         assert rc == 2
-        # C(30 + 6, 6) states of (30 * 31 / 2 + 1) digits at the packing width
-        estimate = comb(36, 6) * engine._packing_bits(30) * 466
+        # C(bound + 2n, 2n) states of (bound (bound + 1) / 2 + 1) digits at
+        # the packing width, times the value's 2^15-bit blocks
+        n = len(w.split(","))
+        value_bits = engine._packing_bits(bound) * (bound * (bound + 1) // 2 + 1)
+        assert weight == -(-value_bits // 2**15)
+        estimate = comb(bound + 2 * n, 2 * n) * value_bits * weight
         assert estimate > engine.MAX_CHAIN_COST
         err = capsys.readouterr().err
         assert f"estimated at {estimate} bits" in err
         assert f"the limit is {engine.MAX_CHAIN_COST}" in err
+
+    def test_refuses_before_any_arithmetic(self, capsys, monkeypatch, fresh_engine_caches):
+        self.assert_refused(capsys, monkeypatch, "star3", "1,1,1", 30, 3)
+
+    def test_refuses_long_one_vertex_runs(self, capsys, monkeypatch, fresh_engine_caches):
+        # Jordan at degree 60 took 40 s in-process before the weight
+        self.assert_refused(capsys, monkeypatch, "jordan", "1", 60, 20)
+
+    @pytest.mark.parametrize("nvars,first_refused", [(1, 55), (2, 31), (3, 23), (4, 17)])
+    def test_first_refused_bound(self, nvars, first_refused):
+        # on the estimate alone, which admits Jordan at 48 (about 7 s to run)
+        for bound in range(first_refused):
+            engine._check_cost(nvars, bound)
+        with pytest.raises(InputError, match="too large"):
+            engine._check_cost(nvars, first_refused)
 
     def test_admits_deep_runs(self, fresh_engine_caches):
         rows = motive_table(JORDAN, (1,), 36)
