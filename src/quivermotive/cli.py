@@ -10,11 +10,23 @@ Exit codes: 0 success, 1 verification/selftest failure, 2 usage errors and
 refused input (InputError: spec files, dimension vectors, degree bounds,
 field sizes, levels), 3 polynomiality violation inside the engine.  Any
 other exception is a bug and propagates.
+
+Before the command runs, main calls gc.freeze() once.  Everything start-up
+built (imported modules, numpy for verify and selftest, the parser) lives
+until exit, and the freeze moves it to the collector's permanent
+generation: the command's full collections and the ones at interpreter
+exit no longer traverse it, and objects the command makes are collected as
+before.  It sits in main only, so importing the package or calling the
+engine leaves the collector's state alone.  On a 2-core host the time
+from the last record to exit fell from 0.035 s to 0.010 s for
+`verify all --q 2` and from about 0.013 s to 0.004 s for the benchmark's
+series commands (BENCH_pr15.json).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import sys
@@ -270,6 +282,10 @@ def main(argv=None) -> int:
         # the oracles, and numpy with them, load with the commands that use
         # them, before the command runs: module loading is set-up
         importlib.import_module(".verify", __package__)
+    # everything alive now lives until exit: move it to the permanent
+    # generation, so neither the command's full collections nor the ones at
+    # interpreter exit traverse it again
+    gc.freeze()
     try:
         return args.func(args)
     except InputError as exc:

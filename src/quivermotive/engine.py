@@ -160,7 +160,7 @@ from .partitions import Partition, exponents_upto
 # perfbench/trace_child.py wraps engine.tuples_with_sizes to time and count
 # the tuples the engine enumerates; it enumerates none, so both read 0
 from .partitions import tuples_with_sizes  # noqa: F401
-from .quiver import InputError, Quiver, _Record, check_dim_vector, d_shift
+from .quiver import InputError, Quiver, _Record, check_dim_vector
 
 if TYPE_CHECKING:
     from .series import MSeries
@@ -588,7 +588,9 @@ def _class_at(
     PolynomialityError shows the reduced fraction.  Negative coefficients
     are legal but suspicious, and warn.
     """
-    d = d_shift(quiver, v, w)
+    # v and w are validated by the caller; d_shift would check them per row
+    arrows = sum(v[s] * v[t] for s, t in quiver.arrows)
+    d = sum(map(mul, v, v)) - arrows - sum(map(mul, v, w))
     if v not in quotient:
         return MotiveResult(quiver, v, w, d, ())
     offset, num = _unpack(quotient[v], bits)

@@ -791,20 +791,21 @@ def jordan_nilpotent(lam: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def _det_mod(batch: np.ndarray, q: int) -> np.ndarray:
-    """Determinants mod q of a batch of small square matrices, by expansion.
+def _det_mod(entries: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Determinants mod q of a batch of small n x n matrices, by expansion.
 
-    The entries must lie in [0, q).  Laplace expansion along the rows with
-    shared minors: after row r the determinant of rows 0..r on every set of
-    r + 1 columns is known, and the next row extends each set by one
-    column, which costs n 2^(n-1) products per matrix where the permutation
-    sum costs n * n!.  The minors of row r are below bound = (r+1)! (q-1)^(r+1)
-    in absolute value; they are reduced mod q only where the next row could
-    leave int64, so the result is exact whenever n (q-1)^2 < 2^63.
+    The batch is entry-major: entries[i * n + j] holds entry (i, j) of
+    every matrix, one matrix per column, so each row is a contiguous int64
+    vector.  The entries must lie in [0, q).  Laplace expansion along the
+    rows with shared minors: after row r the determinant of rows 0..r on
+    every set of r + 1 columns is known, and the next row extends each set
+    by one column, which costs n 2^(n-1) products per matrix where the
+    permutation sum costs n * n!.  The minors of row r are below
+    bound = (r+1)! (q-1)^(r+1) in absolute value; they are reduced mod q
+    only where the next row could leave int64, so the result is exact
+    whenever n (q-1)^2 < 2^63.
     """
-    n_mat, n = batch.shape[0], batch.shape[1]
-    # entries[i * n + j] holds entry (i, j) of every matrix
-    entries = np.ascontiguousarray(batch.reshape(n_mat, n * n).T, dtype=np.int64)
+    n_mat = entries.shape[1]
     minors = {(): np.ones(n_mat, dtype=np.int64)}
     bound = 1
     for row in range(n):
@@ -856,27 +857,30 @@ def centralizer_order(lam: Partition, q: int, budget: int = CENTRALIZER_BUDGET) 
         raise EnumerationBudgetError(need, budget, f"centralizer scan for {lam!r} at q={q}")
     basis = _null_basis(echelon, pivots, q)[0, :k]
     pivot_cols = pivots[0, : int(rank[0])]
-    pivot_terms = [(p, np.flatnonzero(basis[:, p])) for p in pivot_cols]
     is_free = np.ones(n * n, dtype=bool)
     is_free[pivot_cols] = False
     free_cols = np.flatnonzero(is_free)
-    # coefficient vectors a block of at most 2^14 at a time: the first `low`
-    # coefficients run through all their values within a block, the others
-    # are fixed per block, so no index is split into digits
+    # each pivot entry from the free entries its basis column touches
+    pivot_terms = []
+    for p in pivot_cols:
+        rows = np.flatnonzero(basis[:, p])
+        pivot_terms.append((p, free_cols[rows], basis[rows, p]))
+    # entries[c] holds entry c of the row-major vec(M), one matrix per
+    # column, a block of at most 2^14 matrices at a time.  The free entries
+    # are the coefficients: the first `low` run through all their values
+    # within a block and are written once, the others are fixed per block,
+    # so no index is split into digits
     low = 1
     while low < k and q ** (low + 1) <= 1 << 14:
         low += 1
-    coeffs = np.empty((k, q**low), dtype=np.int64)
-    coeffs[:low] = np.indices((q,) * low).reshape(low, -1)
+    entries = np.empty((n * n, q**low), dtype=np.int64)
+    entries[free_cols[:low]] = np.indices((q,) * low).reshape(low, -1)
     total = 0
     for high in product(range(q), repeat=k - low):
-        coeffs[low:] = np.array(high, dtype=np.int64).reshape(-1, 1)
-        # entries[c] holds entry c of the row-major vec(M), one matrix per column
-        entries = np.empty((n * n, coeffs.shape[1]), dtype=np.int64)
-        entries[free_cols] = coeffs
-        for p, rows in pivot_terms:
-            entries[p] = (basis[rows, p] @ coeffs[rows]) % q
-        total += int(np.count_nonzero(_det_mod(entries.T.reshape(-1, n, n), q)))
+        entries[free_cols[low:]] = np.array(high, dtype=np.int64).reshape(-1, 1)
+        for p, sources, weights in pivot_terms:
+            entries[p] = (weights @ entries[sources]) % q
+        total += int(np.count_nonzero(_det_mod(entries, n, q)))
     return total
 
 

@@ -452,11 +452,14 @@ class TestVerifyCommand:
         capsys.readouterr()
 
 
-def _run_fresh_interpreter(code):
+def _fresh_env():
     src = str(Path(quivermotive.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _run_fresh_interpreter(code):
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert "summary: " in proc.stdout
@@ -484,6 +487,56 @@ assert cli.main(["verify", "kappa"]) == 0
 assert "numpy" in sys.modules
 """
     _run_fresh_interpreter(code)
+
+
+def test_main_freezes_the_start_up_heap():
+    # in a fresh interpreter: the library leaves the collector alone; each
+    # cli.main call freezes what is alive before its command runs (more once
+    # numpy has loaded), and garbage made afterwards is still collected
+    code = """
+import gc, sys, weakref
+from quivermotive import JORDAN, motive_table
+motive_table(JORDAN, (1,), 4)
+assert gc.get_freeze_count() == 0
+from quivermotive import cli
+assert cli.main(["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", "4"]) == 0
+after_series = gc.get_freeze_count()
+assert after_series > 0 and "numpy" not in sys.modules
+assert cli.main(["verify", "all", "--q", "2"]) == 0
+assert gc.get_freeze_count() > after_series and "numpy" in sys.modules
+class Node:
+    pass
+node = Node()
+node.self = node
+ref = weakref.ref(node)
+del node
+gc.collect()
+assert ref() is None
+"""
+    _run_fresh_interpreter(code)
+
+
+@pytest.mark.parametrize(
+    "args,rc",
+    [
+        (["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", "4", "--format", "records"], 0),
+        (["verify", "kappa", "--format", "records"], 0),
+        (["motive", "--quiver", "jordan", "--v", "-1", "--w", "1"], 2),
+    ],
+)
+def test_cli_process_matches_main(capsys, args, rc):
+    # the command as a real process, through interpreter exit, prints the
+    # same bytes and exits with the same code as cli.main in this process
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivermotive.cli", *args],
+        env=_fresh_env(),
+        capture_output=True,
+        timeout=300,
+    )
+    assert cli.main(args) == proc.returncode == rc
+    captured = capsys.readouterr()
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
 
 
 def test_verify_imports_no_fractions():

@@ -35,6 +35,7 @@ from quivermotive.quiver import (
     STAR3,
     TWO_LOOP,
     InputError,
+    d_shift,
 )
 from quivermotive.series import MSeries
 
@@ -671,6 +672,15 @@ def test_push_quotient_matches_pull_reference(quiver, w, bound):
     assert {exp: engine._unpack(num, bits) for exp, num in quotient.items()} == expected
 
 
+@pytest.mark.parametrize("quiver", BUILTIN_QUIVERS.values(), ids=BUILTIN_QUIVERS.keys())
+def test_rows_carry_the_validated_dimension_shift(quiver):
+    # _class_at computes d without validating v and w again; it must agree
+    # with the public d_shift, framing term included
+    w = tuple(range(1, quiver.vertex_count + 1))
+    for row in motive_table(quiver, w, 4):
+        assert row.d_shift == d_shift(quiver, row.v, w), row.v
+
+
 def test_empty_classes_build_no_denominator(monkeypatch, fresh_engine_caches):
     # an exponent with N(Q)_v = 0 is read as the empty class without P_v
     expected = motive_table(STAR3, (1, 1, 1), 8)
@@ -694,8 +704,8 @@ def test_empty_classes_build_no_denominator(monkeypatch, fresh_engine_caches):
 def test_wrong_gaussian_binomial_exits_3(capsys, fresh_engine_caches, monkeypatch, quiver, w, v):
     # [2 choose 1]_L = 1 + L bumped to 2 + L: the quotient recursion and the
     # column steps read it, and the first class it spoils is not a polynomial.
-    # The rows above 2 are built from the bumped one and cached, so the
-    # caches are cleared after the patch is undone.
+    # The rows above 2 are built from the bumped one and cached by the
+    # original; fresh_engine_caches clears that cache.
     original = engine._gauss_row
 
     def bumped(n, bits):
@@ -706,6 +716,26 @@ def test_wrong_gaussian_binomial_exits_3(capsys, fresh_engine_caches, monkeypatc
     rc = cli.main(["series", "--quiver", quiver, "--w", w, "--max-degree", "4"])
     assert rc == 3
     assert f"polynomiality violated for {v}," in capsys.readouterr().err
+
+
+@pytest.fixture
+def gauss_row_cache_after_teardown():
+    # listed before monkeypatch and fresh_engine_caches, so this teardown
+    # runs after both of theirs
+    original = engine._gauss_row
+    yield original
+    assert original.cache_info().currsize == 0
+
+
+def test_fresh_caches_clear_a_patched_function(
+    gauss_row_cache_after_teardown, monkeypatch, fresh_engine_caches
+):
+    # fresh_engine_caches tears down first, while the patch still hides the
+    # original _gauss_row; the original's cache must still be cleared
+    original = gauss_row_cache_after_teardown
+    monkeypatch.setattr(engine, "_gauss_row", lambda n, bits: original(n, bits))
+    motive_table(JORDAN, (1,), 4)
+    assert original.cache_info().currsize > 0
 
 
 class TestIndependentOracles:

@@ -530,18 +530,22 @@ class TestOracleReferences:
                     assert centralizer_order(lam, q) == _literal_centralizer_order(lam, q), (lam, q)
 
     def test_det_mod_matches_leibniz(self):
+        def entry_major(batch, n):
+            # one row per matrix entry, one column per matrix
+            return np.ascontiguousarray(batch.reshape(len(batch), n * n).T)
+
         rng = np.random.default_rng(29)
         for q in (2, 3, 5, 7):
             for n in range(5):
                 batch = rng.integers(0, q, size=(40, n, n))
                 expected = [_leibniz_det_mod(m.tolist(), q) for m in batch]
-                assert fflab._det_mod(batch, q).tolist() == expected, (q, n)
+                assert fflab._det_mod(entry_major(batch, n), n, q).tolist() == expected, (q, n)
         # near 2^28 the shared minors must be reduced part way to stay in int64
         q = (1 << 28) - 57
         for n in (4, 5):
             batch = rng.integers(0, q, size=(20, n, n))
             expected = [_leibniz_det_mod(m.tolist(), q) for m in batch]
-            assert fflab._det_mod(batch, q).tolist() == expected, (q, n)
+            assert fflab._det_mod(entry_major(batch, n), n, q).tolist() == expected, (q, n)
 
     def test_rho_matrix_columns_match_derivative(self):
         rng = random.Random(31)
