@@ -360,31 +360,37 @@ def _count_fiber_full(mats, targets, q: int, d: int) -> int:
     return total
 
 
-def _solution_count_mod(rows: list[list[int]], targets: list[int], q: int, d: int) -> int:
-    """Number of solutions of an affine system over the q-element field."""
-    aug = [row + [t] for row, t in zip(rows, targets)]
-    rank = 0
-    m = len(aug)
-    for col in range(d):
-        piv = None
-        for r in range(rank, m):
-            if aug[r][col] % q:
-                piv = r
-                break
+def _echelon_mod(rows: list[list[int]], q: int, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row-echelon form of one system over the q-element field, in lists.
+
+    The one-system counterpart of _batch_echelon, with the same row swaps
+    and so the same rows, pivots taken in the first ncols columns only.
+    Returns (rows, pivots) with pivots[r] the pivot column of row r.
+    """
+    rows = [[x % q for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][col], -1, q)
-        aug[rank] = [(x * inv) % q for x in aug[rank]]
-        for r in range(rank + 1, m):
-            f = aug[r][col] % q
-            if f:
-                aug[r] = [(x - f * y) % q for x, y in zip(aug[r], aug[rank])]
-        rank += 1
-    for r in range(rank, m):
-        if aug[r][d] % q:
-            return 0
-    return q ** (d - rank)
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        top = rows[rank] = [(x * inv) % q for x in rows[rank]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                rows[r] = [(x - f * y) % q for x, y in zip(row, top)]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _solution_count_mod(rows: list[list[int]], targets: list[int], q: int, d: int) -> int:
+    """Number of solutions of an affine system over the q-element field."""
+    aug, pivots = _echelon_mod([row + [t] for row, t in zip(rows, targets)], q, d)
+    if any(row[d] for row in aug[len(pivots) :]):
+        return 0
+    return q ** (d - len(pivots))
 
 
 def _batch_echelon(mat: np.ndarray, q: int, ncols: int):
@@ -791,27 +797,39 @@ def jordan_nilpotent(lam: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
+def _jordan_square(lam: Partition) -> np.ndarray:
+    return _square(jordan_nilpotent(lam))
+
+
+def _det_width(n: int, q: int):
+    """The narrowest of int16, int32 and int64 holding _det_mod's minors for (n, q)."""
+    return next((t for t in (np.int16, np.int32) if n * (q - 1) ** 2 <= np.iinfo(t).max), np.int64)
+
+
 def _det_mod(entries: np.ndarray, n: int, q: int) -> np.ndarray:
     """Determinants mod q of a batch of small n x n matrices, by expansion.
 
     The batch is entry-major: entries[i * n + j] holds entry (i, j) of
-    every matrix, one matrix per column, so each row is a contiguous int64
+    every matrix, one matrix per column, so each row is a contiguous
     vector.  The entries must lie in [0, q).  Laplace expansion along the
     rows with shared minors: after row r the determinant of rows 0..r on
     every set of r + 1 columns is known, and the next row extends each set
     by one column, which costs n 2^(n-1) products per matrix where the
     permutation sum costs n * n!.  The minors of row r are below
-    bound = (r+1)! (q-1)^(r+1) in absolute value; they are reduced mod q
-    only where the next row could leave int64, so the result is exact
-    whenever n (q-1)^2 < 2^63.
+    bound = (r+1)! (q-1)^(r+1) in absolute value; held in the narrowest type
+    that n (q-1)^2 fits (_det_width), they are reduced mod q only where the
+    next row could leave it, so the result is exact whenever n (q-1)^2 < 2^63.
     """
+    width = _det_width(n, q)
+    limit = np.iinfo(width).max
+    entries = entries.astype(width, copy=False)
     n_mat = entries.shape[1]
-    minors = {(): np.ones(n_mat, dtype=np.int64)}
+    minors = {(): np.ones(n_mat, dtype=width)}
     bound = 1
     for row in range(n):
         extended = {}
         for cols in combinations(range(n), row + 1):
-            acc = np.zeros(n_mat, dtype=np.int64)
+            acc = np.zeros(n_mat, dtype=width)
             for pos, col in enumerate(cols):
                 term = entries[row * n + col] * minors[cols[:pos] + cols[pos + 1 :]]
                 if (row + pos) % 2:
@@ -821,7 +839,7 @@ def _det_mod(entries: np.ndarray, n: int, q: int) -> np.ndarray:
             extended[cols] = acc
         minors = extended
         bound *= (row + 1) * (q - 1)
-        if (row + 2) * (q - 1) * bound >= 1 << 63:
+        if (row + 2) * (q - 1) * bound > limit:
             minors = {cols: m % q for cols, m in minors.items()}
             bound = q - 1
     return minors[tuple(range(n))] % q
@@ -837,34 +855,29 @@ def centralizer_order(lam: Partition, q: int, budget: int = CENTRALIZER_BUDGET) 
     """Invertible matrices commuting with the Jordan nilpotent J of type lam.
 
     The commuting matrices are the kernel of the commutator map
-    vec(M) -> vec(M J - J M), eliminated once over the field.  Each of the
-    q^k kernel elements is enumerated and counted when its determinant is
-    nonzero, so the scan is still brute force over the commutant; the
-    budget bounds q^k, the number of matrices scanned, and larger scans
-    raise.  A kernel element's entries at the free columns of the
-    elimination are its coefficients, so only the pivot entries are
-    computed, each from the few coefficients its basis column touches.
+    vec(M) -> vec(M J - J M), one system eliminated in lists (_echelon_mod).
+    Each of the q^k kernel elements is enumerated and counted when its
+    determinant is nonzero, so the scan is still brute force over the
+    commutant; the budget bounds q^k, the number of matrices scanned, and
+    larger scans raise.  A kernel element's entries at the free columns of
+    the elimination are its coefficients, so only the pivot entries are
+    computed, each from the few coefficients its reduced row touches.
     """
     _require_prime(q)
     n = lam.size
     if n == 0:
         return 1
-    J = np.array(jordan_nilpotent(lam), dtype=np.int64)
-    echelon, rank, pivots = _batch_echelon(_commutator_map(J)[None], q, n * n)
-    k = n * n - int(rank[0])
+    rows, pivot_cols = _echelon_mod(_commutator_map(_jordan_square(lam)).tolist(), q, n * n)
+    k = n * n - len(pivot_cols)
     need = q**k
     if need > budget:
         raise EnumerationBudgetError(need, budget, f"centralizer scan for {lam!r} at q={q}")
-    basis = _null_basis(echelon, pivots, q)[0, :k]
-    pivot_cols = pivots[0, : int(rank[0])]
-    is_free = np.ones(n * n, dtype=bool)
-    is_free[pivot_cols] = False
-    free_cols = np.flatnonzero(is_free)
-    # each pivot entry from the free entries its basis column touches
+    free_cols = [c for c in range(n * n) if c not in pivot_cols]
+    # row r says M[p_r] = sum of -R[r, f] M[f] over the free f it touches
     pivot_terms = []
-    for p in pivot_cols:
-        rows = np.flatnonzero(basis[:, p])
-        pivot_terms.append((p, free_cols[rows], basis[rows, p]))
+    for p, row in zip(pivot_cols, rows):
+        sources = [f for f in free_cols if row[f]]
+        pivot_terms.append((p, sources, np.array([-row[f] % q for f in sources], dtype=np.int64)))
     # entries[c] holds entry c of the row-major vec(M), one matrix per
     # column, a block of at most 2^14 matrices at a time.  The free entries
     # are the coefficients: the first `low` run through all their values
@@ -873,11 +886,12 @@ def centralizer_order(lam: Partition, q: int, budget: int = CENTRALIZER_BUDGET) 
     low = 1
     while low < k and q ** (low + 1) <= 1 << 14:
         low += 1
-    entries = np.empty((n * n, q**low), dtype=np.int64)
-    entries[free_cols[:low]] = np.indices((q,) * low).reshape(low, -1)
+    width = _det_width(n, q)
+    entries = np.empty((n * n, q**low), dtype=width)
+    entries[free_cols[:low]] = np.indices((q,) * low, dtype=width).reshape(low, -1)
     total = 0
     for high in product(range(q), repeat=k - low):
-        entries[free_cols[low:]] = np.array(high, dtype=np.int64).reshape(-1, 1)
+        entries[free_cols[low:]] = np.array(high, dtype=width).reshape(-1, 1)
         for p, sources, weights in pivot_terms:
             entries[p] = (weights @ entries[sources]) % q
         total += int(np.count_nonzero(_det_mod(entries, n, q)))
@@ -918,15 +932,15 @@ def _nullity(block: np.ndarray) -> int:
 
 
 @lru_cache(maxsize=None)
-def _arrow_nullity(X_t: tuple, X_s: tuple) -> int:
-    """Nullity of _arrow_block, cached on the two Jordan matrices."""
-    return _nullity(_arrow_block(_square(X_t), _square(X_s)))
+def _arrow_nullity(lam_t: Partition, lam_s: Partition) -> int:
+    """Nullity of _arrow_block for the Jordan matrices of two partitions, cached on them."""
+    return _nullity(_arrow_block(_jordan_square(lam_t), _jordan_square(lam_s)))
 
 
 @lru_cache(maxsize=None)
-def _framing_nullity(X_i: tuple, w_i: int) -> int:
-    """Nullity of _framing_block, cached on the Jordan matrix and the framing width."""
-    return _nullity(_framing_block(_square(X_i), w_i))
+def _framing_nullity(lam_i: Partition, w_i: int) -> int:
+    """Nullity of _framing_block for a partition's Jordan matrix, cached on it and the width."""
+    return _nullity(_framing_block(_jordan_square(lam_i), w_i))
 
 
 def kappa_oracle(
@@ -943,8 +957,8 @@ def kappa_oracle(
     per arrow and per framing (_rho_matrix), and the rank of a block-diagonal
     matrix is the sum of its blocks' ranks.  So the nullity is the sum of the
     block nullities, each from an exact rational rank of its block, taken
-    once per distinct block: the block nullities are cached on the Jordan
-    matrices and the framing width.
+    once per distinct block: the block nullities are cached on the
+    partitions and the framing width, and Jordan matrices built on a miss.
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
@@ -955,9 +969,8 @@ def kappa_oracle(
         raise ValueError(f"partition sizes {sizes} do not match v = {v}")
     if sum(sizes) > max_total:
         raise EnumerationBudgetError(sum(sizes), max_total, "kernel-dimension oracle")
-    X = tuple(jordan_nilpotent(lam) for lam in lam_tuple)
-    return sum(_arrow_nullity(X[t], X[s]) for s, t in quiver.arrows) + sum(
-        _framing_nullity(X[i], w[i]) for i in range(quiver.vertex_count)
+    return sum(_arrow_nullity(lam_tuple[t], lam_tuple[s]) for s, t in quiver.arrows) + sum(
+        _framing_nullity(lam_tuple[i], w[i]) for i in range(quiver.vertex_count)
     )
 
 
@@ -1090,18 +1103,22 @@ def _transform_counts(f: list, q: int, phases: list[list[int]]) -> list[list[int
     """The unnormalized discrete transform on count lists, the core of fourier_transform.
 
     f[i] is the count list of the value at point i, or None where there is
-    none; the result holds one count list per point.  The term of point i at
-    point j is f[i] times zeta^phases[i][j], which shifts its count list by
-    that phase, and each output sums plain count lists, exactly.
+    none; the result holds one count list per point.  A count list may stack
+    k values, one block of q counts each, transformed block by block.  The
+    term of point i at point j is f[i] times zeta^phases[i][j], which rotates
+    each block by that phase, and each output sums plain count lists, exactly.
     """
-    # shifts[t] is the count list of f[i] multiplied by zeta^t
-    terms = [
-        (phase_row, [counts[q - t :] + counts[: q - t] for t in range(q)])
-        for phase_row, counts in zip(phases, f)
-        if counts is not None
-    ]
+    width = next((len(counts) for counts in f if counts is not None), q)
+    terms = []
+    for phase_row, counts in zip(phases, f):
+        if counts is not None:
+            # shifts[t] is counts times zeta^t: count s of each block moves to s + t
+            shifts = [list(counts) for _ in range(q)]
+            for t, s in product(range(1, q), range(q)):
+                shifts[t][(s + t) % q :: q] = counts[s::q]
+            terms.append((phase_row, shifts))
     return [
-        list(map(sum, zip((0,) * q, *(shifts[phase_row[j]] for phase_row, shifts in terms))))
+        list(map(sum, zip((0,) * width, *(shifts[phase_row[j]] for phase_row, shifts in terms))))
         for j in range(len(phases))
     ]
 
@@ -1124,12 +1141,13 @@ def fourier_inversion_check(n: int, q: int, trials: int = 100, seed: int = 7) ->
     """Transforming twice must scale by q^n and flip the argument's sign.
 
     Checked exactly for `trials` pseudo-random cyclotomic-valued functions,
-    held as count lists and transformed by _transform_counts, with one phase
-    table for every trial; values are compared in canonical form.  The
-    complex-conjugate transform passes that test too, so first the transform
-    of the delta function at every point u must be zeta^<u, w>, with the
-    phase summed here rather than read from the table (at q = 2 the two
-    transforms coincide).
+    held as count lists stacked one block per trial, so _transform_counts
+    runs twice in all; every trial's value at every point is compared in
+    canonical form, where two stacked lists agree exactly when their
+    difference is constant on every block.  The complex-conjugate transform
+    passes that test too, so first the transform of the delta function at
+    every point u must be zeta^<u, w>, with the phase summed here rather
+    than read from the table (at q = 2 the two transforms coincide).
     """
     _require_prime(q)
     rng = random.Random(seed)
@@ -1144,13 +1162,14 @@ def fourier_inversion_check(n: int, q: int, trials: int = 100, seed: int = 7) ->
             phase = sum(a * b for a, b in zip(u, wv)) % q
             if _canonical(counts) != _canonical([int(t == phase) for t in range(q)]):
                 return False
+    draws = [[[rng.randint(-3, 3) for _ in range(q)] for _ in points] for _ in range(trials)]
+    f = [[c for draw in draws for c in draw[i]] for i in range(len(points))]
+    ff = _transform_counts(_transform_counts(f, q, phases), q, phases)
     scale = q**n
-    for _ in range(trials):
-        f = [[rng.randint(-3, 3) for _ in range(q)] for _ in points]
-        ff = _transform_counts(_transform_counts(f, q, phases), q, phases)
-        for i, neg in enumerate(negated):
-            if _canonical(ff[i]) != _canonical([scale * c for c in f[neg]]):
-                return False
+    for i, neg in enumerate(negated):
+        diff = [x - scale * y for x, y in zip(ff[i], f[neg])]
+        if any(diff[t::q] != diff[q - 1 :: q] for t in range(q - 1)):
+            return False
     return True
 
 

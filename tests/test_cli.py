@@ -417,6 +417,8 @@ class TestVerifyCommand:
                 "star3_ffcount_q23.jsonl",
                 ["verify", "ffcount", "--quiver", "star3", "--w", "1,1,1", "--q", "2,3"],
             ),
+            ("centralizer_q23.jsonl", ["verify", "centralizer", "--q", "2,3"]),
+            ("harmonic_q3.jsonl", ["verify", "harmonic", "--q", "3"]),
         ],
     )
     def test_golden_records(self, capsys, golden_name, args):

@@ -470,6 +470,20 @@ class TestKappaOracle:
         assert checked > 400
         assert fflab._arrow_nullity.cache_info().hits > 0
 
+    def test_kappa_suite_ranks_each_distinct_block_once(self, fresh_fflab_caches, monkeypatch):
+        # the block caches are keyed on partitions: 89 arrow and 57 framing
+        # blocks, each ranked once over the rationals
+        from quivermotive.verify import kappa_suite
+
+        rank = fflab._rank_rational
+        calls = []
+        monkeypatch.setattr(fflab, "_rank_rational", lambda rows: calls.append(1) or rank(rows))
+        cases = kappa_suite()
+        assert [c.status for c in cases] == ["PASS"] * 279
+        assert len(calls) == 146
+        assert fflab._arrow_nullity.cache_info().currsize == 89
+        assert fflab._framing_nullity.cache_info().currsize == 57
+
 
 def _leibniz_det_mod(rows, q):
     """Determinant mod q as the signed sum over all permutations."""
@@ -546,6 +560,15 @@ class TestOracleReferences:
             batch = rng.integers(0, q, size=(20, n, n))
             expected = [_leibniz_det_mod(m.tolist(), q) for m in batch]
             assert fflab._det_mod(entry_major(batch, n), n, q).tolist() == expected, (q, n)
+        # the primes on each side of every width switch at n = 4, where
+        # n (q-1)^2 passes 2^15 - 1 and 2^31 - 1
+        widths = {89: np.int16, 97: np.int32, 23167: np.int32, 23173: np.int64}
+        for q, width in widths.items():
+            assert fflab._det_width(4, q) is width, q
+            batch = rng.integers(0, q, size=(40, 4, 4))
+            batch[0] = (q - 1) * np.eye(4, dtype=np.int64)  # minors up to (q-1)^4
+            expected = [_leibniz_det_mod(m.tolist(), q) for m in batch]
+            assert fflab._det_mod(entry_major(batch, 4), 4, q).tolist() == expected, q
 
     def test_rho_matrix_columns_match_derivative(self):
         rng = random.Random(31)
@@ -585,6 +608,25 @@ class TestOracleReferences:
             cases.append([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(m)])
         for rows in cases:
             assert fflab._rank_rational(rows) == _fraction_rank(rows), rows
+
+    def test_list_echelon_matches_batch(self):
+        rng = random.Random(41)
+        for q in (2, 3, 5, 7):
+            systems = [[[0] * 4 for _ in range(3)], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+            diagonal = [rng.randrange(1, q) for _ in range(5)]
+            systems.append([[x if i == j else 0 for j in range(5)] for i, x in enumerate(diagonal)])
+            for _ in range(30):
+                m, cols = rng.randint(1, 6), rng.randint(1, 7)
+                systems.append([[rng.randrange(q) for _ in range(cols)] for _ in range(m)])
+            for rows in systems:
+                # pivots in every column, or in all but a trailing right-hand side
+                for ncols in {len(rows[0]), max(1, len(rows[0]) - 1)}:
+                    echelon, rank, pivots = fflab._batch_echelon(np.array([rows]), q, ncols)
+                    listed, list_pivots = fflab._echelon_mod(rows, q, ncols)
+                    assert listed == echelon[0].tolist(), (q, rows, ncols)
+                    assert list_pivots == pivots[0, : rank[0]].tolist(), (q, rows, ncols)
+            assert fflab._echelon_mod(systems[2], q, 5)[1] == [0, 1, 2, 3, 4]
+            assert fflab._echelon_mod(systems[0], q, 4) == (systems[0], [])
 
     def test_batch_elimination_matches_scalar(self):
         rng = random.Random(23)
@@ -695,6 +737,37 @@ class TestFourier:
                 for vv, val in f.items():
                     literal = literal + val.shifted(sum(a * b for a, b in zip(vv, wv)))
                 assert transformed[wv].counts == literal.counts, (q, n, wv)
+
+    def test_stacked_transform_matches_separate_ones(self):
+        # k count lists stacked at each point transform block by block, and
+        # one block is fourier_transform
+        rng = random.Random(17)
+        for q in (2, 3, 5):
+            for n in (1, 2):
+                points = list(product(range(q), repeat=n))
+                phases = fflab._phase_table(q, n)
+                present = [rng.random() < 0.7 for _ in points]
+                present[0] = True
+                for k in (1, 3):
+                    blocks = [
+                        [[rng.randint(-4, 4) for _ in range(q)] if here else None
+                         for here in present]
+                        for _ in range(k)
+                    ]
+                    stacked = [
+                        [c for block in blocks for c in block[i]] if here else None
+                        for i, here in enumerate(present)
+                    ]
+                    separate = [fflab._transform_counts(block, q, phases) for block in blocks]
+                    out = fflab._transform_counts(stacked, q, phases)
+                    assert out == [
+                        [c for result in separate for c in result[j]] for j in range(len(points))
+                    ], (q, n, k)
+                    if k == 1:
+                        f = {vv: CycloCount(q, c) for vv, c in zip(points, blocks[0]) if c}
+                        assert [fourier_transform(f, q, n)[wv].counts for wv in points] == [
+                            tuple(c) for c in out
+                        ], (q, n)
 
     def test_inversion_random(self):
         for q in (2, 3, 5):
