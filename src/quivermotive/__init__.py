@@ -5,10 +5,14 @@ rational functions of L and extracts integer class polynomials; the lab
 modules verify every ingredient against brute-force enumeration over small
 prime fields.  The package exports what the README documents; the oracle
 internals and engine building blocks stay importable from their modules.
-The finite-field oracles need numpy; their exports load on first access, so
-importing the package and running the engine never imports numpy.  MSeries
-loads the same way, and the motive and series commands import neither
-numpy, dataclasses, fractions nor MSeries.
+
+Exports whose code the engine does not run load on first access, through
+the name-to-module table _LAZY: the finite-field oracles (and numpy with
+them), MSeries, the fraction type LRat with L, and the partition helpers.
+Importing the package loads the engine, the polynomial kernel (poly) and
+the quiver module, and the motive and series commands load nothing else:
+neither numpy, dataclasses, fractions nor the lrat, partitions or series
+modules.
 """
 
 from .engine import (
@@ -19,8 +23,7 @@ from .engine import (
     motive_series,
     motive_table,
 )
-from .lrat import L, LRat, format_poly
-from .partitions import Partition, pairing, partitions_of, tuples_with_sizes
+from .poly import format_poly
 from .quiver import (
     A2,
     BUILTIN_QUIVERS,
@@ -37,25 +40,30 @@ from .quiver import (
 
 __version__ = "0.1.0"
 
-_FFLAB_EXPORTS = (
-    "EnumerationBudgetError",
-    "centralizer_order",
-    "count_moment_fiber",
-    "count_stable_fiber",
-    "kappa_oracle",
-)
+# export name -> the module it loads from on first access
+_LAZY = {
+    "EnumerationBudgetError": "fflab",
+    "centralizer_order": "fflab",
+    "count_moment_fiber": "fflab",
+    "count_stable_fiber": "fflab",
+    "kappa_oracle": "fflab",
+    "L": "lrat",
+    "LRat": "lrat",
+    "MSeries": "series",
+    "Partition": "partitions",
+    "pairing": "partitions",
+    "partitions_of": "partitions",
+    "tuples_with_sizes": "partitions",
+}
 
 
 def __getattr__(name: str):
-    if name in _FFLAB_EXPORTS:
-        from . import fflab
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(fflab, name)
-    if name == "MSeries":
-        from .series import MSeries
-
-        return MSeries
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
 
 
 __all__ = [

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .engine import PolynomialityError, betti_report, motive_class, motive_table
-from .lrat import format_poly
+from .poly import format_poly
 from .quiver import BUILTIN_QUIVERS, InputError, Quiver, QuiverFormatError, parse_quiver
 
 if TYPE_CHECKING:
@@ -64,7 +64,11 @@ def _load_quiver(spec: str) -> tuple[Quiver, dict]:
     path = Path(spec)
     if not path.exists():
         raise QuiverFormatError(f"quiver spec not found: {spec} (not a file or builtin name)")
-    return parse_quiver(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise QuiverFormatError(f"cannot read quiver spec {spec}: {exc}") from None
+    return parse_quiver(text)
 
 
 def _resolve_vector(args_value: str | None, named: dict, key: str, flag: str) -> tuple[int, ...] | None:

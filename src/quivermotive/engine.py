@@ -81,7 +81,7 @@ both summed in one pass over the groups, which are cached per quiver and
 degree bound, so the framed and the unframed series, and the tables for
 further framings, share one recursion.  kappa sums the same arrow term over
 the columns of a tuple and adds the framing helper the group shift uses,
-and centralizer_class folds the same column step f over the columns of a
+and _centralizer_poly folds the same column step f over the columns of a
 partition, so the exponents and classes the kappa and centralizer checks
 test are the ones the series use.  Before any arithmetic, the recursion's size is estimated from the
 vertex count and the bound alone, as its C(bound + 2n, 2n) states (c, r)
@@ -128,7 +128,7 @@ value is zero exactly when its polynomial is, and unpacking it is exact;
 in particular the quotient's zero test on a pending N(Q)_g is exact, since
 the popped value is N(Q)_g packed.
 The only other value unpacked is the fold of one partition's column steps
-in centralizer_class, L^(sum m(m+1)/2) * M at the width of its size n,
+in _centralizer_poly, L^(sum m(m+1)/2) * M at the width of its size n,
 whose L1 norm multinomial(l; m) <= s(n) <= m(n) is covered too.  Nothing
 else is unpacked or tested for zero: the chain values H and the groups are
 only multiplied and added.  No packed value is ever divided.  The bound
@@ -139,6 +139,13 @@ The only division is N(Q)_v / P_v in _class_at, for a nonzero N(Q)_v, on
 the unpacked polynomial, exact whenever the class is a polynomial; when it
 is inexact, or leaves a negative power of L, the reduced fraction is built
 only to word the PolynomialityError.
+
+The engine computes with packed ints and the polynomial kernel (poly
+module) alone.  LRat, the reduced-fraction type, is imported where a value
+leaves the engine as a fraction (centralizer_class, coefficient_raw,
+nilpotent_series and that error message), and the partitions module only
+when engine.tuples_with_sizes is read, so the motive and series commands
+load neither.
 
 The public functions accept a threads argument for compatibility and ignore
 it: the sums are Python and big-integer work under the GIL, and worker
@@ -154,16 +161,24 @@ from math import comb
 from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
-from .lrat import LRat, Poly, _pdiv_exact, _pmul, _pshift
-from .partitions import Partition, exponents_upto
-
-# perfbench/trace_child.py wraps engine.tuples_with_sizes to time and count
-# the tuples the engine enumerates; it enumerates none, so both read 0
-from .partitions import tuples_with_sizes  # noqa: F401
-from .quiver import InputError, Quiver, _Record, check_dim_vector
+from .poly import Poly, _pdiv_exact, _pmul, _pshift
+from .quiver import InputError, Quiver, _Record, check_dim_vector, exponents_upto
 
 if TYPE_CHECKING:
+    from .lrat import LRat
+    from .partitions import Partition
     from .series import MSeries
+
+
+def __getattr__(name: str):
+    # perfbench/trace_child.py wraps engine.tuples_with_sizes to time and
+    # count the tuples the engine enumerates; it enumerates none, so both
+    # read 0, and the partitions module loads only when it is asked for
+    if name == "tuples_with_sizes":
+        from .partitions import tuples_with_sizes
+
+        return tuples_with_sizes
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # The largest column-chain recursion the engine runs, in the estimate of
@@ -204,11 +219,21 @@ class MotiveResult(_Record):
 def centralizer_class(lam_tuple: Sequence[Partition]) -> LRat:
     """Class of the centralizer of a tuple of nilpotent Jordan types.
 
+    Always a polynomial in L, the one _centralizer_poly computes; the empty
+    tuple gives 1.
+    """
+    from .lrat import LRat
+
+    return LRat._raw(_centralizer_poly(lam_tuple), (1,))
+
+
+def _centralizer_poly(lam_tuple: Sequence[Partition]) -> Poly:
+    """The centralizer class of a tuple of Jordan types, as a polynomial.
+
     Per entry, with columns c_1 >= c_2 >= ... > 0 and l = c_1 parts, the
     column steps fold to L^(sum m(m+1)/2) * M, and the class is
     L^(sum c_k^2) * P_l divided by that product: L^a * P_|lam| / c(lam) of the
     module docstring, built from the steps the series numerators multiply.
-    Always a polynomial in L; the empty tuple gives 1.
     """
     power, poly = 0, (1,)
     for lam in lam_tuple:
@@ -222,7 +247,7 @@ def centralizer_class(lam_tuple: Sequence[Partition]) -> LRat:
         shift, steps = _unpack((offset, value), bits)
         power += sum(c * c for c in columns) - shift
         poly = _pmul(poly, _pdiv_exact(_cyclo_range(len(lam)), steps))
-    return LRat._raw(_pshift(poly, power), (1,))
+    return _pshift(poly, power)
 
 
 def kappa(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]) -> int:
@@ -374,6 +399,8 @@ def _column_step(high: int, low: int, bits: int) -> Packed:
 
 def _fraction(num: Laurent, den: Poly) -> LRat:
     """L^offset * poly / den as a reduced LRat, by gcd."""
+    from .lrat import LRat
+
     offset, poly = num
     if offset >= 0:
         return LRat(_pshift(poly, offset), den)

@@ -6,27 +6,21 @@ no polynomial factor, their integer contents are coprime, and the denominator
 has a positive leading coefficient.  With that normalization equal values
 have identical representations, so equality and hashing are structural.
 
-Coefficient tuples are stored lowest power first; the empty tuple is zero.
-Printing is ascending with explicit ``L^k`` tokens ("1 + 2*L^1 + L^3");
-golden output files rely on that byte for byte.
+Numerators and denominators are coefficient tuples of the polynomial kernel
+(poly module), whose names this module re-exports; the gcds and the
+normalization live here.  The engine computes without gcds, so the motive and
+series commands load this module only to word an exit-3 message.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
+
+from .poly import Poly, _pdiv_exact, _peval, _pmul, _pshift, _trim, format_poly
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-Poly = tuple  # integer coefficients, ascending powers, no trailing zeros
-
-
-def _trim(coeffs: Iterable[int]) -> Poly:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def _as_poly(value) -> Poly:
@@ -46,29 +40,6 @@ def _padd(a: Poly, b: Poly) -> Poly:
 
 def _pneg(a: Poly) -> Poly:
     return tuple(-c for c in a)
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _pshift(a: Poly, k: int) -> Poly:
-    """Multiply by L^k, k >= 0."""
-    return ((0,) * k + a) if a else ()
-
-
-def _peval(a: Poly, x: int) -> int:
-    out = 0
-    for c in reversed(a):
-        out = out * x + c
-    return out
 
 
 def _pcontent(a: Poly) -> int:
@@ -112,28 +83,6 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-def _pdiv_exact(a: Poly, b: Poly) -> Poly:
-    """Quotient a / b, asserting that the division is exact over the integers."""
-    if not a:
-        return ()
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[db + k]
-        if c % lb:
-            raise ArithmeticError("inexact polynomial division")
-        c //= lb
-        q[k] = c
-        if c:
-            for i in range(db + 1):
-                r[i + k] -= c * b[i]
-    if any(r):
-        raise ArithmeticError("inexact polynomial division")
-    return _trim(q)
-
-
 def _content_normalized(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Strip a common integer content and make the denominator lead positive."""
     if not num:
@@ -152,28 +101,6 @@ def _reduced(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         num = _pdiv_exact(num, g)
         den = _pdiv_exact(den, g)
     return _content_normalized(num, den)
-
-
-def format_poly(coeffs: Iterable[int]) -> str:
-    """Render an ascending coefficient list with explicit L^k tokens."""
-    terms = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k == 0:
-            terms.append(str(c))
-        elif c == 1:
-            terms.append(f"L^{k}")
-        elif c == -1:
-            terms.append(f"-L^{k}")
-        else:
-            terms.append(f"{c}*L^{k}")
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
 
 
 class LRat:

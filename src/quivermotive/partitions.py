@@ -8,7 +8,8 @@ partition is the unique partition of 0.  The inner product
 (with ``m_k`` the multiplicity of the part ``k``) drives every exponent of L
 in the quiver generating function, so it lives here next to the enumeration
 helpers.  The size vectors of partition tuples are the exponents that grade
-the generating functions; exponents_upto lists them up to a total degree.
+the generating functions; exponents_upto (quiver module, re-exported here)
+lists them up to a total degree.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul
 from typing import Iterable, Iterator
+
+from .quiver import exponents_upto  # its home is quiver; importable here too
 
 
 class Partition:
@@ -150,21 +153,3 @@ def tuples_with_sizes(sizes: Iterable[int]) -> Iterator[tuple[Partition, ...]]:
     """
     pools = [_partitions_cached(int(k)) for k in sizes]
     return product(*pools)
-
-
-def _vectors_with_sum(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _vectors_with_sum(nvars - 1, total - first):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=64)
-def exponents_upto(nvars: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors with total degree <= bound, graded lexicographic."""
-    out = []
-    for total in range(bound + 1):
-        out.extend(_vectors_with_sum(nvars, total))
-    return tuple(out)

@@ -2,15 +2,18 @@
 
 A quiver is a finite directed multigraph; loops and repeated arrows are
 allowed.  Dimension vectors are plain tuples of nonnegative integers, one
-entry per vertex.  Spec files are JSON objects with fields ``vertices`` and
-``edges`` plus optional named vectors ``w``, ``v`` and ``max_degree``;
-unknown fields are rejected.
+entry per vertex; exponents_upto lists them up to a total degree, in the
+graded order of the engine's series.  Spec files are JSON objects with
+fields ``vertices`` and ``edges`` plus optional named vectors ``w``, ``v``
+and ``max_degree``; unknown fields are rejected.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from functools import lru_cache
+from operator import index
+from typing import Iterator, Sequence
 
 
 class InputError(ValueError):
@@ -77,8 +80,19 @@ class Quiver(_Record):
 
 
 def check_dim_vector(quiver: Quiver, vec: Sequence[int], name: str = "dimension vector") -> tuple[int, ...]:
-    """Validate and normalize a dimension vector for the quiver."""
-    vec = tuple(int(x) for x in vec)
+    """Validate and normalize a dimension vector for the quiver.
+
+    Entries must be integers: Python ints or integer scalars such as numpy's,
+    normalized to int.  A bool, float or str entry is refused, never
+    truncated or parsed.
+    """
+    entries = tuple(vec)
+    try:
+        if bool in map(type, entries):
+            raise TypeError
+        vec = tuple(map(index, entries))
+    except TypeError:
+        raise InputError(f"{name} entries must be integers: {entries}") from None
     if len(vec) != quiver.vertex_count:
         raise InputError(
             f"{name} has {len(vec)} entries, quiver has {quiver.vertex_count} vertices"
@@ -86,6 +100,24 @@ def check_dim_vector(quiver: Quiver, vec: Sequence[int], name: str = "dimension 
     if any(x < 0 for x in vec):
         raise InputError(f"{name} entries must be nonnegative: {vec}")
     return vec
+
+
+def _vectors_with_sum(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
+    if nvars == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _vectors_with_sum(nvars - 1, total - first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=64)
+def exponents_upto(nvars: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent vectors with total degree <= bound, graded lexicographic."""
+    out = []
+    for total in range(bound + 1):
+        out.extend(_vectors_with_sum(nvars, total))
+    return tuple(out)
 
 
 def dim_rep_space(quiver: Quiver, v: Sequence[int], w: Sequence[int]) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .lrat import LRat, ZERO
-from .partitions import exponents_upto  # its home is partitions; importable here too
+from .quiver import exponents_upto  # its home is quiver; importable here too
 
 
 class MSeries:

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import engine, fflab, partitions, quiver
-from .lrat import _peval
-from .partitions import exponents_upto
-from .quiver import A2, JORDAN, SINGLE_VERTEX, InputError, Quiver
+from .poly import _peval
+from .quiver import A2, JORDAN, SINGLE_VERTEX, InputError, Quiver, exponents_upto
 
 
 @dataclass
@@ -59,7 +58,7 @@ def centralizer_suite(
 
     def check(lam, q):
         order = fflab.centralizer_order(lam, q, budget=budget)
-        expected = _peval(engine.centralizer_class((lam,)).num, q)  # a polynomial in L
+        expected = _peval(engine._centralizer_poly((lam,)), q)
         ok = expected == order
         return ok, f"order={order}" if ok else f"scan={order} class={expected}"
 

@@ -2,7 +2,10 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import quivermotive
+from quivermotive import engine, fflab, lrat, partitions, series
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -26,3 +29,33 @@ def test_readme_library_snippet_runs(capsys):
     for expression, value in stated:
         assert eval(expression, namespace) == ast.literal_eval(value), expression
     assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+def test_lazy_exports_are_their_home_objects():
+    # the exports the engine does not run load on first access; each is the
+    # object of its home module, by attribute and through a star import,
+    # and so is the engine's tuples_with_sizes
+    homes = {
+        "EnumerationBudgetError": fflab,
+        "centralizer_order": fflab,
+        "count_moment_fiber": fflab,
+        "count_stable_fiber": fflab,
+        "kappa_oracle": fflab,
+        "L": lrat,
+        "LRat": lrat,
+        "MSeries": series,
+        "Partition": partitions,
+        "pairing": partitions,
+        "partitions_of": partitions,
+        "tuples_with_sizes": partitions,
+    }
+    assert set(quivermotive._LAZY) == set(homes)
+    namespace = {}
+    exec("from quivermotive import *", namespace)
+    for name, home in homes.items():
+        assert getattr(quivermotive, name) is getattr(home, name), name
+        assert namespace[name] is getattr(home, name), name
+    assert engine.tuples_with_sizes is partitions.tuples_with_sizes
+    for module in (quivermotive, engine):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            module.no_such_name

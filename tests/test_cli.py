@@ -78,6 +78,20 @@ class TestMotiveCommand:
         assert rc == 2
         assert "not found" in err
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_spec_exits_2(self, capsys, tmp_path, kind):
+        # a spec path that exists but cannot be read as UTF-8 text is
+        # refused input, not a crash
+        spec = tmp_path / "spec"
+        if kind == "directory":
+            spec.mkdir()
+        else:
+            spec.write_bytes(b"\xff\xfe")
+        for command, *args in (("motive", "--v", "1", "--w", "1"), ("series", "--w", "1", "--max-degree", "2")):
+            rc, out, err = run_cli(capsys, command, "--quiver", str(spec), *args)
+            assert rc == 2 and out == ""
+            assert err.startswith(f"error: cannot read quiver spec {spec}: "), err
+
     def test_bad_list_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "motive", "--quiver", "jordan", "--v", "one", "--w", "1")
         assert rc == 2
@@ -470,8 +484,10 @@ def _run_fresh_interpreter(code):
 def test_engine_commands_import_no_numpy():
     # in a fresh interpreter: motive and series, whatever --threads says,
     # load neither the oracles and numpy nor the modules that only
-    # other code runs; the series type and verify load on demand.  Modules
-    # the bare interpreter already holds (host site hooks vary) are exempt.
+    # other code runs (the fraction type and the partitions among them), so
+    # the package loads exactly the modules they run; the series type and
+    # verify load on demand.  Modules the bare interpreter already holds
+    # (host site hooks vary) are exempt.
     code = """
 import sys
 bare = set(sys.modules)
@@ -480,9 +496,13 @@ args = ["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", "4", "--t
 assert cli.main(args) == 0
 assert cli.main(["motive", "--quiver", "jordan", "--v", "3", "--w", "1"]) == 0
 unused = ("numpy", "quivermotive.fflab", "quivermotive.verify", "quivermotive.series",
+          "quivermotive.lrat", "quivermotive.partitions",
           "dataclasses", "fractions", "decimal", "concurrent.futures", "logging")
 loaded = [m for m in unused if m in sys.modules and m not in bare]
 assert not loaded, loaded
+package = sorted(m for m in sys.modules if m.startswith("quivermotive"))
+assert package == ["quivermotive", "quivermotive.cli", "quivermotive.engine",
+                   "quivermotive.poly", "quivermotive.quiver"], package
 from quivermotive import JORDAN, MSeries, motive_series
 assert isinstance(motive_series(JORDAN, (1,), 2), MSeries)
 assert cli.main(["verify", "kappa"]) == 0
@@ -544,14 +564,15 @@ def test_cli_process_matches_main(capsys, args, rc):
 def test_verify_imports_no_fractions():
     # in a fresh interpreter: the verify suites evaluate every class as an
     # integer polynomial and compare character sums as count lists, so
-    # neither fractions nor decimal loads.  Modules the bare interpreter
-    # already holds (host site hooks vary) are exempt.
+    # neither fractions, decimal nor the fraction type loads.  Modules the
+    # bare interpreter already holds (host site hooks vary) are exempt.
     code = """
 import sys
 bare = set(sys.modules)
 from quivermotive import cli
 assert cli.main(["verify", "all", "--q", "2"]) == 0
-loaded = [m for m in ("fractions", "decimal") if m in sys.modules and m not in bare]
+unused = ("fractions", "decimal", "quivermotive.lrat")
+loaded = [m for m in unused if m in sys.modules and m not in bare]
 assert not loaded, loaded
 """
     _run_fresh_interpreter(code)

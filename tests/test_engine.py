@@ -601,16 +601,16 @@ class TestPacking:
 def test_pmul_off_the_engine_hot_path(monkeypatch, fresh_engine_caches):
     # the numerators, cofactors and quotient are packed ints; polynomial
     # products are left for P_v, once per class row
-    from quivermotive import lrat
+    from quivermotive import poly
 
     calls = []
-    original = lrat._pmul
+    original = poly._pmul
 
     def counted(a, b):
         calls.append(1)
         return original(a, b)
 
-    for module in (lrat, engine):  # the engine imports it by name
+    for module in (poly, engine):  # the engine imports it by name
         monkeypatch.setattr(module, "_pmul", counted)
     rows = motive_table(JORDAN, (1,), 12)
     assert len(calls) <= len(rows) == 13

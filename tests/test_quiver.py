@@ -3,12 +3,15 @@ import pickle
 
 import pytest
 
+from quivermotive.engine import motive_class, motive_table
 from quivermotive.quiver import (
     A2,
     JORDAN,
     SINGLE_VERTEX,
+    InputError,
     Quiver,
     QuiverFormatError,
+    check_dim_vector,
     d_shift,
     dim_group,
     dim_rep_space,
@@ -75,6 +78,27 @@ class TestDimensions:
             dim_rep_space(A2, (1,), (1, 1))
         with pytest.raises(ValueError, match="nonnegative"):
             dim_rep_space(JORDAN, (-1,), (1,))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "2", True, False])
+    def test_non_integer_entries_refused(self, bad):
+        # no entry is truncated, parsed or read as a bool: the call is
+        # refused as input, like a non-integer field of a spec file
+        with pytest.raises(InputError, match=r"v entries must be integers"):
+            check_dim_vector(A2, (1, bad), "v")
+        with pytest.raises(InputError, match=r"v entries must be integers"):
+            motive_class(JORDAN, (bad,), (1,))
+        with pytest.raises(InputError, match=r"w entries must be integers"):
+            motive_table(JORDAN, [bad], 2)
+
+    def test_integer_scalars_accepted(self):
+        np = pytest.importorskip("numpy")
+        vec = check_dim_vector(A2, [np.int64(2), np.uint8(1)], "v")
+        assert vec == (2, 1) and all(type(x) is int for x in vec)
+        assert motive_class(JORDAN, (np.int32(3),), [1]) == motive_class(JORDAN, (3,), (1,))
+        with pytest.raises(InputError, match="integers"):
+            check_dim_vector(JORDAN, (np.bool_(True),), "v")
+        with pytest.raises(InputError, match="integers"):
+            check_dim_vector(JORDAN, (np.float64(1.0),), "v")
 
     def test_rep_space_additive_over_disjoint_union(self):
         # two copies of the Jordan quiver side by side
