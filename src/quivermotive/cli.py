@@ -35,7 +35,14 @@ from typing import TYPE_CHECKING
 
 from .engine import PolynomialityError, betti_report, motive_class, motive_table
 from .poly import format_poly
-from .quiver import BUILTIN_QUIVERS, InputError, Quiver, QuiverFormatError, parse_quiver
+from .quiver import (
+    BUILTIN_QUIVERS,
+    InputError,
+    Quiver,
+    QuiverFormatError,
+    check_dim_vector,
+    parse_quiver,
+)
 
 if TYPE_CHECKING:
     from .verify import CaseResult
@@ -77,8 +84,8 @@ def _resolve_vector(args_value: str | None, named: dict, key: str, flag: str) ->
     return named.get(key)
 
 
-def _emit_record(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+def _record_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _motive_record(result) -> dict:
@@ -104,7 +111,7 @@ def cmd_motive(args) -> int:
     if args.format == "records":
         record = _motive_record(result)
         record["betti"] = [[k, c] for k, c in betti_report(result)]
-        _emit_record(record)
+        sys.stdout.write(_record_line(record))
     else:
         print(f"v = {list(result.v)}  w = {list(result.w)}  d = {result.d_shift}")
         print(f"class = {format_poly(result.class_polynomial)}")
@@ -121,15 +128,13 @@ def cmd_series(args) -> int:
         raise QuiverFormatError("no degree bound: pass --max-degree or put 'max_degree' in the spec file")
     rows = motive_table(qv, w, bound, threads=args.threads)
     if args.format == "records":
-        for row in rows:
-            record = _motive_record(row)
-            record["command"] = "series"
-            _emit_record(record)
+        lines = [_record_line({**_motive_record(row), "command": "series"}) for row in rows]
     else:
-        for row in rows:
-            print(
-                f"v={list(row.v)}  d={row.d_shift}  class = {format_poly(row.class_polynomial)}"
-            )
+        lines = [
+            f"v={list(row.v)}  d={row.d_shift}  class = {format_poly(row.class_polynomial)}\n"
+            for row in rows
+        ]
+    sys.stdout.write("".join(lines))  # one write for the whole table
     return 0
 
 
@@ -145,7 +150,11 @@ def cmd_verify(args) -> int:
     if len(set(qs)) != len(qs):
         raise InputError(f"--q repeats a field size: {args.q}")
     if args.suite in ("ffcount", "all"):
-        verify.check_level(args.alpha, qs)  # before any suite enumerates
+        # a bad level, quiver or w is refused before any suite runs
+        verify.check_level(args.alpha, qs)
+        qv, named = _load_quiver(args.quiver)
+        w = _resolve_vector(args.w, named, "w", "--w") or (1,) * qv.vertex_count
+        w = check_dim_vector(qv, w, "w")
     # without --budget every suite keeps its own default
     budget = {} if args.budget is None else {"budget": args.budget}
     cases: list[CaseResult] = []
@@ -156,8 +165,6 @@ def cmd_verify(args) -> int:
     if args.suite in ("harmonic", "all"):
         cases += verify.harmonic_suite(qs=qs, **budget)
     if args.suite in ("ffcount", "all"):
-        qv, named = _load_quiver(args.quiver)
-        w = _resolve_vector(args.w, named, "w", "--w") or (1,) * qv.vertex_count
         cases += verify.ffcount_suite(
             qv,
             label=args.quiver if args.quiver in BUILTIN_QUIVERS else "quiver",
@@ -179,28 +186,27 @@ def cmd_selftest(args) -> int:
 
 def _report_cases(cases: list[CaseResult], fmt: str) -> int:
     tally = {"PASS": 0, "FAIL": 0, "FLAG": 0, "SKIP": 0}
+    lines = []
     for case in cases:
         tally[case.status] += 1
         if fmt == "records":
-            _emit_record(
-                {
-                    "command": "verify",
-                    "suite": case.suite,
-                    "case": case.name,
-                    "status": case.status,
-                    "detail": case.detail,
-                }
-            )
+            record = {
+                "command": "verify",
+                "suite": case.suite,
+                "case": case.name,
+                "status": case.status,
+                "detail": case.detail,
+            }
+            lines.append(_record_line(record))
         else:
-            line = f"{case.status:<4} {case.suite}: {case.name}"
-            if case.detail:
-                line += f" | {case.detail}"
-            print(line)
+            detail = f" | {case.detail}" if case.detail else ""
+            lines.append(f"{case.status:<4} {case.suite}: {case.name}{detail}\n")
     if fmt != "records":
-        print(
+        lines.append(
             f"summary: {tally['PASS']} passed, {tally['FAIL']} failed, "
-            f"{tally['FLAG']} flagged, {tally['SKIP']} skipped"
+            f"{tally['FLAG']} flagged, {tally['SKIP']} skipped\n"
         )
+    sys.stdout.write("".join(lines))  # one write for all the cases
     return 1 if tally["FAIL"] else 0
 
 

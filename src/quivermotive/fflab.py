@@ -488,16 +488,21 @@ def _phi_orbits(quiver: Quiver, v, w, q: int) -> tuple[np.ndarray, np.ndarray]:
     its images under generators of every GL(v_i) (_gl_generators), each
     acting on flattened phi through its linear map (_group_matrix), which is
     checked to be invertible mod q and so to permute the phi indices.  The
-    components come from min-label propagation: a pass lowers the labels of
+    components come from min-label propagation over chunks of PHI_CHUNK phi.
+    A pass takes each chunk's digits and generator images once, then relaxes
+    the chunk's edges until nothing changes: each round lowers the labels of
     a phi and of each of its images to the smaller of the two, then moves
-    every label to the label it points at, and passes repeat until one
-    changes nothing.
+    every label of the chunk to the label it points at.  Another pass starts
+    only if the space has more than one chunk and a label moved, since a
+    relaxed chunk's labels can still fall through another chunk's edges; a
+    space of one chunk is done after one pass.
 
     A generating set that is too small only splits orbits into finer
     pieces, on which a G_v-invariant quantity is still constant, so a count
     weighted by these sizes stays correct and only gets slower.  Memory: one
     int32 label per phi (int64 from 2^31 points on), besides arrays of one
-    PHI_CHUNK of phi; the generator images are built chunk by chunk.
+    chunk: its digits and its images, generator steps x PHI_CHUNK int64
+    (1 MiB for four steps).
     """
     d = dim_rep_space(quiver, v, w)
     n_phi = q**d
@@ -523,25 +528,34 @@ def _phi_orbits(quiver: Quiver, v, w, q: int) -> tuple[np.ndarray, np.ndarray]:
             ]
             steps.append((place[copies] @ forward[copies], mixed))
     label = np.arange(n_phi, dtype=np.int32 if n_phi < 1 << 31 else np.int64)
-    changed = True
-    while changed:
-        changed = False
-        for start in range(0, n_phi, PHI_CHUNK):
+    chunks = range(0, n_phi, PHI_CHUNK)
+    moved = True
+    while moved:
+        moved = False
+        for start in chunks:
             digits = _digit_rows(q, d, start, min(start + PHI_CHUNK, n_phi)).T.astype(np.int64)
-            own = label[start : start + PHI_CHUNK]  # a view: writes land in label
+            images = []
             for copy_weights, mixed in steps:
                 image = copy_weights @ digits
                 for weight, cols, coeffs in mixed:
                     image += weight * ((coeffs @ digits[cols]) % q)
-                theirs = label[image]
-                low = np.minimum(own, theirs)
-                changed |= bool((low < theirs).any() or (low < own).any())
-                label[image] = low  # a permutation's images are distinct
-                np.minimum(own, low, out=own)
-            jumped = label[own]
-            changed |= bool((jumped < own).any())
-            own[...] = jumped
-    chunks = range(0, n_phi, PHI_CHUNK)
+                images.append(image)
+            own = label[start : start + PHI_CHUNK]  # a view: writes land in label
+            changed = True
+            while changed:
+                changed = False
+                for image in images:
+                    theirs = label[image]
+                    low = np.minimum(own, theirs)
+                    changed |= bool((low < theirs).any() or (low < own).any())
+                    label[image] = low  # a permutation's images are distinct
+                    np.minimum(own, low, out=own)
+                jumped = label[own]
+                changed |= bool((jumped < own).any())
+                own[...] = jumped
+                moved |= changed
+        # with one chunk its fixed point is the whole space's
+        moved &= len(chunks) > 1
     reps = []
     for start in chunks:
         own = label[start : start + PHI_CHUNK]
@@ -797,8 +811,12 @@ def jordan_nilpotent(lam: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
+@lru_cache(maxsize=None)
 def _jordan_square(lam: Partition) -> np.ndarray:
-    return _square(jordan_nilpotent(lam))
+    """jordan_nilpotent(lam) as an int64 array, cached on lam and so read-only."""
+    J = _square(jordan_nilpotent(lam))
+    J.flags.writeable = False
+    return J
 
 
 def _det_width(n: int, q: int):
@@ -903,9 +921,10 @@ def _rank_rational(rows: list[list[int]]) -> int:
 
     After k pivots every entry below the pivot rows is a (k+1)-minor of the
     input, so the division by the previous pivot is exact and everything
-    stays in Python ints.
+    stays in Python ints; the rows must hold Python ints (ndarray.tolist()
+    gives them) and are left as they are.
     """
-    mat = [[int(x) for x in row] for row in rows]
+    mat = list(rows)  # rows are replaced, never written in place
     if not mat:
         return 0
     rank, prev = 0, 1
@@ -952,13 +971,8 @@ def kappa_oracle(
 ) -> int:
     """Kernel dimension of the derived action of a Jordan-type nilpotent.
 
-    The matrix of phi -> rho'(X) phi, for X the blockwise Jordan
-    representative of the partition tuple, is block diagonal with one block
-    per arrow and per framing (_rho_matrix), and the rank of a block-diagonal
-    matrix is the sum of its blocks' ranks.  So the nullity is the sum of the
-    block nullities, each from an exact rational rank of its block, taken
-    once per distinct block: the block nullities are cached on the
-    partitions and the framing width, and Jordan matrices built on a miss.
+    Checks v, w and the partition sizes, refuses |v| above max_total, and
+    returns _kappa_nullity(quiver, w, lam_tuple).
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
@@ -969,6 +983,21 @@ def kappa_oracle(
         raise ValueError(f"partition sizes {sizes} do not match v = {v}")
     if sum(sizes) > max_total:
         raise EnumerationBudgetError(sum(sizes), max_total, "kernel-dimension oracle")
+    return _kappa_nullity(quiver, w, lam_tuple)
+
+
+def _kappa_nullity(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partition]) -> int:
+    """kappa_oracle without its checks: w must fit the quiver, lam_tuple one partition per vertex.
+
+    The matrix of phi -> rho'(X) phi, for X the blockwise Jordan
+    representative of the partition tuple, is block diagonal with one block
+    per arrow and per framing (_rho_matrix), and the rank of a block-diagonal
+    matrix is the sum of its blocks' ranks.  So the nullity is the sum of the
+    block nullities, each from an exact rational rank of its block, taken
+    once per distinct block: the block nullities are cached on the
+    partitions and the framing width, and the Jordan matrices on the
+    partition.
+    """
     return sum(_arrow_nullity(lam_tuple[t], lam_tuple[s]) for s, t in quiver.arrows) + sum(
         _framing_nullity(lam_tuple[i], w[i]) for i in range(quiver.vertex_count)
     )

@@ -324,6 +324,27 @@ class TestVerifyCommand:
         assert out == ""
         assert "field of size 3" in err
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["all", "--quiver", "/nonexistent.json"], "quiver spec not found"),
+            (["all", "--w", "1,1"], "w has 2 entries"),
+            (["ffcount", "--w", "-1"], "nonnegative"),
+        ],
+    )
+    def test_bad_quiver_or_w_exits_2_before_any_suite(self, capsys, monkeypatch, args, message):
+        from quivermotive import verify
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran before the input was checked")
+
+        for suite in ("centralizer_suite", "kappa_suite", "harmonic_suite", "ffcount_suite"):
+            monkeypatch.setattr(verify, suite, no_suite)
+        rc, out, err = run_cli(capsys, "verify", *args, "--q", "2,3")
+        assert rc == 2
+        assert out == ""
+        assert message in err
+
     def test_harmonic_suite_passes(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "harmonic", "--q", "2,3")
         assert rc == 0
@@ -411,12 +432,14 @@ class TestVerifyCommand:
         assert len(failed) == 2
 
     def test_kappa_oracle_over_budget_skips(self, capsys, monkeypatch):
+        # the suite checks its grid once and calls the unchecked kernel
         from quivermotive import fflab
 
-        def over_budget(quiver, v, w, lam_tuple):
-            raise fflab.EnumerationBudgetError(sum(v), 0, "kernel-dimension oracle")
+        def over_budget(quiver, w, lam_tuple):
+            size = sum(lam.size for lam in lam_tuple)
+            raise fflab.EnumerationBudgetError(size, 0, "kernel-dimension oracle")
 
-        monkeypatch.setattr(fflab, "kappa_oracle", over_budget)
+        monkeypatch.setattr(fflab, "_kappa_nullity", over_budget)
         rc, out, _ = run_cli(capsys, "verify", "kappa", "--format", "records")
         assert rc == 0
         records = [json.loads(line) for line in out.strip().splitlines()]
@@ -466,6 +489,24 @@ class TestVerifyCommand:
             cli.main(["verify", "nonsense"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "all", "--q", "2", "--format", "records"],
+        ["verify", "kappa"],
+        ["series", "--quiver", "jordan", "--w", "1", "--max-degree", "4", "--format", "records"],
+        ["series", "--quiver", "a2", "--w", "1,1", "--max-degree", "2"],
+    ],
+)
+def test_records_go_out_in_one_write(capsys, monkeypatch, args):
+    # every print is a write(2) of its own when stdout is unbuffered
+    rc, expected, _ = run_cli(capsys, *args)
+    writes = []
+    monkeypatch.setattr(sys.stdout, "write", writes.append)
+    assert cli.main(args) == rc
+    assert writes == [expected]
 
 
 def _fresh_env():

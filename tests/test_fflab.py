@@ -288,6 +288,35 @@ class TestPhiOrbits:
                 assert count_moment_fiber(*case, strategy="linear") == count, (keep, case)
         assert len(fflab._phi_orbits(JORDAN, (2,), (1,), 2)[0]) == 2**6
 
+    @pytest.mark.parametrize("chunk", [7, 97])
+    def test_chunk_size_does_not_change_the_orbits(self, monkeypatch, chunk):
+        # a space of several chunks needs passes until no label moves; the
+        # orbits are the same as with the whole space in one chunk
+        expected = [fflab._phi_orbits(*case) for case in self.CASES]
+        monkeypatch.setattr(fflab, "PHI_CHUNK", chunk)
+        for case, (reps, sizes) in zip(self.CASES, expected):
+            got_reps, got_sizes = fflab._phi_orbits(*case)
+            assert got_reps.tolist() == reps.tolist(), (chunk, case)
+            assert got_sizes.tolist() == sizes.tolist(), (chunk, case)
+
+    def test_strategies_agree_under_a_small_chunk(self, monkeypatch):
+        monkeypatch.setattr(fflab, "PHI_CHUNK", 7)
+        for quiver, v, w, q in ((JORDAN, (2,), (1,), 2), (A2, (2, 1), (1, 0), 3)):
+            full = count_moment_fiber(quiver, v, w, 1, q, strategy="full")
+            assert count_moment_fiber(quiver, v, w, 1, q, strategy="linear") == full
+
+    def test_one_chunk_is_expanded_once(self, monkeypatch):
+        # Jordan v=(3,), w=(1,) over F_2: 2^12 points in one chunk, whose
+        # digits and generator images serve every relaxation round
+        digit_rows = fflab._digit_rows
+        calls = []
+        monkeypatch.setattr(
+            fflab, "_digit_rows", lambda *args: calls.append(args) or digit_rows(*args)
+        )
+        reps, _ = fflab._phi_orbits(JORDAN, (3,), (1,), 2)
+        assert calls == [(2, 12, 0, 2**12)]
+        assert reps[0] == 0
+
 
 def _invertible_matrices(n, q):
     return [
@@ -441,8 +470,34 @@ class TestKappaOracle:
             kappa_oracle(JORDAN, (2,), (1,), (P((1,)),))
 
     def test_out_of_range(self):
-        with pytest.raises(EnumerationBudgetError):
+        with pytest.raises(EnumerationBudgetError, match="needs 9 points, budget is 8"):
             kappa_oracle(JORDAN, (9,), (1,), (P((9,)),), max_total=8)
+
+    @pytest.mark.parametrize(
+        "v,w,lams",
+        [
+            ((True,), (1,), (P((1,)),)),
+            ((1.0,), (1,), (P((1,)),)),
+            (("1",), (1,), (P((1,)),)),
+            ((1,), (False,), (P((1,)),)),
+            ((1,), (1.0,), (P((1,)),)),
+            ((1,), ("1",), (P((1,)),)),
+            ((1, 0), (1,), (P((1,)),)),
+            ((1,), (1, 0), (P((1,)),)),
+            ((1,), (1,), (P((1,)), P())),
+        ],
+    )
+    def test_bad_input_refused(self, v, w, lams):
+        # the suite skips these checks; the public oracle keeps them
+        with pytest.raises(ValueError):
+            kappa_oracle(JORDAN, v, w, lams)
+
+    def test_cached_jordan_arrays_are_read_only(self):
+        J = fflab._jordan_square(P((2, 1)))
+        assert fflab._jordan_square(P((2, 1))) is J
+        with pytest.raises(ValueError, match="read-only"):
+            J[0, 0] = 1
+        assert J.tolist() == [list(row) for row in jordan_nilpotent(P((2, 1)))]
 
     def test_block_sum_matches_dense_nullity(self, fresh_fflab_caches):
         # the per-block nullities against one rank of the whole block-diagonal
