@@ -144,7 +144,7 @@ _SUITES = ("ffcount", "centralizer", "kappa", "harmonic", "all")
 def cmd_verify(args) -> int:
     from . import fflab, verify
 
-    qs = _parse_int_list(args.q, "--q") if args.q else (2, 3)
+    qs = _parse_int_list(args.q, "--q") if args.q is not None else (2, 3)
     for q in qs:  # every field, before any suite
         fflab._require_prime(q)
     if len(set(qs)) != len(qs):

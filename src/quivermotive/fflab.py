@@ -18,7 +18,6 @@ explicit coordinate formula, which keeps sign conventions out of the code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -26,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .partitions import Partition
-from .quiver import InputError, Quiver, check_dim_vector, dim_group, dim_rep_space
+from .quiver import InputError, Quiver, _Record, check_dim_vector, dim_group, dim_rep_space
 
 DEFAULT_BUDGET = 1 << 26
 # Above this many points the automatic strategy stops enumerating full
@@ -111,17 +110,18 @@ def _trace_of_product(b, a) -> int:
     return sum(b[i][j] * a[j][i] for i in range(len(b)) for j in range(len(b[i]) if b else 0))
 
 
-@dataclass(frozen=True)
-class FpPoint:
+class FpPoint(_Record):
     """A point of the doubled representation space: matrices and their duals.
 
     Arrow entries are target x source; dual entries have transposed shapes.
     """
 
-    phi_arrows: tuple
-    phi_framing: tuple
-    psi_arrows: tuple
-    psi_framing: tuple
+    __slots__ = ("phi_arrows", "phi_framing", "psi_arrows", "psi_framing")
+
+    def __init__(
+        self, phi_arrows: tuple, phi_framing: tuple, psi_arrows: tuple, psi_framing: tuple
+    ):
+        self._init(phi_arrows, phi_framing, psi_arrows, psi_framing)
 
     @classmethod
     def build(cls, quiver: Quiver, v, w, phi_arrows, phi_framing, psi_arrows, psi_framing):
@@ -222,15 +222,19 @@ def _lie_basis(quiver: Quiver, v) -> list[tuple[tuple, bool]]:
     return basis
 
 
-def _unflatten_phi(quiver: Quiver, v, w, vec):
-    shapes = _phi_shapes(quiver, v, w)
-    na = len(quiver.arrows)
+def _matrices(vec, shapes) -> list[tuple[tuple[int, ...], ...]]:
+    """Cut a flat vector into consecutive row-major matrices of the given (rows, cols)."""
     mats = []
     pos = 0
     for rows, cols in shapes:
-        mat = tuple(tuple(vec[pos + r * cols + c] for c in range(cols)) for r in range(rows))
+        mats.append(tuple(tuple(vec[pos + r * cols : pos + (r + 1) * cols]) for r in range(rows)))
         pos += rows * cols
-        mats.append(mat)
+    return mats
+
+
+def _unflatten_phi(quiver: Quiver, v, w, vec):
+    mats = _matrices(vec, _phi_shapes(quiver, v, w))
+    na = len(quiver.arrows)
     return tuple(mats[:na]), tuple(mats[na:])
 
 
@@ -1006,86 +1010,17 @@ def _kappa_nullity(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partiti
 # ---------------------------------------------------------------------------
 # Exact character sums
 
-def _canonical(counts) -> tuple[int, ...]:
-    """Count vector normalized so the last entry is zero."""
-    c = counts[-1]
-    return tuple(x - c for x in counts)
+def _same_values(a, b, q: int) -> bool:
+    """Whether two count lists hold the same cyclotomic integers, block by block.
 
-
-class CycloCount:
-    """An element of the cyclotomic integers at a prime p, as a count vector.
-
-    The value is sum of counts[t] * zeta^t for a primitive p-th root of
-    unity zeta.  Two vectors represent the same value exactly when they
-    differ by a constant multiple of the all-ones vector, the one relation
-    among the powers of zeta; equality and hashing quotient by it.
+    A count list of length k q stacks k values, one block of q counts each:
+    the block (c_0, ..., c_{q-1}) is the sum of c_t zeta^t for a primitive
+    q-th root of unity zeta.  The one relation among the powers of zeta is
+    that they sum to zero, so two blocks hold the same value exactly when
+    their difference is constant on the block.
     """
-
-    __slots__ = ("p", "counts")
-
-    def __init__(self, p: int, counts: Iterable[int] | None = None):
-        _require_prime(p)
-        if counts is None:
-            counts = (0,) * p
-        else:
-            counts = tuple(int(c) for c in counts)
-            if len(counts) != p:
-                raise ValueError(f"need {p} counts, got {len(counts)}")
-        self.p = p
-        self.counts = counts
-
-    @classmethod
-    def from_int(cls, p: int, value: int) -> "CycloCount":
-        return cls(p, (value,) + (0,) * (p - 1))
-
-    def shifted(self, t: int) -> "CycloCount":
-        """Multiply by zeta^t."""
-        t %= self.p
-        out = [0] * self.p
-        for i, c in enumerate(self.counts):
-            out[(i + t) % self.p] = c
-        return CycloCount(self.p, out)
-
-    def __add__(self, other: "CycloCount") -> "CycloCount":
-        if not isinstance(other, CycloCount) or other.p != self.p:
-            return NotImplemented
-        return CycloCount(self.p, tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    def __sub__(self, other: "CycloCount") -> "CycloCount":
-        if not isinstance(other, CycloCount) or other.p != self.p:
-            return NotImplemented
-        return CycloCount(self.p, tuple(a - b for a, b in zip(self.counts, other.counts)))
-
-    def __mul__(self, scalar: int) -> "CycloCount":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return CycloCount(self.p, tuple(scalar * c for c in self.counts))
-
-    __rmul__ = __mul__
-
-    def canonical(self) -> tuple[int, ...]:
-        """Counts normalized so the last entry is zero."""
-        return _canonical(self.counts)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = CycloCount.from_int(self.p, other)
-        if not isinstance(other, CycloCount):
-            return NotImplemented
-        return self.p == other.p and self.canonical() == other.canonical()
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.canonical()))
-
-    def as_integer(self) -> int | None:
-        """The rational-integer value if there is one, else None."""
-        can = self.canonical()
-        if any(can[1:]):
-            return None
-        return can[0]
-
-    def __repr__(self) -> str:
-        return f"CycloCount(p={self.p}, {self.counts})"
+    diff = [x - y for x, y in zip(a, b)]
+    return len(a) == len(b) and all(diff[t::q] == diff[q - 1 :: q] for t in range(q - 1))
 
 
 def charsum_linear_lemma(n: int, family: Iterable[tuple[Sequence[int], int]], q: int) -> bool:
@@ -1105,12 +1040,10 @@ def charsum_linear_lemma(n: int, family: Iterable[tuple[Sequence[int], int]], q:
         counts = [0] * q
         for vec in vectors:
             counts[(sum(a * b for a, b in zip(g1, vec)) + g2) % q] += 1
-        lhs = CycloCount(q, counts)
+        expected = [0] * q
         if all(x % q == 0 for x in g1):
-            rhs = CycloCount.from_int(q, q**n).shifted(g2)
-        else:
-            rhs = CycloCount(q)
-        if lhs != rhs:
+            expected[g2 % q] = q**n
+        if not _same_values(counts, expected, q):
             return False
     return True
 
@@ -1129,13 +1062,14 @@ def _phase_table(q: int, n: int) -> list[list[int]]:
 
 
 def _transform_counts(f: list, q: int, phases: list[list[int]]) -> list[list[int]]:
-    """The unnormalized discrete transform on count lists, the core of fourier_transform.
+    """Unnormalized discrete transform of a cyclotomic-valued function, on count lists.
 
     f[i] is the count list of the value at point i, or None where there is
     none; the result holds one count list per point.  A count list may stack
-    k values, one block of q counts each, transformed block by block.  The
-    term of point i at point j is f[i] times zeta^phases[i][j], which rotates
-    each block by that phase, and each output sums plain count lists, exactly.
+    k values, one block of q counts each (see _same_values), transformed
+    block by block.  The term of point i at point j is f[i] times
+    zeta^phases[i][j], which rotates each block by that phase, and each
+    output sums plain count lists, exactly.
     """
     width = next((len(counts) for counts in f if counts is not None), q)
     terms = []
@@ -1152,31 +1086,16 @@ def _transform_counts(f: list, q: int, phases: list[list[int]]) -> list[list[int
     ]
 
 
-def fourier_transform(f: dict, q: int, n: int) -> dict:
-    """Unnormalized discrete transform of a cyclotomic-valued function.
-
-    The term of v at w is f(v) times zeta^<v, w>.  A thin wrapper over the
-    count-list core _transform_counts, which fourier_inversion_check runs
-    directly: the values go in as their count lists and come out as
-    CycloCounts.
-    """
-    points = list(product(range(q), repeat=n))
-    values = [f[vv].counts if vv in f else None for vv in points]
-    out = _transform_counts(values, q, _phase_table(q, n))
-    return {wv: CycloCount(q, counts) for wv, counts in zip(points, out)}
-
-
 def fourier_inversion_check(n: int, q: int, trials: int = 100, seed: int = 7) -> bool:
     """Transforming twice must scale by q^n and flip the argument's sign.
 
     Checked exactly for `trials` pseudo-random cyclotomic-valued functions,
     held as count lists stacked one block per trial, so _transform_counts
-    runs twice in all; every trial's value at every point is compared in
-    canonical form, where two stacked lists agree exactly when their
-    difference is constant on every block.  The complex-conjugate transform
-    passes that test too, so first the transform of the delta function at
-    every point u must be zeta^<u, w>, with the phase summed here rather
-    than read from the table (at q = 2 the two transforms coincide).
+    runs twice in all; every trial's value at every point is compared by
+    _same_values.  The complex-conjugate transform passes that test too, so
+    first the transform of the delta function at every point u must be
+    zeta^<u, w>, with the phase summed here rather than read from the table
+    (at q = 2 the two transforms coincide).
     """
     _require_prime(q)
     rng = random.Random(seed)
@@ -1189,17 +1108,15 @@ def fourier_inversion_check(n: int, q: int, trials: int = 100, seed: int = 7) ->
         delta = [one if j == i else None for j in range(len(points))]
         for wv, counts in zip(points, _transform_counts(delta, q, phases)):
             phase = sum(a * b for a, b in zip(u, wv)) % q
-            if _canonical(counts) != _canonical([int(t == phase) for t in range(q)]):
+            if not _same_values(counts, [int(t == phase) for t in range(q)], q):
                 return False
     draws = [[[rng.randint(-3, 3) for _ in range(q)] for _ in points] for _ in range(trials)]
     f = [[c for draw in draws for c in draw[i]] for i in range(len(points))]
     ff = _transform_counts(_transform_counts(f, q, phases), q, phases)
     scale = q**n
-    for i, neg in enumerate(negated):
-        diff = [x - scale * y for x, y in zip(ff[i], f[neg])]
-        if any(diff[t::q] != diff[q - 1 :: q] for t in range(q - 1)):
-            return False
-    return True
+    return all(
+        _same_values(ff[i], [scale * y for y in f[neg]], q) for i, neg in enumerate(negated)
+    )
 
 
 def charsum_fiber_identity(
@@ -1226,30 +1143,17 @@ def charsum_fiber_identity(
     if need > budget:
         raise EnumerationBudgetError(need, budget, "commuting-variety enumeration")
     fiber = count_moment_fiber(quiver, v, w, alpha, q, budget=budget)
-    lhs = CycloCount.from_int(q, fiber * q**g)
     counts = [0] * q
     phi_vectors = [
         _unflatten_phi(quiver, v, w, vec) for vec in product(range(q), repeat=d)
     ]
+    x_shapes = [(n, n) for n in v]
     for xvec in product(range(q), repeat=g):
-        X = []
-        pos = 0
-        trace_sum = 0
-        for i in range(quiver.vertex_count):
-            size = v[i]
-            rows = tuple(
-                tuple(xvec[pos + r * size + c] for c in range(size)) for r in range(size)
-            )
-            trace_sum += sum(rows[r][r] for r in range(size))
-            pos += size * size
-            X.append(rows)
-        X = tuple(X)
-        slot = (-alpha * trace_sum) % q
+        X = _matrices(xvec, x_shapes)
+        slot = (-alpha * sum(m[r][r] for m in X for r in range(len(m)))) % q
         for phi in phi_vectors:
             arrows, framing = apply_rho_derivative(quiver, v, w, X, phi, modulus=q)
-            if all(all(all(x == 0 for x in row) for row in m) for m in arrows) and all(
-                all(all(x == 0 for x in row) for row in m) for m in framing
-            ):
+            if not any(x for m in arrows + framing for row in m for x in row):
                 counts[slot] += 1
-    rhs = CycloCount(q, counts) * (q**d)
-    return lhs == rhs
+    lhs = [fiber * q**g] + [0] * (q - 1)
+    return _same_values(lhs, [c * q**d for c in counts], q)

@@ -17,20 +17,20 @@ PASS.  The module invariants themselves are checked by the pytest suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 
 from . import engine, fflab, partitions, quiver
 from .poly import _peval
-from .quiver import A2, JORDAN, SINGLE_VERTEX, InputError, Quiver, exponents_upto
+from .quiver import A2, JORDAN, SINGLE_VERTEX, InputError, Quiver, _Record, exponents_upto
 
 
-@dataclass
-class CaseResult:
-    suite: str
-    name: str
-    status: str  # PASS / FAIL / FLAG / SKIP
-    detail: str = ""
+class CaseResult(_Record):
+    """One verify case: its suite, its name, PASS / FAIL / FLAG / SKIP, and a detail."""
+
+    __slots__ = ("suite", "name", "status", "detail")
+
+    def __init__(self, suite: str, name: str, status: str, detail: str = ""):
+        self._init(suite, name, status, detail)
 
 
 def _case(suite: str, name: str, check, miss: str = "FAIL") -> CaseResult:

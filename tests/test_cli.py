@@ -270,6 +270,13 @@ class TestVerifyCommand:
         bad = fields.split(",")[-1]
         assert err == f"error: field size must be prime, got {bad}\n"
 
+    def test_empty_field_list_exits_2(self, capsys):
+        # an empty --q is refused, never replaced by the default fields
+        rc, out, err = run_cli(capsys, "verify", "centralizer", "--q", "")
+        assert rc == 2
+        assert out == ""
+        assert "--q" in err
+
     @pytest.mark.parametrize("suite,fields", [("all", "2,2"), ("centralizer", "3,2,3")])
     def test_repeated_field_exits_2_before_any_suite(self, capsys, monkeypatch, suite, fields):
         from quivermotive import fflab
@@ -605,14 +612,15 @@ def test_cli_process_matches_main(capsys, args, rc):
 def test_verify_imports_no_fractions():
     # in a fresh interpreter: the verify suites evaluate every class as an
     # integer polynomial and compare character sums as count lists, so
-    # neither fractions, decimal nor the fraction type loads.  Modules the
+    # neither fractions, decimal nor the fraction type loads; their records
+    # are plain slot classes, so dataclasses does not load either.  Modules the
     # bare interpreter already holds (host site hooks vary) are exempt.
     code = """
 import sys
 bare = set(sys.modules)
 from quivermotive import cli
 assert cli.main(["verify", "all", "--q", "2"]) == 0
-unused = ("fractions", "decimal", "quivermotive.lrat")
+unused = ("fractions", "decimal", "quivermotive.lrat", "dataclasses")
 loaded = [m for m in unused if m in sys.modules and m not in bare]
 assert not loaded, loaded
 """

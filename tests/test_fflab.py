@@ -8,7 +8,6 @@ import pytest
 
 from quivermotive import fflab
 from quivermotive.fflab import (
-    CycloCount,
     EnumerationBudgetError,
     FpPoint,
     apply_rho_derivative,
@@ -18,7 +17,6 @@ from quivermotive.fflab import (
     count_moment_fiber,
     count_stable_fiber,
     fourier_inversion_check,
-    fourier_transform,
     group_order,
     jordan_nilpotent,
     kappa_oracle,
@@ -34,6 +32,7 @@ from quivermotive.quiver import (
     STAR3,
     TWO_LOOP,
 )
+from quivermotive.verify import _FIBER_IDENTITY_CASES
 
 P = Partition
 
@@ -695,40 +694,35 @@ class TestOracleReferences:
                 assert fflab._batch_affine_counts(aug, q).tolist() == [scalar], (q, rows, targets)
 
 
-class TestCycloCount:
-    def test_constant_vector_is_invisible(self):
-        a = CycloCount(5, (3, 1, 4, 1, 5))
-        b = CycloCount(5, (10, 8, 11, 8, 12))
-        assert a == b
-        assert hash(a) == hash(b)
+class TestSameValues:
+    def test_constant_difference_is_invisible(self):
+        # the powers of zeta sum to zero, so a constant added to every count
+        # leaves the value alone: all ones is zero, and [n, 0, ...] is n
+        assert fflab._same_values([3, 1, 4, 1, 5], [10, 8, 11, 8, 12], 5)
+        assert fflab._same_values([1, 1, 1], [0, 0, 0], 3)
+        assert fflab._same_values([5, 2], [3, 0], 2)
+        a, b, c = [1, 2, 3], [0, 1, 2], [-5, -4, -3]
+        assert fflab._same_values(a, a, 3)
+        assert fflab._same_values(a, b, 3) and fflab._same_values(b, a, 3)
+        assert fflab._same_values(b, c, 3) and fflab._same_values(a, c, 3)
 
-    def test_equivalence_relation(self):
-        a = CycloCount(3, (1, 2, 3))
-        b = CycloCount(3, (0, 1, 2))
-        c = CycloCount(3, (-5, -4, -3))
-        assert a == a
-        assert a == b and b == a
-        assert b == c and a == c
+    def test_any_other_difference_is_seen(self):
+        base = [3, 1, 4, 1, 5]
+        for t in range(5):
+            for step in (-2, 1):
+                other = list(base)
+                other[t] += step
+                assert not fflab._same_values(base, other, 5), (t, step)
+        assert not fflab._same_values([1, 0, 0], [0, 1, 0], 3)
+        assert not fflab._same_values([0, 0, 0], [0] * 6, 3)
 
-    def test_all_ones_is_zero(self):
-        assert CycloCount(3, (1, 1, 1)) == CycloCount(3)
-        assert CycloCount(3, (1, 1, 1)).as_integer() == 0
-
-    def test_as_integer(self):
-        assert CycloCount.from_int(5, 9).as_integer() == 9
-        assert CycloCount(3, (0, 1, 0)).as_integer() is None
-        assert CycloCount(2, (4, 1)).as_integer() == 3
-
-    def test_shift_cycles(self):
-        a = CycloCount(3, (1, 0, 0))
-        assert a.shifted(1) == CycloCount(3, (0, 1, 0))
-        assert a.shifted(3) == a
-
-    def test_int_comparison(self):
-        assert CycloCount(2, (5, 2)) == 3
-
-    def test_scalar_multiplication(self):
-        assert 2 * CycloCount(3, (1, 2, 0)) == CycloCount(3, (2, 4, 0))
+    def test_stacked_blocks_have_their_own_constants(self):
+        # a stacked list of k values agrees when each block's difference is
+        # constant, whatever the constants of the other blocks
+        a = [1, 2, 3, 0, 0, 0, 4, 4, 7]
+        assert fflab._same_values(a, [0, 1, 2, 5, 5, 5, 4, 4, 7], 3)
+        assert not fflab._same_values(a, [0, 1, 2, 5, 5, 5, 4, 5, 7], 3)
+        assert not fflab._same_values([0, 0, 0, 0], [0, 1, 1, 0], 2)
 
 
 class TestLinearLemma:
@@ -755,47 +749,53 @@ class TestLinearLemma:
             charsum_linear_lemma(2, [((1,), 0)], 3)
 
 
+def _rotated(counts, t):
+    """counts times zeta^t: the count at s moves to s + t, mod the length."""
+    t %= len(counts)
+    return counts[-t:] + counts[:-t]
+
+
 class TestFourier:
     def test_indicator_of_zero(self):
         q, n = 3, 1
-        f = {(0,): CycloCount.from_int(q, 1), (1,): CycloCount(q), (2,): CycloCount(q)}
-        transformed = fourier_transform(f, q, n)
-        for w in ((0,), (1,), (2,)):
-            assert transformed[w] == CycloCount.from_int(q, 1)
-        double = fourier_transform(transformed, q, n)
-        assert double[(0,)] == CycloCount.from_int(q, 3)
-        assert double[(1,)] == CycloCount(q)
+        phases = fflab._phase_table(q, n)
+        f = [[1, 0, 0], None, None]
+        transformed = fflab._transform_counts(f, q, phases)
+        for counts in transformed:
+            assert fflab._same_values(counts, [1, 0, 0], q)
+        double = fflab._transform_counts(transformed, q, phases)
+        assert fflab._same_values(double[0], [3, 0, 0], q)
+        assert fflab._same_values(double[1], [0, 0, 0], q)
 
     def test_constant_function(self):
         q, n = 3, 1
-        f = {v: CycloCount.from_int(q, 1) for v in ((0,), (1,), (2,))}
-        transformed = fourier_transform(f, q, n)
-        assert transformed[(0,)] == CycloCount.from_int(q, 3)
-        assert transformed[(1,)] == CycloCount(q)
-        assert transformed[(2,)] == CycloCount(q)
+        transformed = fflab._transform_counts([[1, 0, 0]] * 3, q, fflab._phase_table(q, n))
+        assert fflab._same_values(transformed[0], [3, 0, 0], q)
+        assert fflab._same_values(transformed[1], [0, 0, 0], q)
+        assert fflab._same_values(transformed[2], [0, 0, 0], q)
 
     def test_matches_literal_sum(self):
-        # the term of v at w is f(v) times zeta^<v, w>; points missing from
-        # f contribute nothing
+        # the term of v at w is f(v) times zeta^<v, w>; points without a
+        # value contribute nothing
         rng = random.Random(13)
         for q, n in ((2, 1), (3, 2), (5, 2), (2, 3)):
             points = list(product(range(q), repeat=n))
-            f = {
-                vv: CycloCount(q, [rng.randint(-4, 4) for _ in range(q)])
-                for vv in points
-                if rng.random() < 0.7
-            }
-            transformed = fourier_transform(f, q, n)
-            assert list(transformed) == points
-            for wv in points:
-                literal = CycloCount(q)
-                for vv, val in f.items():
-                    literal = literal + val.shifted(sum(a * b for a, b in zip(vv, wv)))
-                assert transformed[wv].counts == literal.counts, (q, n, wv)
+            f = [
+                [rng.randint(-4, 4) for _ in range(q)] if rng.random() < 0.7 else None
+                for _ in points
+            ]
+            transformed = fflab._transform_counts(f, q, fflab._phase_table(q, n))
+            assert len(transformed) == len(points)
+            for wv, counts in zip(points, transformed):
+                literal = [0] * q
+                for vv, val in zip(points, f):
+                    if val is not None:
+                        turned = _rotated(val, sum(a * b for a, b in zip(vv, wv)))
+                        literal = [x + y for x, y in zip(literal, turned)]
+                assert counts == literal, (q, n, wv)
 
     def test_stacked_transform_matches_separate_ones(self):
-        # k count lists stacked at each point transform block by block, and
-        # one block is fourier_transform
+        # k count lists stacked at each point transform block by block
         rng = random.Random(17)
         for q in (2, 3, 5):
             for n in (1, 2):
@@ -818,11 +818,6 @@ class TestFourier:
                     assert out == [
                         [c for result in separate for c in result[j]] for j in range(len(points))
                     ], (q, n, k)
-                    if k == 1:
-                        f = {vv: CycloCount(q, c) for vv, c in zip(points, blocks[0]) if c}
-                        assert [fourier_transform(f, q, n)[wv].counts for wv in points] == [
-                            tuple(c) for c in out
-                        ], (q, n)
 
     def test_inversion_random(self):
         for q in (2, 3, 5):
@@ -835,15 +830,23 @@ class TestFourier:
         )
 
 
-class TestFiberIdentity:
-    def test_stated_cases(self):
-        for q in (2, 3):
-            assert charsum_fiber_identity(JORDAN, (1,), (1,), 1, q)
-            assert charsum_fiber_identity(SINGLE_VERTEX, (1,), (1,), 1, q)
-        assert charsum_fiber_identity(JORDAN, (1,), (0,), 0, 2)
+FIBER_IDENTITY_GRID = [
+    pytest.param(qv, v, w, alpha, q, id="-".join(name.split()) + f"-q={q}")
+    for name, qv, v, w, alpha in _FIBER_IDENTITY_CASES
+    for q in (2, 3)
+]
 
-    def test_a2_case(self):
-        assert charsum_fiber_identity(A2, (1, 1), (1, 0), 1, 2)
+
+class TestFiberIdentity:
+    @pytest.mark.parametrize("quiver,v,w,alpha,q", FIBER_IDENTITY_GRID)
+    def test_grid_case(self, quiver, v, w, alpha, q):
+        assert charsum_fiber_identity(quiver, v, w, alpha, q)
+
+    @pytest.mark.parametrize("quiver,v,w,alpha,q", FIBER_IDENTITY_GRID)
+    def test_fails_on_a_wrong_fiber_count(self, monkeypatch, quiver, v, w, alpha, q):
+        count = fflab.count_moment_fiber
+        monkeypatch.setattr(fflab, "count_moment_fiber", lambda *args, **kw: count(*args, **kw) + 1)
+        assert not charsum_fiber_identity(quiver, v, w, alpha, q)
 
     def test_holds_even_where_count_deviates(self):
         # the identity is plain character orthogonality, so it survives the
@@ -940,16 +943,8 @@ class TestMomentSystemInternals:
 
 def _point_from_vectors(quiver, v, w, phi_vec, psi_vec):
     phi_arrows, phi_framing = fflab._unflatten_phi(quiver, v, w, phi_vec)
-    shapes = fflab._psi_shapes(quiver, v, w)
+    mats = fflab._matrices(psi_vec, fflab._psi_shapes(quiver, v, w))
     n_arrows = len(quiver.arrows)
-    mats = []
-    pos = 0
-    for rows, cols in shapes:
-        mat = tuple(
-            tuple(psi_vec[pos + r * cols + c] for c in range(cols)) for r in range(rows)
-        )
-        pos += rows * cols
-        mats.append(mat)
     return FpPoint.build(
         quiver, v, w, phi_arrows, phi_framing, mats[:n_arrows], mats[n_arrows:]
     )
