@@ -694,18 +694,31 @@ class TestOracleReferences:
                 assert fflab._batch_affine_counts(aug, q).tolist() == [scalar], (q, rows, targets)
 
 
-class TestSameValues:
-    def test_constant_difference_is_invisible(self):
-        # the powers of zeta sum to zero, so a constant added to every count
-        # leaves the value alone: all ones is zero, and [n, 0, ...] is n
+class TestCycloCount:
+    """Count lists read as cyclotomic integers, compared by _same_values.
+
+    The powers of zeta sum to zero, so a constant added to every count
+    leaves the value alone.
+    """
+
+    def test_constant_vector_is_invisible(self):
         assert fflab._same_values([3, 1, 4, 1, 5], [10, 8, 11, 8, 12], 5)
-        assert fflab._same_values([1, 1, 1], [0, 0, 0], 3)
-        assert fflab._same_values([5, 2], [3, 0], 2)
+
+    def test_equivalence_relation(self):
         a, b, c = [1, 2, 3], [0, 1, 2], [-5, -4, -3]
         assert fflab._same_values(a, a, 3)
         assert fflab._same_values(a, b, 3) and fflab._same_values(b, a, 3)
         assert fflab._same_values(b, c, 3) and fflab._same_values(a, c, 3)
 
+    def test_all_ones_is_zero(self):
+        assert fflab._same_values([1, 1, 1], [0, 0, 0], 3)
+
+    def test_int_comparison(self):
+        # the integer n is the count list [n, 0, ..., 0]
+        assert fflab._same_values([5, 2], [3, 0], 2)
+
+
+class TestSameValues:
     def test_any_other_difference_is_seen(self):
         base = [3, 1, 4, 1, 5]
         for t in range(5):
