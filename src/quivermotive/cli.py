@@ -84,8 +84,12 @@ def _resolve_vector(args_value: str | None, named: dict, key: str, flag: str) ->
     return named.get(key)
 
 
+# json.dumps with these arguments would build a new encoder for every record
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _record_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return _RECORD_ENCODER.encode(record) + "\n"
 
 
 def _motive_record(result) -> dict:

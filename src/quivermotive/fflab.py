@@ -5,10 +5,15 @@ moment-map fiber counts come from explicit enumeration of matrix tuples
 (the phi half taken one symmetry orbit at a time, the orbits themselves
 found and measured by enumeration), centralizer orders from scanning every
 matrix of the commutant, kernel dimensions from exact rank over the
-rationals (taken per arrow and framing block of the structure matrix, once
-per distinct block), and character sums are tracked as integer count
-vectors over powers of a fixed p-th root of unity.  Comparisons with the
-engine are therefore exact, with no floating point anywhere.
+rationals (taken once per distinct arrow and framing block), and character
+sums are tracked as integer count vectors over powers of a fixed p-th root
+of unity.  Comparisons with the engine are therefore exact, with no
+floating point anywhere.
+
+The matrix of the derived action rho'(X) is built in one place, as integer
+rows per arrow and framing block (_arrow_rows, _framing_rows), for the
+kernel ranks, the commutant of a Jordan nilpotent and the moment forms;
+apply_rho_derivative computes the same action by explicit matrix products.
 
 The moment-map condition is evaluated against the elementary-matrix basis of
 the symmetry Lie algebra through its defining pairing, never through an
@@ -172,6 +177,14 @@ def apply_rho_derivative(quiver: Quiver, v, w, X, phi, modulus: int | None = Non
         _as_matrix(m, *shapes[na + i], what=f"phi framing at vertex {i}")
         for i, m in enumerate(framing_in)
     )
+    image = _rho_products(quiver, v, w, X, arrows_in, framing_in)
+    if modulus is not None:
+        image = tuple(tuple(_mat_mod(m, modulus) for m in part) for part in image)
+    return image
+
+
+def _rho_products(quiver: Quiver, v, w, X, arrows_in, framing_in):
+    """apply_rho_derivative's matrix products, without its checks or modulus."""
     out_arrows = []
     for e, (s, t) in enumerate(quiver.arrows):
         left = _mat_mul(X[t], arrows_in[e], v[t], v[t], v[s])
@@ -180,9 +193,6 @@ def apply_rho_derivative(quiver: Quiver, v, w, X, phi, modulus: int | None = Non
     out_framing = [
         _mat_mul(X[i], framing_in[i], v[i], v[i], w[i]) for i in range(quiver.vertex_count)
     ]
-    if modulus is not None:
-        out_arrows = [_mat_mod(m, modulus) for m in out_arrows]
-        out_framing = [_mat_mod(m, modulus) for m in out_framing]
     return tuple(out_arrows), tuple(out_framing)
 
 
@@ -208,17 +218,11 @@ def _lie_basis(quiver: Quiver, v) -> list[tuple[tuple, bool]]:
     identity-trace functional.
     """
     basis = []
-    for i in range(quiver.vertex_count):
-        for a in range(v[i]):
-            for b in range(v[i]):
-                X = [
-                    _zero_matrix(v[k], v[k]) if k != i else None
-                    for k in range(quiver.vertex_count)
-                ]
-                rows = [[0] * v[i] for _ in range(v[i])]
-                rows[a][b] = 1
-                X[i] = tuple(tuple(r) for r in rows)
-                basis.append((tuple(X), a == b))
+    for i, n in enumerate(v):
+        for a, b in product(range(n), repeat=2):
+            X = [_zero_matrix(m, m) for m in v]
+            X[i] = tuple(tuple(int((r, c) == (a, b)) for c in range(n)) for r in range(n))
+            basis.append((tuple(X), a == b))
     return basis
 
 
@@ -246,33 +250,39 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _block_diagonal(blocks) -> np.ndarray:
-    d = sum(b.shape[0] for b in blocks)
+    d = sum(len(b) for b in blocks)
     out = np.zeros((d, d), dtype=np.int64)
     pos = 0
     for b in blocks:
-        out[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
-        pos += b.shape[0]
+        out[pos : pos + len(b), pos : pos + len(b)] = b
+        pos += len(b)
     return out
 
 
-def _square(m) -> np.ndarray:
-    """A square matrix given as row tuples, as an int64 array (0 x 0 when empty)."""
-    return np.array(m, dtype=np.int64).reshape(len(m), len(m))
+def _framing_rows(X_i, w_i: int) -> list[list[int]]:
+    """Rows of the block of rho'(X) on a framing: E -> X_i . E for row-major E with w_i columns.
 
-
-def _arrow_block(X_t: np.ndarray, X_s: np.ndarray) -> np.ndarray:
-    """Block of rho'(X) on the phi component of an arrow s -> t.
-
-    It sends E to X_t . E - E . X_s; row-major that is X_t (x) I - I (x) X_s^T.
+    The row of entry (a, b) holds X_i[a] at the columns of the entries (c, b).
     """
-    return _kron(X_t, np.eye(X_s.shape[0], dtype=np.int64)) - _kron(
-        np.eye(X_t.shape[0], dtype=np.int64), X_s.T
-    )
+    rows = [[0] * (len(X_i) * w_i) for _ in range(len(X_i) * w_i)]
+    for k, row in enumerate(rows):
+        row[k % w_i :: w_i] = X_i[k // w_i]
+    return rows
 
 
-def _framing_block(X_i: np.ndarray, w_i: int) -> np.ndarray:
-    """Block of rho'(X) on the framing component at a vertex: E -> X_i . E, or X_i (x) I."""
-    return _kron(X_i, np.eye(w_i, dtype=np.int64))
+def _arrow_rows(X_t, X_s) -> list[list[int]]:
+    """Rows of the block of rho'(X) on an arrow s -> t: E -> X_t . E - E . X_s, E row-major.
+
+    The rows of E -> X_t . E, less column b of X_s at the entries (a, d) in
+    the row of entry (a, b); Python ints, as the exact ranks need.
+    """
+    n_s = len(X_s)
+    rows = _framing_rows(X_t, n_s)
+    for k, row in enumerate(rows):
+        a, b = divmod(k, n_s)
+        for d in range(n_s):
+            row[a * n_s + d] -= X_s[d][b]
+    return rows
 
 
 def _rho_matrix(quiver: Quiver, v, w, X) -> np.ndarray:
@@ -280,12 +290,11 @@ def _rho_matrix(quiver: Quiver, v, w, X) -> np.ndarray:
 
     Column a is the image of the a-th unit phi vector, flattened like phi:
     components in arrow-then-framing order, each row-major.  The matrix is
-    block diagonal with one block per phi component: _arrow_block for each
-    arrow, then _framing_block for each vertex.
+    block diagonal with one block per phi component: _arrow_rows for each
+    arrow, then _framing_rows for each vertex.
     """
-    Xs = [_square(m) for m in X]
-    blocks = [_arrow_block(Xs[t], Xs[s]) for s, t in quiver.arrows]
-    blocks += [_framing_block(Xs[i], w[i]) for i in range(quiver.vertex_count)]
+    blocks = [_arrow_rows(X[t], X[s]) for s, t in quiver.arrows]
+    blocks += [_framing_rows(X[i], w[i]) for i in range(quiver.vertex_count)]
     return _block_diagonal(blocks)
 
 
@@ -803,8 +812,9 @@ def count_stable_fiber(
 # ---------------------------------------------------------------------------
 # Centralizer orders and kernel dimensions
 
+@lru_cache(maxsize=None)
 def jordan_nilpotent(lam: Partition) -> tuple[tuple[int, ...], ...]:
-    """The nilpotent matrix in Jordan form with block sizes given by lam."""
+    """The nilpotent matrix in Jordan form with block sizes given by lam, cached on lam."""
     n = lam.size
     rows = [[0] * n for _ in range(n)]
     offset = 0
@@ -813,14 +823,6 @@ def jordan_nilpotent(lam: Partition) -> tuple[tuple[int, ...], ...]:
             rows[offset + r][offset + r + 1] = 1
         offset += part
     return tuple(tuple(r) for r in rows)
-
-
-@lru_cache(maxsize=None)
-def _jordan_square(lam: Partition) -> np.ndarray:
-    """jordan_nilpotent(lam) as an int64 array, cached on lam and so read-only."""
-    J = _square(jordan_nilpotent(lam))
-    J.flags.writeable = False
-    return J
 
 
 def _det_width(n: int, q: int):
@@ -867,17 +869,12 @@ def _det_mod(entries: np.ndarray, n: int, q: int) -> np.ndarray:
     return minors[tuple(range(n))] % q
 
 
-def _commutator_map(J: np.ndarray) -> np.ndarray:
-    """Matrix sending the row-major vec(M) to vec(M J - J M)."""
-    eye = np.eye(J.shape[0], dtype=np.int64)
-    return _kron(eye, J.T) - _kron(J, eye)
-
-
 def centralizer_order(lam: Partition, q: int, budget: int = CENTRALIZER_BUDGET) -> int:
     """Invertible matrices commuting with the Jordan nilpotent J of type lam.
 
     The commuting matrices are the kernel of the commutator map
-    vec(M) -> vec(M J - J M), one system eliminated in lists (_echelon_mod).
+    vec(M) -> vec(J M - M J), the loop block of rho'(J) (_arrow_rows), one
+    system eliminated in lists (_echelon_mod).
     Each of the q^k kernel elements is enumerated and counted when its
     determinant is nonzero, so the scan is still brute force over the
     commutant; the budget bounds q^k, the number of matrices scanned, and
@@ -889,7 +886,8 @@ def centralizer_order(lam: Partition, q: int, budget: int = CENTRALIZER_BUDGET) 
     n = lam.size
     if n == 0:
         return 1
-    rows, pivot_cols = _echelon_mod(_commutator_map(_jordan_square(lam)).tolist(), q, n * n)
+    J = jordan_nilpotent(lam)
+    rows, pivot_cols = _echelon_mod(_arrow_rows(J, J), q, n * n)
     k = n * n - len(pivot_cols)
     need = q**k
     if need > budget:
@@ -925,8 +923,9 @@ def _rank_rational(rows: list[list[int]]) -> int:
 
     After k pivots every entry below the pivot rows is a (k+1)-minor of the
     input, so the division by the previous pivot is exact and everything
-    stays in Python ints; the rows must hold Python ints (ndarray.tolist()
-    gives them) and are left as they are.
+    stays in Python ints; the rows must hold Python ints and are left as
+    they are.  A negative pivot's row is negated, as if its input row were:
+    same rank, exact minors, and a pivot of -1 rescales no untouched row.
     """
     mat = list(rows)  # rows are replaced, never written in place
     if not mat:
@@ -939,6 +938,8 @@ def _rank_rational(rows: list[list[int]]) -> int:
         mat[rank], mat[piv] = mat[piv], mat[rank]
         pivot_row = mat[rank]
         p = pivot_row[col]
+        if p < 0:
+            pivot_row, p = [-x for x in pivot_row], -p
         for r in range(rank + 1, len(mat)):
             f = mat[r][col]
             if f:
@@ -950,20 +951,18 @@ def _rank_rational(rows: list[list[int]]) -> int:
     return rank
 
 
-def _nullity(block: np.ndarray) -> int:
-    return block.shape[0] - _rank_rational(block.tolist())
-
-
 @lru_cache(maxsize=None)
 def _arrow_nullity(lam_t: Partition, lam_s: Partition) -> int:
-    """Nullity of _arrow_block for the Jordan matrices of two partitions, cached on them."""
-    return _nullity(_arrow_block(_jordan_square(lam_t), _jordan_square(lam_s)))
+    """Nullity of _arrow_rows for the Jordan matrices of two partitions, cached on them."""
+    rows = _arrow_rows(jordan_nilpotent(lam_t), jordan_nilpotent(lam_s))
+    return len(rows) - _rank_rational(rows)
 
 
 @lru_cache(maxsize=None)
 def _framing_nullity(lam_i: Partition, w_i: int) -> int:
-    """Nullity of _framing_block for a partition's Jordan matrix, cached on it and the width."""
-    return _nullity(_framing_block(_jordan_square(lam_i), w_i))
+    """Nullity of _framing_rows for a partition's Jordan matrix, cached on it and the width."""
+    rows = _framing_rows(jordan_nilpotent(lam_i), w_i)
+    return len(rows) - _rank_rational(rows)
 
 
 def kappa_oracle(
@@ -994,13 +993,10 @@ def _kappa_nullity(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partiti
     """kappa_oracle without its checks: w must fit the quiver, lam_tuple one partition per vertex.
 
     The matrix of phi -> rho'(X) phi, for X the blockwise Jordan
-    representative of the partition tuple, is block diagonal with one block
-    per arrow and per framing (_rho_matrix), and the rank of a block-diagonal
-    matrix is the sum of its blocks' ranks.  So the nullity is the sum of the
-    block nullities, each from an exact rational rank of its block, taken
-    once per distinct block: the block nullities are cached on the
-    partitions and the framing width, and the Jordan matrices on the
-    partition.
+    representative of the partition tuple, is block diagonal (_rho_matrix),
+    so its nullity is the sum of the block nullities, each an exact rational
+    rank of the block's rows taken once per distinct block: they are cached
+    on the partitions and the framing width.
     """
     return sum(_arrow_nullity(lam_tuple[t], lam_tuple[s]) for s, t in quiver.arrows) + sum(
         _framing_nullity(lam_tuple[i], w[i]) for i in range(quiver.vertex_count)
@@ -1133,6 +1129,8 @@ def charsum_fiber_identity(
     compared as exact cyclotomic integers, after clearing denominators:
     fiber count times q^(group dim) must equal q^(rep dim) times the sum of
     the character of -alpha tr X over pairs (phi, X) with rho'(X) phi = 0.
+    The pairs are tested with explicit matrix products (_rho_products), so
+    the fiber count's matrix rows are checked against them.
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
@@ -1152,8 +1150,8 @@ def charsum_fiber_identity(
         X = _matrices(xvec, x_shapes)
         slot = (-alpha * sum(m[r][r] for m in X for r in range(len(m)))) % q
         for phi in phi_vectors:
-            arrows, framing = apply_rho_derivative(quiver, v, w, X, phi, modulus=q)
-            if not any(x for m in arrows + framing for row in m for x in row):
+            arrows, framing = _rho_products(quiver, v, w, X, *phi)
+            if not any(x % q for m in arrows + framing for row in m for x in row):
                 counts[slot] += 1
     lhs = [fiber * q**g] + [0] * (q - 1)
     return _same_values(lhs, [c * q**d for c in counts], q)

@@ -402,6 +402,26 @@ class TestVerifyCommand:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert sum(r["status"] == "FAIL" for r in records) > len(records) // 2
 
+    def test_rows_without_the_source_term_fail(self, capsys, monkeypatch, fresh_fflab_caches):
+        # arrow rows of E -> X_t E, the -E X_s term dropped: the kappa ranks
+        # and, through the moment forms, the fiber identities go wrong, while
+        # the identity's own explicit products stay right
+        from quivermotive import fflab
+
+        monkeypatch.setattr(
+            fflab, "_arrow_rows", lambda X_t, X_s: fflab._framing_rows(X_t, len(X_s))
+        )
+        rc, out, _ = run_cli(capsys, "verify", "kappa", "--format", "records")
+        assert rc == 1
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert sum(r["status"] == "FAIL" for r in records) == 63
+        rc, out, _ = run_cli(capsys, "verify", "harmonic", "--q", "2", "--format", "records")
+        assert rc == 1
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        failed = [r["case"] for r in records if r["status"] == "FAIL"]
+        assert len(failed) == 4
+        assert all(case.startswith("fiber-identity ") for case in failed)
+
     def test_corrupted_transform_fails_fourier_inversion(self, capsys, monkeypatch):
         # a transform that drops the term of the origin; a flipped phase sign
         # would not do, since the conjugate transform applied twice also

@@ -491,12 +491,13 @@ class TestKappaOracle:
         with pytest.raises(ValueError):
             kappa_oracle(JORDAN, v, w, lams)
 
-    def test_cached_jordan_arrays_are_read_only(self):
-        J = fflab._jordan_square(P((2, 1)))
-        assert fflab._jordan_square(P((2, 1))) is J
-        with pytest.raises(ValueError, match="read-only"):
-            J[0, 0] = 1
-        assert J.tolist() == [list(row) for row in jordan_nilpotent(P((2, 1)))]
+    def test_cached_jordan_matrices_are_tuples(self):
+        # the kappa ranks and the centralizer scan share one cached matrix per
+        # partition, so it must be immutable
+        J = jordan_nilpotent(P((2, 1)))
+        assert jordan_nilpotent(P((2, 1))) is J
+        assert J == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
+        assert all(type(row) is tuple for row in J)
 
     def test_block_sum_matches_dense_nullity(self, fresh_fflab_caches):
         # the per-block nullities against one rank of the whole block-diagonal
@@ -518,7 +519,7 @@ class TestKappaOracle:
                 for tup in tuples_with_sizes(v):
                     X = tuple(jordan_nilpotent(lam) for lam in tup)
                     d = fflab.dim_rep_space(quiver, v, w)
-                    dense = d - fflab._rank_rational(fflab._rho_matrix(quiver, v, w, X).tolist())
+                    dense = d - fflab._rank_rational(_kron_rho_matrix(quiver, w, X).tolist())
                     assert kappa_oracle(quiver, v, w, tup) == dense, (quiver, v, w, tup)
                     checked += 1
         assert checked > 400
@@ -569,6 +570,32 @@ def _literal_centralizer_order(lam, q):
         if mul(M, J) == mul(J, M) and _leibniz_det_mod(M, q):
             count += 1
     return count
+
+
+def _kron_arrow_block(X_t, X_s):
+    """E -> X_t E - E X_s on row-major E, as X_t (x) I - I (x) X_s^T."""
+    A = np.array(X_t, dtype=np.int64).reshape(len(X_t), len(X_t))
+    B = np.array(X_s, dtype=np.int64).reshape(len(X_s), len(X_s))
+    return np.kron(A, np.eye(len(B), dtype=np.int64)) - np.kron(np.eye(len(A), dtype=np.int64), B.T)
+
+
+def _kron_framing_block(X_i, w_i):
+    """E -> X_i E on row-major E with w_i columns, as X_i (x) I."""
+    A = np.array(X_i, dtype=np.int64).reshape(len(X_i), len(X_i))
+    return np.kron(A, np.eye(w_i, dtype=np.int64))
+
+
+def _kron_rho_matrix(quiver, w, X):
+    """The matrix of rho'(X) from Kronecker blocks: arrows, then framings, on the diagonal."""
+    blocks = [_kron_arrow_block(X[t], X[s]) for s, t in quiver.arrows]
+    blocks += [_kron_framing_block(X[i], w[i]) for i in range(quiver.vertex_count)]
+    d = sum(len(b) for b in blocks)
+    out = np.zeros((d, d), dtype=np.int64)
+    pos = 0
+    for b in blocks:
+        out[pos : pos + len(b), pos : pos + len(b)] = b
+        pos += len(b)
+    return out
 
 
 def _fraction_rank(rows):
@@ -646,9 +673,45 @@ class TestOracleReferences:
                         flat = [x for m in arrows + framing for row in m for x in row]
                         assert rho[:, a].tolist() == flat, (quiver, v, w, a)
 
+    def test_rows_match_kron_reference(self):
+        # every pair of Jordan matrices up to size 5, then random integer
+        # matrices, against the Kronecker-product form of each block
+        jordans = [jordan_nilpotent(lam) for n in range(6) for lam in partitions_of(n)]
+        rng = random.Random(43)
+        randoms = [
+            tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+            for n in (0, 1, 2, 3, 4)
+            for _ in range(4)
+        ]
+        for group in (jordans, randoms):
+            for X_t, X_s in product(group, repeat=2):
+                rows = fflab._arrow_rows(X_t, X_s)
+                assert rows == _kron_arrow_block(X_t, X_s).tolist(), (X_t, X_s)
+                assert all(type(x) is int for row in rows for x in row)
+            for X_i, w_i in product(group, range(4)):
+                rows = fflab._framing_rows(X_i, w_i)
+                assert rows == _kron_framing_block(X_i, w_i).tolist(), (X_i, w_i)
+        for quiver in BUILTIN_QUIVERS.values():
+            for v in exponents_upto(quiver.vertex_count, 3):
+                w = tuple(rng.randint(0, 2) for _ in v)
+                X = tuple(rng.choice([m for m in randoms if len(m) == n]) for n in v)
+                rho = fflab._rho_matrix(quiver, v, w, X)
+                assert np.array_equal(rho, _kron_rho_matrix(quiver, w, X)), (quiver, v, w)
+
     def test_rank_matches_fraction_elimination(self):
         rng = random.Random(37)
         cases = [[], [[]], [[], []], [[0, 0, 0]], [[0] * 4 for _ in range(3)]]
+        # negative pivots: -1 after 1 and after -1, below rows the step skips,
+        # and a larger negative pivot whose division by prev must stay exact
+        cases += [
+            [[-1, 2], [3, 4]],
+            [[1, 0, 2], [0, -1, 3], [0, 0, 5], [2, 1, 4]],
+            [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 0, 7]],
+            [[-3, 1, 2], [6, -2, -4], [0, -5, 1], [9, 2, -1]],
+            [[-2, 4, -6], [-1, 2, -3], [0, 0, -1]],
+            fflab._arrow_rows(jordan_nilpotent(P((2, 1))), jordan_nilpotent(P((3,)))),
+            [[-x for x in row] for row in fflab._arrow_rows(jordan_nilpotent(P((3,))), ((1,),))],
+        ]
         for _ in range(200):
             m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
             # a product through k dimensions has rank at most k
@@ -661,7 +724,9 @@ class TestOracleReferences:
             # sparse, like the structure matrices: most rows skip a pivot step
             cases.append([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(m)])
         for rows in cases:
+            before = [list(row) for row in rows]
             assert fflab._rank_rational(rows) == _fraction_rank(rows), rows
+            assert rows == before, "the rows were written in place"
 
     def test_list_echelon_matches_batch(self):
         rng = random.Random(41)
