@@ -12,8 +12,8 @@ field sizes, levels), 3 polynomiality violation inside the engine.  Any
 other exception is a bug and propagates.
 
 Before the command runs, main calls gc.freeze() once.  Everything start-up
-built (imported modules, numpy for verify and selftest, the parser) lives
-until exit, and the freeze moves it to the collector's permanent
+built (imported modules, the oracles for verify and selftest, the parser)
+lives until exit, and the freeze moves it to the collector's permanent
 generation: the command's full collections and the ones at interpreter
 exit no longer traverse it, and objects the command makes are collected as
 before.  It sits in main only, so importing the package or calling the
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         # the defaults of fflab.CENTRALIZER_BUDGET and fflab.DEFAULT_BUDGET,
-        # stated without importing fflab (and numpy) for every command
+        # stated without importing the oracles for every command
         help="enumeration point budget for the centralizer, harmonic and ffcount suites "
         "(default 2^20 for centralizer scans, 2^26 for fiber counts and fiber identities)",
     )
@@ -293,8 +293,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in ("verify", "selftest"):
-        # the oracles, and numpy with them, load with the commands that use
-        # them, before the command runs: module loading is set-up
+        # the oracles load with the commands that use them, before the
+        # command runs: module loading is set-up
         importlib.import_module(".verify", __package__)
     # everything alive now lives until exit: move it to the permanent
     # generation, so neither the command's full collections nor the ones at

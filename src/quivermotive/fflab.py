@@ -2,13 +2,19 @@
 
 Everything here is deliberately independent of the L-polynomial engine:
 moment-map fiber counts come from explicit enumeration of matrix tuples
-(the phi half taken one symmetry orbit at a time, the orbits themselves
-found and measured by enumeration), centralizer orders from scanning every
-matrix of the commutant, kernel dimensions from exact rank over the
-rationals (taken once per distinct arrow and framing block), and character
-sums are tracked as integer count vectors over powers of a fixed p-th root
-of unity.  Comparisons with the engine are therefore exact, with no
-floating point anywhere.
+(the phi half taken one symmetry orbit of its arrow part at a time, the
+orbits themselves found and measured by enumeration), centralizer orders
+from scanning every matrix of the commutant, kernel dimensions from exact
+rank over the rationals (taken once per distinct arrow and framing block),
+and character sums are tracked as integer count vectors over powers of a
+fixed p-th root of unity.  Comparisons with the engine are therefore exact,
+with no floating point anywhere.
+
+Field arithmetic goes through one layer (_Field, built once per field by
+_field): elements are small ints under % and pow, and batches of points are
+bit-sliced into Python ints, one bit per point and one int per binary digit
+of an element.  The oracles here run on Python ints alone; the stable-locus
+count, which needs numpy, lives in the stable module.
 
 The matrix of the derived action rho'(X) is built in one place, as integer
 rows per arrow and framing block (_arrow_rows, _framing_rows), for the
@@ -23,11 +29,11 @@ explicit coordinate formula, which keeps sign conventions out of the code.
 from __future__ import annotations
 
 import random
+from array import array
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from operator import mul
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .partitions import Partition
 from .quiver import InputError, Quiver, _Record, check_dim_vector, dim_group, dim_rep_space
@@ -37,10 +43,8 @@ DEFAULT_BUDGET = 1 << 26
 # (phi, psi) pairs and enumerates phi only, counting psi solutions exactly.
 FULL_ENUMERATION_CAP = 1 << 20
 CENTRALIZER_BUDGET = 1 << 20
-# phi vectors per batched elimination of their psi systems.
-PHI_CHUNK = 1 << 15
-# Points per vectorized stability test in count_stable_fiber.
-STABLE_BATCH = 1 << 16
+# Points per bit-sliced block: each plane of a lane value is at most this many bits.
+LANE_BLOCK = 1 << 20
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -50,6 +54,15 @@ class EnumerationBudgetError(RuntimeError):
         self.needed = needed
         self.budget = budget
         super().__init__(f"{what} needs {needed} points, budget is {budget}")
+
+
+def __getattr__(name: str):
+    # the stable-locus count lives in its own module, loaded on first access
+    if name == "count_stable_fiber":
+        from .stable import count_stable_fiber
+
+        return count_stable_fiber
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_prime(q: int) -> int:
@@ -67,6 +80,141 @@ def group_order(v: Sequence[int], q: int) -> int:
         for j in range(n):
             total *= q**n - q**j
     return total
+
+
+# ---------------------------------------------------------------------------
+# The field, and bit-sliced lanes
+
+def _union(planes) -> int:
+    """The OR of a lane value's planes: the lanes that hold a nonzero element."""
+    out = 0
+    for plane in planes:
+        out |= plane
+    return out
+
+
+class _Field:
+    """The q-element field, with bit-sliced arithmetic on lanes.
+
+    Elements are the ints 0..q-1, reduced with % and inverted with pow.  A
+    lane value holds one element per lane of a block, in binary, as
+    b = (q - 1).bit_length() Python ints: bit L of plane i is bit i of lane
+    L's element (bit-slicing as in Boothby and Bradshaw, arXiv:0901.1413).
+    A sum is a ripple-carry addition followed by one conditional subtraction
+    of q, a product doubles and adds over the planes of one factor, so they
+    take O(b) and O(b^2) operations on ints of one bit per lane.  Sums and
+    constants take the block's mask, one bit per lane.
+    """
+
+    def __init__(self, q: int):
+        self.q = q
+        self.bits = (q - 1).bit_length()
+        self.zero = (0,) * self.bits
+        # v < 2q is at least q exactly when v + 2^(b+1) - q carries out of
+        # bit b; the low b bits of that offset, as 2^b < offset < 2^(b+1)
+        offset = (2 << self.bits) - q
+        self._offset = [offset >> i & 1 for i in range(self.bits)]
+
+    def constant(self, c: int, mask: int):
+        """The lane value holding the element c on every lane of mask."""
+        return tuple(mask if c >> i & 1 else 0 for i in range(self.bits))
+
+    def _reduce(self, low, top: int, mask: int):
+        """Values below 2q, as b low planes and the plane of bit b, reduced mod q."""
+        diff, carry = [], 0
+        for plane, bit in zip(low, self._offset):
+            if bit:
+                diff.append(mask ^ plane ^ carry)
+                carry |= plane
+            elif carry:
+                diff.append(plane ^ carry)
+                carry &= plane
+            else:
+                diff.append(plane)
+        carry |= top  # the lanes holding q or more
+        if not carry:
+            return tuple(low)
+        return tuple(s if s is d else s ^ (carry & (s ^ d)) for s, d in zip(low, diff))
+
+    def plus(self, x, y, mask: int):
+        """The lane-wise sum of two lane values on the lanes of mask."""
+        if not any(x):
+            return y
+        if not any(y):
+            return x
+        low, carry = [], 0
+        for a, b in zip(x, y):
+            half = a ^ b
+            if carry:
+                low.append(half ^ carry)
+                carry = (a & b) | (half & carry)
+            else:
+                low.append(half)
+                carry = a & b
+        return self._reduce(low, carry, mask)
+
+    def times(self, x, y, mask: int):
+        """The lane-wise product of two lane values, doubling and adding over y's planes."""
+        out = self.zero
+        for plane in reversed(y):
+            if any(out):
+                out = self._reduce((0, *out[:-1]), out[-1], mask)
+            if plane:
+                out = self.plus(out, tuple(a & plane for a in x), mask)
+        return out
+
+    def scale(self, x, k: int, mask: int):
+        """The lane value k x, for an integer k."""
+        k %= self.q
+        return x if k == 1 else self.times(x, self.constant(k, mask), mask)
+
+    def lane_blocks(self, k: int):
+        """Lane values of k coordinates over all q^k points, one block of lanes at a time.
+
+        Yields (coords, mask) per block.  Within a block of q^m <= LANE_BLOCK
+        lanes, lane L holds the base-q digits of L in its first m coordinates
+        and constants in the others.  Digit i holds c on runs of q^i lanes
+        every q^(i+1) lanes, and bit t of c is set on runs of 2^t values
+        every 2^(t+1), so plane t of digit i is a run of 2^t q^i lanes
+        repeated every 2^(t+1) q^i lanes, cut to one period of q^(i+1) lanes
+        and repeated every period; each repetition shifts and doubles.
+        """
+        q, m = self.q, 0
+        while m < k and q ** (m + 1) <= LANE_BLOCK:
+            m += 1
+        lanes = q**m
+        mask = (1 << lanes) - 1
+        low = []
+        for i in range(m):
+            planes = []
+            for t in range(self.bits):
+                width = q**i << t
+                period = _repeat(((1 << width) - 1) << width, 2 * width, q ** (i + 1))
+                planes.append(_repeat(period, q ** (i + 1), lanes))
+            low.append(tuple(planes))
+        for high in product(range(q), repeat=k - m):
+            yield low + [self.constant(c, mask) for c in high], mask
+
+
+def _repeat(pattern: int, span: int, length: int) -> int:
+    """A pattern of span bits repeated to fill length bits, by shifting and doubling."""
+    while span < length:
+        pattern |= pattern << span
+        span <<= 1
+    return pattern & ((1 << length) - 1)
+
+
+# the q-element field, built once per prime q
+_field = lru_cache(maxsize=None)(_Field)
+
+
+def _digits_of(index: int, q: int, n: int) -> list[int]:
+    """The n base-q digits of index, the least significant first: the point's coordinates."""
+    out = []
+    for _ in range(n):
+        index, digit = divmod(index, q)
+        out.append(digit)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +390,6 @@ def _unflatten_phi(quiver: Quiver, v, w, vec):
     return tuple(mats[:na]), tuple(mats[na:])
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2-d arrays: vec(A E B^T) = kron(A, B) vec(E), row-major."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    )
-
-
-def _block_diagonal(blocks) -> np.ndarray:
-    d = sum(len(b) for b in blocks)
-    out = np.zeros((d, d), dtype=np.int64)
-    pos = 0
-    for b in blocks:
-        out[pos : pos + len(b), pos : pos + len(b)] = b
-        pos += len(b)
-    return out
-
-
 def _framing_rows(X_i, w_i: int) -> list[list[int]]:
     """Rows of the block of rho'(X) on a framing: E -> X_i . E for row-major E with w_i columns.
 
@@ -285,8 +416,8 @@ def _arrow_rows(X_t, X_s) -> list[list[int]]:
     return rows
 
 
-def _rho_matrix(quiver: Quiver, v, w, X) -> np.ndarray:
-    """Integer matrix of phi -> rho'(X) phi in flattened phi coordinates.
+def _rho_matrix(quiver: Quiver, v, w, X) -> list[list[int]]:
+    """Integer matrix of phi -> rho'(X) phi in flattened phi coordinates, as rows.
 
     Column a is the image of the a-th unit phi vector, flattened like phi:
     components in arrow-then-framing order, each row-major.  The matrix is
@@ -295,22 +426,15 @@ def _rho_matrix(quiver: Quiver, v, w, X) -> np.ndarray:
     """
     blocks = [_arrow_rows(X[t], X[s]) for s, t in quiver.arrows]
     blocks += [_framing_rows(X[i], w[i]) for i in range(quiver.vertex_count)]
-    return _block_diagonal(blocks)
+    d = sum(len(block) for block in blocks)
+    rows: list[list[int]] = []
+    for block in blocks:
+        pos = len(rows)
+        rows += [[0] * pos + row + [0] * (d - pos - len(row)) for row in block]
+    return rows
 
 
-def _group_matrix(quiver: Quiver, v, w, g, g_inv) -> np.ndarray:
-    """Integer matrix of phi -> g . phi in flattened phi coordinates.
-
-    g is one invertible matrix per vertex and g_inv their inverses; laid out
-    like _rho_matrix, the block of an arrow s -> t sends E to g_t . E . g_s^-1
-    and the block of a framing sends E to g_i . E.
-    """
-    blocks = [_kron(g[t], g_inv[s].T) for s, t in quiver.arrows]
-    blocks += [_kron(g[i], np.eye(w[i], dtype=np.int64)) for i in range(quiver.vertex_count)]
-    return _block_diagonal(blocks)
-
-
-def _psi_order(quiver: Quiver, v, w) -> np.ndarray:
+def _psi_order(quiver: Quiver, v, w) -> list[int]:
     """The phi coordinate that each psi coordinate pairs with.
 
     A psi component has the transposed shape of its phi component, so psi
@@ -321,66 +445,62 @@ def _psi_order(quiver: Quiver, v, w) -> np.ndarray:
     for rows, cols in _phi_shapes(quiver, v, w):
         order.extend(pos + r * cols + c for c in range(cols) for r in range(rows))
         pos += rows * cols
-    return np.array(order, dtype=np.int64)
+    return order
 
 
 def _moment_system(quiver: Quiver, v, w, q: int):
     """Bilinear forms of the moment condition over the q-element field.
 
     Returns (mats, traces): for each Lie-algebra basis element a d x d
-    integer matrix M with pairing value phi^T M psi, and the 0/1 trace of
-    the basis element.
+    matrix M of field elements, as row lists, with pairing value
+    phi^T M psi, and the 0/1 trace of the basis element.
     """
     order = _psi_order(quiver, v, w)
     mats = []
     traces = []
     for X, diag in _lie_basis(quiver, v):
-        # M[a, b] pairs the image of phi unit a with psi unit b
-        mats.append((_rho_matrix(quiver, v, w, X)[order].T % q).astype(np.int32, order="C"))
+        rho = _rho_matrix(quiver, v, w, X)
+        # M[a][b] pairs the image of phi unit a with psi unit b
+        mats.append([[rho[r][a] % q for r in order] for a in range(len(order))])
         traces.append(1 if diag else 0)
     return mats, traces
 
 
-def _digit_rows(q: int, d: int, start: int, stop: int) -> np.ndarray:
-    """Base-q digit expansion of the index range, one point per row.
-
-    The result is the transpose of a C-ordered (d, N) array, so each digit
-    column is contiguous.
-    """
-    return _digits(np.arange(start, stop, dtype=np.int64), q, d)
-
-
-def _digits(idx: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Base-q digit expansion of the given point indices, laid out as _digit_rows."""
-    out = np.empty((d, idx.size), dtype=np.int32)
-    for col in range(d):
-        idx, out[col] = np.divmod(idx, q)
-    return out.T
-
-
 def _count_fiber_full(mats, targets, q: int, d: int) -> int:
-    n_side = q**d
-    psi = _digit_rows(q, d, 0, n_side)
-    chunk = max(1, (1 << 22) // max(1, n_side))
+    """The (phi, psi) pairs on which every form phi^T M psi takes its target, on bit-sliced lanes.
+
+    One lane per pair: coordinate b < d is psi_b and coordinate d + a is
+    phi_a (field.lane_blocks).  A form is the sum of its nonzero entries
+    times the lane products phi_a psi_b, each product formed once for all
+    the forms; the lanes where every form meets its target are counted.
+    """
+    field = _field(q)
+    forms = [[(a, b, m) for a, row in enumerate(M) for b, m in enumerate(row) if m] for M in mats]
     total = 0
-    for start in range(0, n_side, chunk):
-        phi = _digit_rows(q, d, start, min(start + chunk, n_side))
-        acc = np.ones((phi.shape[0], n_side), dtype=bool)
-        for M, t in zip(mats, targets):
-            rows = (phi @ M) % q
-            acc &= ((rows @ psi.T) % q) == t
-        total += int(acc.sum())
+    for coords, mask in field.lane_blocks(2 * d):
+        psi, phi = coords[:d], coords[d:]
+        products = {}
+        hits = mask
+        for terms, target in zip(forms, targets):
+            value = field.zero
+            for a, b, m in terms:
+                if (a, b) not in products:
+                    products[a, b] = field.times(phi[a], psi[b], mask)
+                value = field.plus(value, field.scale(products[a, b], m, mask), mask)
+            hits &= ~_union(x ^ t for x, t in zip(value, field.constant(target, mask)))
+        total += hits.bit_count()
     return total
 
 
 def _echelon_mod(rows: list[list[int]], q: int, ncols: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row-echelon form of one system over the q-element field, in lists.
 
-    The one-system counterpart of _batch_echelon, with the same row swaps
-    and so the same rows, pivots taken in the first ncols columns only.
+    The rows hold field elements and are left as they are.  Pivots are
+    taken in the first ncols columns only, so trailing columns ride along,
+    with the same row swaps as stable._batch_echelon and so the same rows.
     Returns (rows, pivots) with pivots[r] the pivot column of row r.
     """
-    rows = [[x % q for x in row] for row in rows]
+    rows = list(rows)  # rows are replaced, never written in place
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
@@ -388,8 +508,8 @@ def _echelon_mod(rows: list[list[int]], q: int, ncols: int) -> tuple[list[list[i
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, q)
-        top = rows[rank] = [(x * inv) % q for x in rows[rank]]
+        unit = pow(rows[rank][col], -1, q)
+        top = rows[rank] = [x * unit % q for x in rows[rank]]
         for r, row in enumerate(rows):
             f = row[col]
             if f and r != rank:
@@ -398,74 +518,12 @@ def _echelon_mod(rows: list[list[int]], q: int, ncols: int) -> tuple[list[list[i
     return rows, pivots
 
 
-def _solution_count_mod(rows: list[list[int]], targets: list[int], q: int, d: int) -> int:
-    """Number of solutions of an affine system over the q-element field."""
-    aug, pivots = _echelon_mod([row + [t] for row, t in zip(rows, targets)], q, d)
-    if any(row[d] for row in aug[len(pivots) :]):
-        return 0
-    return q ** (d - len(pivots))
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _batch_echelon(mat: np.ndarray, q: int, ncols: int):
-    """Reduced row-echelon form of a batch of matrices over the q-element field.
-
-    mat has shape (N, m, cols); pivots are taken in the first ncols columns
-    only, so trailing columns ride along as right-hand sides.  Returns
-    (echelon, rank, pivots) where pivots[n, r] is the pivot column of row r
-    of system n, or -1 at and beyond its rank.
-    """
-    aug = (mat % q).astype(np.int32)
-    n_sys, m, _ = aug.shape
-    row = np.zeros(n_sys, dtype=np.int64)
-    pivots = np.full((n_sys, m), -1, dtype=np.int64)
-    if m == 0:
-        return aug, row, pivots
-    inv_table = np.zeros(q, dtype=np.int32)
-    for x in range(1, q):
-        inv_table[x] = pow(x, -1, q)
-    rows_idx = np.arange(m)
-    sys_idx = np.arange(n_sys)
-    for col in range(ncols):
-        eligible = (aug[:, :, col] != 0) & (rows_idx[None, :] >= row[:, None])
-        has = eligible.any(axis=1)
-        if not has.any():
-            continue
-        piv = np.argmax(eligible, axis=1)
-        r0 = np.minimum(row, m - 1)  # clamp for systems whose rows are all used up
-        row_a = aug[sys_idx, r0, :].copy()
-        row_b = aug[sys_idx, piv, :].copy()
-        aug[sys_idx[has], r0[has], :] = row_b[has]
-        aug[sys_idx[has], piv[has], :] = row_a[has]
-        pivot_vals = aug[sys_idx, r0, col]
-        normalized = (aug[sys_idx, r0, :] * inv_table[pivot_vals][:, None]) % q
-        aug[sys_idx[has], r0[has], :] = normalized[has]
-        pivot_rows = aug[sys_idx, r0, :]
-        targets = (rows_idx[None, :] != r0[:, None]) & has[:, None]
-        factors = aug[:, :, col] * targets
-        aug = (aug - factors[:, :, None] * pivot_rows[:, None, :]) % q
-        pivots[sys_idx[has], r0[has]] = col
-        row += has
-    return aug, row, pivots
-
-
-def _batch_affine_counts(aug: np.ndarray, q: int) -> np.ndarray:
-    """Solution counts for a batch of augmented systems over the q-element field.
-
-    aug has shape (N, m, d+1) with targets in the last column; returns the
-    per-system count q^(d - rank), or 0 where inconsistent.  Same answer as
-    _solution_count_mod row by row, just eliminated in lockstep.
-    """
-    d = aug.shape[2] - 1
-    aug, row, _ = _batch_echelon(aug, q, d)
-    rows_idx = np.arange(aug.shape[1])
-    tail_bad = ((rows_idx[None, :] >= row[:, None]) & (aug[:, :, d] != 0)).any(axis=1)
-    counts = np.power(q, d - row, dtype=np.int64)
-    counts[tail_bad] = 0
-    return counts
-
-
-def _gl_generators(n: int, q: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Generators of GL_n over the q-element field, each with its inverse.
+def _gl_generators(n: int, q: int) -> list[tuple[tuple, tuple]]:
+    """Generators of GL_n over the q-element field, each with its inverse, as tuple matrices.
 
     The permutation matrices of the transposition (1 2) and of the n-cycle
     give every permutation.  Conjugating the transvection I + E_12 by them
@@ -474,131 +532,230 @@ def _gl_generators(n: int, q: int) -> list[tuple[np.ndarray, np.ndarray]]:
     diagonal then reaches every determinant.  Generators equal to the
     identity or to one already listed are left out.
     """
-    eye = np.eye(n, dtype=np.int64)
+    eye = _identity(n)
+
+    def first_row(*head):  # the identity with its first row starting with head
+        return ((*head, *eye[0][len(head) :]), *eye[1:])
+
     root = next(r for r in range(1, q) if len({pow(r, k, q) for k in range(q - 1)}) == q - 1)
     gens = []
     if n and root != 1:
-        g, g_inv = eye.copy(), eye.copy()
-        g[0, 0], g_inv[0, 0] = root, pow(root, -1, q)
-        gens.append((g, g_inv))
+        gens.append((first_row(root), first_row(pow(root, -1, q))))
     if n >= 2:
-        g, g_inv = eye.copy(), eye.copy()
-        g[0, 1], g_inv[0, 1] = 1, q - 1
-        swap = eye[[1, 0, *range(2, n)]]
-        gens += [(g, g_inv), (swap, swap)]
+        swap = (eye[1], eye[0], *eye[2:])
+        gens += [(first_row(1, 1), first_row(1, q - 1)), (swap, swap)]
     if n >= 3:
-        cycle = eye[np.roll(np.arange(n), 1)]
-        gens.append((cycle, cycle.T))
+        cycle = eye[-1:] + eye[:-1]
+        gens.append((cycle, tuple(zip(*cycle))))
     return gens
 
 
-def _phi_orbits(quiver: Quiver, v, w, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of G_v = prod GL(v_i) on the q^d phi points, by brute force.
+def _separable(parts) -> array:
+    """The table x -> sum of parts[k][digit block k of x], the lowest block first.
 
-    Returns (representatives, sizes): the smallest phi index of each orbit,
-    ascending, and the number of phi indices in the orbit, counted.  The
-    orbits are the connected components of the graph that joins each phi to
-    its images under generators of every GL(v_i) (_gl_generators), each
-    acting on flattened phi through its linear map (_group_matrix), which is
-    checked to be invertible mod q and so to permute the phi indices.  The
-    components come from min-label propagation over chunks of PHI_CHUNK phi.
-    A pass takes each chunk's digits and generator images once, then relaxes
-    the chunk's edges until nothing changes: each round lowers the labels of
-    a phi and of each of its images to the smaller of the two, then moves
-    every label of the chunk to the label it points at.  Another pass starts
-    only if the space has more than one chunk and a label moved, since a
-    relaxed chunk's labels can still fall through another chunk's edges; a
-    space of one chunk is done after one pass.
-
-    A generating set that is too small only splits orbits into finer
-    pieces, on which a G_v-invariant quantity is still constant, so a count
-    weighted by these sizes stays correct and only gets slower.  Memory: one
-    int32 label per phi (int64 from 2^31 points on), besides arrays of one
-    chunk: its digits and its images, generator steps x PHI_CHUNK int64
-    (1 MiB for four steps).
+    Block k takes len(parts[k]) values, and each part holds its values
+    already multiplied by their places.  The parts are arrays, and one part
+    is its own table.
     """
-    d = dim_rep_space(quiver, v, w)
-    n_phi = q**d
-    place = q ** np.arange(d, dtype=np.int64)
+    table = parts[0] if parts else array("q", [0])
+    for part in parts[1:]:
+        table = array("q", chain.from_iterable(map(b.__add__, table) for b in part))
+    return table
+
+
+def _row_parts(q: int, h, n_rows: int, place) -> list[array]:
+    """The parts of E -> the matrix whose row r is u . h, u row r of E, for n_rows rows.
+
+    Each row of E moves on its own, so the map is separable over the rows:
+    one part per row, indexed by the row's base-q digits, holding the
+    image's digit j at place(r, j).  The row images are built a coordinate
+    at a time: u + c e_i goes to u . h + c h_i.
+    """
+    images = [(0,) * len(h)]
+    for h_i in h:
+        images = [tuple((x + c * y) % q for x, y in zip(u, h_i)) for c in range(q) for u in images]
+    places = [[q ** place(r, j) for j in range(len(h))] for r in range(n_rows)]
+    return [array("q", [sum(map(mul, u, row)) for u in images]) for row in places]
+
+
+def _halves(parts) -> tuple[int, array, array]:
+    """(Q, high, low) with x -> high[x // Q] + low[x % Q] the separable map of parts.
+
+    The low blocks are the first ones whose sizes multiply to Q, just past
+    the square root of the whole, so each table holds about that many
+    entries.
+    """
+    total = 1
+    for part in parts:
+        total *= len(part)
+    k, low = 0, 1
+    while low * low < total:
+        low *= len(parts[k])
+        k += 1
+    return low, _separable(parts[k:]), _separable(parts[:k])
+
+
+def _arrow_orbits(quiver: Quiver, v, q: int) -> tuple[list[int], list[int]]:
+    """Orbits of G_v = prod GL(v_i) on the arrow part of phi, by brute force.
+
+    The arrow part has q^D points, D the number of arrow coordinates, indexed
+    like phi's first D digits.  Returns (representatives, sizes): the
+    smallest index of each orbit, ascending, and the orbit's size, counted.
+    The orbits are the connected components of the graph joining each point
+    to its images under generators of every GL(v_i) (_gl_generators, each
+    checked to be invertible), walked depth first.  A generator g sends the
+    matrix E of an arrow s -> t to g_t E g_s^-1 in two steps, each separable
+    over rows (_row_parts): E -> (E g_s^-1)^T, then F -> (F g_t^T)^T.  Each
+    step is held as two tables of about q^(D/2) entries (_halves), so memory
+    is one byte per point for the walk.  A generating set that is too small
+    only splits orbits, on which a G_v-invariant count is still constant,
+    so a count weighted by these sizes stays correct.
+    """
+    shapes = [(v[t], v[s]) for s, t in quiver.arrows]
+    offsets = [0]
+    for rows, cols in shapes:
+        offsets.append(offsets[-1] + rows * cols)
+    size = q ** offsets[-1]
     steps = []
     for i, n in enumerate(v):
+        if not any(i in arrow for arrow in quiver.arrows):
+            continue  # GL(v_i) fixes every arrow point
         for g, g_inv in _gl_generators(n, q):
-            elem = [np.eye(m, dtype=np.int64) for m in v]
-            elem_inv = list(elem)
-            elem[i], elem_inv[i] = g, g_inv
-            forward = _group_matrix(quiver, v, w, elem, elem_inv)
-            back = _group_matrix(quiver, v, w, elem_inv, elem)
-            if not ((forward @ back) % q == np.eye(d, dtype=np.int64)).all():
-                raise AssertionError(f"generator {g.tolist()} does not permute the phi points")
-            # image digit c is row c of the map applied to the phi digits,
-            # mod q; rows that copy one digit need no reduction and enter the
-            # index through one weight vector, the few others one at a time
-            forward %= q
-            copies = (forward.sum(axis=1) == 1) & ((forward == 1).sum(axis=1) == 1)
-            mixed = [
-                (place[c], np.flatnonzero(forward[c]), forward[c][forward[c] != 0])
-                for c in np.flatnonzero(~copies)
-            ]
-            steps.append((place[copies] @ forward[copies], mixed))
-    label = np.arange(n_phi, dtype=np.int32 if n_phi < 1 << 31 else np.int64)
-    chunks = range(0, n_phi, PHI_CHUNK)
-    moved = True
-    while moved:
-        moved = False
-        for start in chunks:
-            digits = _digit_rows(q, d, start, min(start + PHI_CHUNK, n_phi)).T.astype(np.int64)
-            images = []
-            for copy_weights, mixed in steps:
-                image = copy_weights @ digits
-                for weight, cols, coeffs in mixed:
-                    image += weight * ((coeffs @ digits[cols]) % q)
-                images.append(image)
-            own = label[start : start + PHI_CHUNK]  # a view: writes land in label
-            changed = True
-            while changed:
-                changed = False
-                for image in images:
-                    theirs = label[image]
-                    low = np.minimum(own, theirs)
-                    changed |= bool((low < theirs).any() or (low < own).any())
-                    label[image] = low  # a permutation's images are distinct
-                    np.minimum(own, low, out=own)
-                jumped = label[own]
-                changed |= bool((jumped < own).any())
-                own[...] = jumped
-                moved |= changed
-        # with one chunk its fixed point is the whole space's
-        moved &= len(chunks) > 1
-    reps = []
-    for start in chunks:
-        own = label[start : start + PHI_CHUNK]
-        reps.append(start + np.flatnonzero(own == np.arange(start, start + own.size)))
-    reps = np.concatenate(reps)
-    sizes = np.zeros(reps.size, dtype=np.int64)
-    for start in chunks:
-        owner = np.searchsorted(reps, label[start : start + PHI_CHUNK])
-        sizes += np.bincount(owner, minlength=reps.size)
+            # u . g . g_inv = u for every row vector u
+            forward, back = (_row_parts(q, h, 1, lambda r, j: j)[0] for h in (g, g_inv))
+            if [back[y] for y in forward] != list(range(q**n)):
+                raise AssertionError(f"generator {g} does not permute the arrow points")
+            first, second = [], []
+            for (s, t), (rows, cols), off in zip(quiver.arrows, shapes, offsets):
+                right = g_inv if s == i else _identity(cols)
+                left = g if t == i else _identity(rows)
+                first += _row_parts(q, right, rows, lambda r, j: off + j * rows + r)
+                second += _row_parts(q, tuple(zip(*left)), cols, lambda r, j: off + j * cols + r)
+            steps.append((*_halves(first), *_halves(second)))
+    seen = bytearray(size)
+    reps, sizes = [], []
+    start = seen.find(0)
+    while start >= 0:
+        seen[start] = 1
+        stack, count = [start], 0
+        while stack:
+            x = stack.pop()
+            count += 1
+            for q1, high1, low1, q2, high2, low2 in steps:
+                a, b = divmod(x, q1)
+                a, b = divmod(high1[a] + low1[b], q2)
+                y = high2[a] + low2[b]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+        reps.append(start)
+        sizes.append(count)
+        start = seen.find(0, start + 1)
     return reps, sizes
 
 
-def _count_fiber_linear(quiver: Quiver, v, w, mats, targets, q: int, d: int, alpha: int) -> int:
-    """Fiber count by eliminating the psi system of one phi per G_v-orbit.
+def _framing_counts(field: _Field, systems, targets, n: int) -> int:
+    """Pairs (f, psi) of n coordinates each that solve one affine system per f, bit-sliced over f.
 
-    The moment map is G_v-equivariant and alpha times the identity is
-    central, so g sends the psi solutions of phi onto those of g . phi:
-    their number is constant on orbits and is weighted by the orbit size.
+    Row r of f's system has the target targets[r] and, in column b, the sum
+    of m f_j over the entries (j, b): m of systems[r].  One lane per f
+    (field.lane_blocks); the lanes' systems are eliminated in lockstep, each
+    lane taking its pivot in a column from its first row nonzero there and
+    not yet a pivot, and every other such row r becoming
+    p row_r - row_r[col] row_p, p the pivot, which keeps the solutions and
+    needs no inverse.  A lane of rank k has q^(n - k) solutions, or none
+    when a row that never became a pivot has a nonzero target.
     """
-    reps, sizes = _phi_orbits(quiver, v, w, q)
-    goals = np.array([(alpha * t) % q for t in targets], dtype=np.int32)
+    q, total = field.q, 0
+    for coords, mask in field.lane_blocks(n):
+        rows = []
+        for terms, target in zip(systems, targets):
+            row = [field.zero] * n + [field.constant(target, mask)]
+            for (j, b), m in terms.items():
+                row[b] = field.plus(row[b], field.scale(coords[j], m, mask), mask)
+            rows.append(row)
+        free = [mask] * len(rows)  # the lanes where each row is not yet a pivot
+        ranks = [mask]  # ranks[k]: the lanes whose rank so far is k
+        for col in range(n):
+            found, pivot = 0, [field.zero] * (n + 1 - col)
+            for r, row in enumerate(rows):
+                here = free[r] & _union(row[col]) & ~found
+                if here:
+                    found |= here
+                    free[r] ^= here
+                    pivot = [
+                        tuple(a | (b & here) for a, b in zip(old, entry))
+                        for old, entry in zip(pivot, row[col:])
+                    ]
+            if not found:
+                continue
+            # the pivot, and 1 on the lanes without one, scales the rows
+            unit = (pivot[0][0] | (mask & ~found), *pivot[0][1:])
+            minus = [field.scale(p, -1, mask) for p in pivot[1:]]
+            for r, row in enumerate(rows):
+                factor = tuple(x & free[r] & found for x in row[col])
+                if any(factor):
+                    row[col + 1 :] = [
+                        field.plus(field.times(unit, entry, mask), field.times(factor, p, mask), mask)
+                        for entry, p in zip(row[col + 1 :], minus)
+                    ]
+            ranks = [
+                (now & ~found) | (below & found) for now, below in zip(ranks + [0], [0] + ranks)
+            ]
+        bad = 0
+        for lanes, row in zip(free, rows):
+            bad |= lanes & _union(row[n])
+        total += sum(q ** (n - k) * (lanes & ~bad).bit_count() for k, lanes in enumerate(ranks))
+    return total
+
+
+def _count_fiber_linear(quiver: Quiver, v, w, mats, traces, q: int, d: int, alpha: int) -> int:
+    """Fiber count from the psi systems of one arrow part per G_v-orbit, over every framing.
+
+    The psi system of phi = (arrow part a, framing part f) has the rows A(a)
+    on the psi arrow coordinates and F(f) on the psi framing ones.
+    Eliminating [A(a) | I] over A's columns gives the rank r of A(a) and the
+    rows K with K A(a) = 0: the system has q^(D - r) times as many solutions
+    as K F(f) psi_f = K (alpha tr), D the number of arrow coordinates, and
+    that one is linear in f, so all framings are eliminated at once,
+    bit-sliced (_framing_counts).  The moment map is G_v-equivariant, alpha
+    times the identity is central, and g acts on the framings bijectively,
+    so the sum over f is constant on the orbits of arrow parts
+    (_arrow_orbits) and is weighted by the orbit size.
+    """
+    n_arrow = d - sum(a * b for a, b in zip(v, w))
+    goals = [(alpha * t) % q for t in traces]
+    arrow_terms = [
+        [(a, b, m) for a in range(n_arrow) for b, m in enumerate(M[a][:n_arrow]) if m] for M in mats
+    ]
+    framing_terms = [
+        [(j, b, m) for j in range(d - n_arrow) for b, m in enumerate(M[n_arrow + j][n_arrow:]) if m]
+        for M in mats
+    ]
+    identity = [[int(r == k) for k in range(len(mats))] for r in range(len(mats))]
+    reps, sizes = _arrow_orbits(quiver, v, q)
     total = 0
-    for start in range(0, reps.size, PHI_CHUNK):
-        phi = _digits(reps[start : start + PHI_CHUNK], q, d)
-        systems = np.empty((phi.shape[0], len(mats), d + 1), dtype=np.int32)
-        for k, M in enumerate(mats):
-            systems[:, k, :d] = (phi @ M) % q
-            systems[:, k, d] = goals[k]
-        counts = _batch_affine_counts(systems, q).tolist()
-        total += sum(c * n for c, n in zip(counts, sizes[start : start + PHI_CHUNK].tolist()))
+    for rep, size in zip(reps, sizes):
+        arrows = _digits_of(rep, q, n_arrow)
+        rows = []
+        for terms, unit in zip(arrow_terms, identity):
+            row = [0] * n_arrow
+            for a, b, m in terms:
+                row[b] += arrows[a] * m
+            rows.append([x % q for x in row] + unit)
+        echelon, pivots = _echelon_mod(rows, q, n_arrow)
+        systems, targets = [], []
+        for row in echelon[len(pivots) :]:  # the rows K, with K A(a) = 0
+            terms, target = {}, 0
+            for k, c in enumerate(row[n_arrow:]):
+                if c:
+                    target += c * goals[k]
+                    for j, b, m in framing_terms[k]:
+                        terms[j, b] = terms.get((j, b), 0) + c * m
+            systems.append(terms)
+            targets.append(target % q)
+        count = _framing_counts(_field(q), systems, targets, d - n_arrow)
+        total += size * q ** (n_arrow - len(pivots)) * count
     return total
 
 
@@ -617,16 +774,18 @@ def count_moment_fiber(
     pairing against every elementary basis element equals alpha times the
     basis element's trace.  Strategies:
 
-    - "full": enumerate all q^(2 dim) pairs and test every condition;
-    - "linear": split the q^dim phi half into G_v-orbits by brute force
-      (_phi_orbits), count the psi solutions of one phi per orbit exactly
-      from its affine-linear system, and weight each by the orbit size;
+    - "full": enumerate all q^(2 dim) pairs, bit-sliced, and test every
+      condition;
+    - "linear": split the arrow part of phi into G_v-orbits by brute force
+      (_arrow_orbits), and for one arrow part per orbit and every framing
+      part count the psi solutions exactly from the affine-linear system,
+      weighted by the orbit size;
     - "auto": full while the pair count stays within both the budget and an
       internal cap, linear beyond that.
 
     Both strategies count the same set; the overlap is cross-checked in the
     test suite.  The budget bounds q^(2 dim) for "full" and q^dim, the phi
-    points labelled by the orbit pass, for "linear".
+    points, for "linear".
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
@@ -651,164 +810,6 @@ def count_moment_fiber(
     return _count_fiber_linear(quiver, v, w, mats, traces, q, d, alpha)
 
 
-def _stability_layout(quiver: Quiver, v, w):
-    """Where the doubled-quiver operators and framing images sit in a point.
-
-    A point is the phi vector followed by the psi vector.  Returns index
-    arrays (op, pos, row, col) placing entry pos as entry (row, col) of
-    operator op on the total space V = sum of the V_i, for the phi arrows
-    V_s -> V_t and then their psi duals V_t -> V_s; and (gen, pos, row)
-    placing entry pos as coordinate row of framing image gen; then the
-    operator count, dim V and the image count.  The psi framing maps
-    V_i -> W_i play no part in stability.
-    """
-    voff = [sum(v[:i]) for i in range(quiver.vertex_count)]
-    woff = [sum(w[:i]) for i in range(quiver.vertex_count)]
-    ops: list[tuple[int, int, int, int]] = []
-    gens: list[tuple[int, int, int]] = []
-    pos = 0
-    for e, (s, t) in enumerate(quiver.arrows):
-        for a in range(v[t]):
-            for b in range(v[s]):
-                ops.append((e, pos, voff[t] + a, voff[s] + b))
-                pos += 1
-    for i in range(quiver.vertex_count):
-        for a in range(v[i]):
-            for b in range(w[i]):
-                gens.append((woff[i] + b, pos, voff[i] + a))
-                pos += 1
-    na = len(quiver.arrows)
-    for e, (s, t) in enumerate(quiver.arrows):
-        for a in range(v[s]):
-            for b in range(v[t]):
-                ops.append((na + e, pos, voff[s] + a, voff[t] + b))
-                pos += 1
-    return (
-        np.array(ops, dtype=np.int64).reshape(-1, 4).T,
-        np.array(gens, dtype=np.int64).reshape(-1, 3).T,
-        (2 * na, sum(v), sum(w)),
-    )
-
-
-def _generates(points: np.ndarray, layout, q: int) -> np.ndarray:
-    """Per point, whether the framing images generate V under the operators.
-
-    Grows the span of the framing images by the operators' images; a point
-    drops out once its span stops growing or reaches dimension n, and is
-    stable when its span has dimension n.
-    """
-    (op, opos, orow, ocol), (gen, gpos, grow), (n_ops, n, n_gens) = layout
-    n_pts = points.shape[0]
-    mats = np.zeros((n_pts, n_ops, n, n), dtype=np.int64)
-    mats[:, op, orow, ocol] = points[:, opos]
-    span = np.zeros((n_pts, n_gens, n), dtype=np.int64)
-    span[:, gen, grow] = points[:, gpos]
-    span, rank, _ = _batch_echelon(span, q, n)
-    live = np.flatnonzero(rank < n)
-    span = span[live, :n]
-    while live.size:
-        images = np.einsum("pkij,prj->pkri", mats[live], span)
-        images = images.reshape(live.size, n_ops * span.shape[1], n)
-        span, grown, _ = _batch_echelon(np.concatenate((span, images), axis=1), q, n)
-        growing = (grown > rank[live]) & (grown < n)
-        rank[live] = grown
-        live, span = live[growing], span[growing, :n]
-    return rank == n
-
-
-def _echelon_psi_systems(mats, q: int, d: int):
-    """The homogeneous moment systems in psi, eliminated a chunk of phi at a time.
-
-    Yields (phi, echelon, rank, pivots) per chunk, as _batch_echelon gives
-    them for the systems psi -> (phi M psi for each basis matrix M).
-    """
-    n_phi = q**d
-    for start in range(0, n_phi, PHI_CHUNK):
-        phi = _digit_rows(q, d, start, min(start + PHI_CHUNK, n_phi))
-        systems = np.empty((phi.shape[0], len(mats), d), dtype=np.int32)
-        for k, M in enumerate(mats):
-            systems[:, k, :] = (phi @ M) % q
-        yield (phi, *_batch_echelon(systems, q, d))
-
-
-def _null_basis(echelon: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray:
-    """Null-space bases of a batch of systems in reduced echelon form.
-
-    Returns shape (N, d, d): the first d - rank rows of entry n span the
-    solutions of system n, one row per free column.
-    """
-    n_sys, _, d = echelon.shape
-    lifted = np.zeros((n_sys, d, d), dtype=np.int32)
-    is_pivot = np.zeros((n_sys, d), dtype=bool)
-    sys_i, row_i = np.nonzero(pivots >= 0)
-    cols = pivots[sys_i, row_i]
-    lifted[sys_i, cols] = echelon[sys_i, row_i]
-    is_pivot[sys_i, cols] = True
-    # the solution with a 1 at free column f has -R[r, f] at each pivot column p_r
-    basis = (np.eye(d, dtype=np.int32)[None] - lifted.transpose(0, 2, 1)) % q
-    order = np.argsort(is_pivot, axis=1, kind="stable")
-    return np.take_along_axis(basis, order[:, :, None], axis=1)
-
-
-def count_stable_fiber(
-    quiver: Quiver,
-    v: Sequence[int],
-    w: Sequence[int],
-    q: int,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Theta-stable points of the zero fiber of the moment map.
-
-    A point (phi, psi) of the fiber over 0 is stable when the images of the
-    framing maps W_i -> V_i generate V under every arrow of the doubled
-    quiver, the phi arrow matrices and their psi duals.  The group acts
-    freely on this locus and the quotient is the quiver variety, so the
-    count is the group order times the variety's point count over every
-    field, small characteristic included.
-
-    Enumerates phi in chunks and eliminates each phi's homogeneous moment
-    system in psi.  A first pass sums q^nullity over phi, the zero-fiber
-    size, and raises EnumerationBudgetError when it or the phi count exceeds
-    the budget; the second pass walks each chunk's psi null spaces as one
-    index range and tests stability in vectorized batches.  Memory stays
-    within one chunk, at the cost of eliminating every phi twice.
-    """
-    v = check_dim_vector(quiver, v, "v")
-    w = check_dim_vector(quiver, w, "w")
-    _require_prime(q)
-    d = dim_rep_space(quiver, v, w)
-    n_phi = q**d
-    if n_phi > budget:
-        raise EnumerationBudgetError(n_phi, budget, "stable-fiber phi enumeration")
-    mats, _ = _moment_system(quiver, v, w, q)
-    zero_fiber = sum(
-        int(np.power(q, d - rank, dtype=np.int64).sum())
-        for _, _, rank, _ in _echelon_psi_systems(mats, q, d)
-    )
-    if zero_fiber > budget:
-        raise EnumerationBudgetError(zero_fiber, budget, "zero-fiber enumeration")
-    layout = _stability_layout(quiver, v, w)
-    total = 0
-    for phi, echelon, rank, pivots in _echelon_psi_systems(mats, q, d):
-        basis = _null_basis(echelon, pivots, q)
-        run = np.power(q, d - rank, dtype=np.int64)
-        run_end = np.cumsum(run)
-        n_pts = int(run_end[-1])
-        for start in range(0, n_pts, STABLE_BATCH):
-            idx = np.arange(start, min(start + STABLE_BATCH, n_pts), dtype=np.int64)
-            owner = np.searchsorted(run_end, idx, side="right")
-            # the base-q digits of the offset within the owner's run are the
-            # coefficients of psi in the owner's null-space basis
-            digits = idx - (run_end[owner] - run[owner])
-            psi = np.zeros((idx.size, d), dtype=np.int64)
-            for row in range(d):
-                psi += (digits % q)[:, None] * basis[owner, row]
-                digits //= q
-            points = np.concatenate((phi[owner], psi % q), axis=1)
-            total += int(_generates(points, layout, q).sum())
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Centralizer orders and kernel dimensions
 
@@ -825,48 +826,30 @@ def jordan_nilpotent(lam: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def _det_width(n: int, q: int):
-    """The narrowest of int16, int32 and int64 holding _det_mod's minors for (n, q)."""
-    return next((t for t in (np.int16, np.int32) if n * (q - 1) ** 2 <= np.iinfo(t).max), np.int64)
+def _det_lanes(field: _Field, entries, n: int, mask: int):
+    """Determinants of the n x n matrices on a block of lanes, as one lane value.
 
-
-def _det_mod(entries: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Determinants mod q of a batch of small n x n matrices, by expansion.
-
-    The batch is entry-major: entries[i * n + j] holds entry (i, j) of
-    every matrix, one matrix per column, so each row is a contiguous
-    vector.  The entries must lie in [0, q).  Laplace expansion along the
-    rows with shared minors: after row r the determinant of rows 0..r on
-    every set of r + 1 columns is known, and the next row extends each set
-    by one column, which costs n 2^(n-1) products per matrix where the
-    permutation sum costs n * n!.  The minors of row r are below
-    bound = (r+1)! (q-1)^(r+1) in absolute value; held in the narrowest type
-    that n (q-1)^2 fits (_det_width), they are reduced mod q only where the
-    next row could leave it, so the result is exact whenever n (q-1)^2 < 2^63.
+    entries[i * n + j] is the lane value of entry (i, j).  Laplace
+    expansion along the rows with shared minors: after row r the
+    determinant of rows 0..r on every set of r + 1 columns is known, and the
+    next row extends each set by one column, which costs n 2^(n-1) lane
+    products where the permutation sum costs n * n!.  A term whose entry or
+    minor is zero on every lane is left out; the terms of each sign are
+    summed apart, and one negation per minor takes their difference.
     """
-    width = _det_width(n, q)
-    limit = np.iinfo(width).max
-    entries = entries.astype(width, copy=False)
-    n_mat = entries.shape[1]
-    minors = {(): np.ones(n_mat, dtype=width)}
-    bound = 1
+    minors = {(): field.constant(1, mask)}
     for row in range(n):
         extended = {}
         for cols in combinations(range(n), row + 1):
-            acc = np.zeros(n_mat, dtype=width)
+            signed = [field.zero, field.zero]
             for pos, col in enumerate(cols):
-                term = entries[row * n + col] * minors[cols[:pos] + cols[pos + 1 :]]
-                if (row + pos) % 2:
-                    acc -= term
-                else:
-                    acc += term
-            extended[cols] = acc
+                entry, minor = entries[row * n + col], minors[cols[:pos] + cols[pos + 1 :]]
+                if any(entry) and any(minor):
+                    sign = (row + pos) % 2
+                    signed[sign] = field.plus(signed[sign], field.times(entry, minor, mask), mask)
+            extended[cols] = field.plus(signed[0], field.scale(signed[1], -1, mask), mask)
         minors = extended
-        bound *= (row + 1) * (q - 1)
-        if (row + 2) * (q - 1) * bound > limit:
-            minors = {cols: m % q for cols, m in minors.items()}
-            bound = q - 1
-    return minors[tuple(range(n))] % q
+    return minors[tuple(range(n))]
 
 
 def centralizer_order(lam: Partition, q: int, budget: int = CENTRALIZER_BUDGET) -> int:
@@ -879,42 +862,34 @@ def centralizer_order(lam: Partition, q: int, budget: int = CENTRALIZER_BUDGET) 
     determinant is nonzero, so the scan is still brute force over the
     commutant; the budget bounds q^k, the number of matrices scanned, and
     larger scans raise.  A kernel element's entries at the free columns of
-    the elimination are its coefficients, so only the pivot entries are
-    computed, each from the few coefficients its reduced row touches.
+    the elimination are its coefficients, one bit-sliced lane per element
+    (field.lane_blocks), so only the pivot entries are computed, each from
+    the few coefficients its reduced row touches, and the determinants of a
+    whole block of lanes come out of one expansion (_det_lanes).
     """
     _require_prime(q)
     n = lam.size
     if n == 0:
         return 1
     J = jordan_nilpotent(lam)
-    rows, pivot_cols = _echelon_mod(_arrow_rows(J, J), q, n * n)
+    commutator = [[x % q for x in row] for row in _arrow_rows(J, J)]
+    rows, pivot_cols = _echelon_mod(commutator, q, n * n)
     k = n * n - len(pivot_cols)
     need = q**k
     if need > budget:
         raise EnumerationBudgetError(need, budget, f"centralizer scan for {lam!r} at q={q}")
     free_cols = [c for c in range(n * n) if c not in pivot_cols]
     # row r says M[p_r] = sum of -R[r, f] M[f] over the free f it touches
-    pivot_terms = []
-    for p, row in zip(pivot_cols, rows):
-        sources = [f for f in free_cols if row[f]]
-        pivot_terms.append((p, sources, np.array([-row[f] % q for f in sources], dtype=np.int64)))
-    # entries[c] holds entry c of the row-major vec(M), one matrix per
-    # column, a block of at most 2^14 matrices at a time.  The free entries
-    # are the coefficients: the first `low` run through all their values
-    # within a block and are written once, the others are fixed per block,
-    # so no index is split into digits
-    low = 1
-    while low < k and q ** (low + 1) <= 1 << 14:
-        low += 1
-    width = _det_width(n, q)
-    entries = np.empty((n * n, q**low), dtype=width)
-    entries[free_cols[:low]] = np.indices((q,) * low, dtype=width).reshape(low, -1)
-    total = 0
-    for high in product(range(q), repeat=k - low):
-        entries[free_cols[low:]] = np.array(high, dtype=width).reshape(-1, 1)
-        for p, sources, weights in pivot_terms:
-            entries[p] = (weights @ entries[sources]) % q
-        total += int(np.count_nonzero(_det_mod(entries, n, q)))
+    pivot_terms = [(p, [(f, -row[f]) for f in free_cols if row[f]]) for p, row in zip(pivot_cols, rows)]
+    field, total = _field(q), 0
+    for coords, mask in field.lane_blocks(k):
+        entries = [field.zero] * (n * n)
+        for f, lanes in zip(free_cols, coords):
+            entries[f] = lanes
+        for p, terms in pivot_terms:
+            for f, c in terms:
+                entries[p] = field.plus(entries[p], field.scale(entries[f], c, mask), mask)
+        total += _union(_det_lanes(field, entries, n, mask)).bit_count()
     return total
 
 
@@ -1106,8 +1081,10 @@ def fourier_inversion_check(n: int, q: int, trials: int = 100, seed: int = 7) ->
             phase = sum(a * b for a, b in zip(u, wv)) % q
             if not _same_values(counts, [int(t == phase) for t in range(q)], q):
                 return False
-    draws = [[[rng.randint(-3, 3) for _ in range(q)] for _ in points] for _ in range(trials)]
-    f = [[c for draw in draws for c in draw[i]] for i in range(len(points))]
+    # one draw for every count: point i holds trials * q of them, one block per trial
+    width = trials * q
+    draws = rng.choices(range(-3, 4), k=len(points) * width)
+    f = [draws[i * width : (i + 1) * width] for i in range(len(points))]
     ff = _transform_counts(_transform_counts(f, q, phases), q, phases)
     scale = q**n
     return all(

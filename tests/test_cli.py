@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,20 @@ class TestVerifyCommand:
         assert statuses.count("SKIP") == 3
         by_case = {r["case"]: r for r in records}
         assert by_case["lam=(1, 1) q=5"]["detail"] == "order=480"
+
+    def test_centralizer_at_a_large_prime(self, capsys):
+        # the scan's lane arithmetic grows with the bit length of q, not with
+        # q: over F_65521 only lam=(1) fits the budget, its 65521 matrices
+        # scanned in one block, and every other commutant is a SKIP
+        start = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "verify", "centralizer", "--q", "65521", "--format", "records")
+        elapsed = time.perf_counter() - start
+        assert rc == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert [r["status"] for r in records[:2]] == ["PASS", "PASS"]
+        assert records[1]["detail"] == "order=65520"
+        assert [r["status"] for r in records[2:]] == ["SKIP"] * 10
+        assert elapsed < 1.0
 
     def test_centralizer_non_prime_field_exits_2(self, capsys):
         rc, out, err = run_cli(capsys, "verify", "centralizer", "--q", "4")
@@ -574,6 +589,36 @@ assert package == ["quivermotive", "quivermotive.cli", "quivermotive.engine",
 from quivermotive import JORDAN, MSeries, motive_series
 assert isinstance(motive_series(JORDAN, (1,), 2), MSeries)
 assert cli.main(["verify", "kappa"]) == 0
+assert "numpy" not in sys.modules
+"""
+    _run_fresh_interpreter(code)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["selftest", "--fast"], ["verify", "all"], ["verify", "centralizer", "--q", "2,3,5"]],
+)
+def test_oracle_commands_import_no_numpy(args):
+    # in a fresh interpreter: the oracles run on Python ints, so neither the
+    # selftest nor the verify suites load numpy, at any field size
+    code = f"""
+import sys
+from quivermotive import cli
+assert cli.main({args!r}) == 0
+assert "numpy" not in sys.modules
+"""
+    _run_fresh_interpreter(code)
+
+
+def test_stable_fiber_loads_numpy_when_called():
+    # in a fresh interpreter: count_stable_fiber, which no command runs, is
+    # the one oracle on numpy, and loads it only when it is called
+    code = """
+import sys
+from quivermotive import JORDAN, cli, count_stable_fiber
+assert cli.main(["verify", "all", "--q", "2"]) == 0
+assert "numpy" not in sys.modules
+assert count_stable_fiber(JORDAN, (2,), (1,), 2) == 144
 assert "numpy" in sys.modules
 """
     _run_fresh_interpreter(code)
@@ -582,7 +627,7 @@ assert "numpy" in sys.modules
 def test_main_freezes_the_start_up_heap():
     # in a fresh interpreter: the library leaves the collector alone; each
     # cli.main call freezes what is alive before its command runs (more once
-    # numpy has loaded), and garbage made afterwards is still collected
+    # the oracles have loaded), and garbage made afterwards is still collected
     code = """
 import gc, sys, weakref
 from quivermotive import JORDAN, motive_table
@@ -593,7 +638,7 @@ assert cli.main(["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", 
 after_series = gc.get_freeze_count()
 assert after_series > 0 and "numpy" not in sys.modules
 assert cli.main(["verify", "all", "--q", "2"]) == 0
-assert gc.get_freeze_count() > after_series and "numpy" in sys.modules
+assert gc.get_freeze_count() > after_series and "numpy" not in sys.modules
 class Node:
     pass
 node = Node()
