@@ -130,15 +130,27 @@ the popped value is N(Q)_g packed.
 The only other value unpacked is the fold of one partition's column steps
 in _centralizer_poly, L^(sum m(m+1)/2) * M at the width of its size n,
 whose L1 norm multinomial(l; m) <= s(n) <= m(n) is covered too.  Nothing
-else is unpacked or tested for zero: the chain values H and the groups are
-only multiplied and added.  No packed value is ever divided.  The bound
-depends on nothing the run computes, so a corrupted kappa still unpacks to
-its exact numerator, and exit 3 stays a proof.
+else is tested for zero: the chain values H and the groups are only
+multiplied and added.  The bound depends on nothing the run computes, so a
+corrupted kappa still unpacks to its exact numerator, and exit 3 stays a
+proof.
 
-The only division is N(Q)_v / P_v in _class_at, for a nonzero N(Q)_v, on
-the unpacked polynomial, exact whenever the class is a polynomial; when it
-is inexact, or leaves a negative power of L, the reduced fraction is built
-only to word the PolynomialityError.
+Packed division.  A class is N(Q)_v / P_v, for a nonzero N(Q)_v, and
+_packed_class reads it with one big-int division of the packed value by
+P_v(X), the product of the packed P_(v_i); only the quotient, the class, is
+unpacked.  Its digits C are accepted under a certificate: the division
+leaves no remainder, and every digit c has c.bit_length() + |v| <= bits - 1.
+That is a proof that C is the class.  |P_v|_1 <= 2^|v|, since each of its
+|v| factors L^j - 1 has L1 norm 2, so every coefficient of C * P_v lies in
+(-X/2, X/2); so does every coefficient of N(Q)_v, inside (-X/4, X/4) by the
+majorant; and the two have the same value at X, so they are the same
+polynomial.  Any other outcome proves nothing either way: a nonzero
+remainder, an uncertified quotient, or a class with a negative power of L
+after the shift goes to _class_at's fallback, which unpacks N(Q)_v and
+divides it by P_v as a polynomial, exact whenever the class is a
+polynomial.  When that division is inexact, or leaves a negative power of
+L, the reduced fraction is built only to word the PolynomialityError, so
+only the fallback ever raises.
 
 The engine computes with packed ints and the polynomial kernel (poly
 module) alone.  LRat, the reduced-fraction type, is imported where a value
@@ -397,6 +409,23 @@ def _column_step(high: int, low: int, bits: int) -> Packed:
     return m * (m + 1) // 2, _gauss_row(high, bits)[low]
 
 
+def _packed_class(packed: Packed, exp: tuple[int, ...], bits: int) -> Laurent | None:
+    """packed / P_exp as a Laurent polynomial, or None where it is not certified.
+
+    One big-int division by P_exp packed; the quotient's digits are accepted
+    under the certificate of the module docstring (Packed division).
+    """
+    offset, value = packed
+    den = 1
+    for k in exp:
+        den *= _cyclo_packed(0, k, bits)
+    whole, rest = divmod(value, den)
+    if rest:
+        return None
+    offset, poly = _unpack((offset, whole), bits)
+    return (offset, poly) if max(map(abs, poly)).bit_length() + sum(exp) < bits else None
+
+
 def _fraction(num: Laurent, den: Poly) -> LRat:
     """L^offset * poly / den as a reduced LRat, by gcd."""
     from .lrat import LRat
@@ -607,30 +636,35 @@ def _class_at(
     """The class at v read off the packed quotient numerators: N(Q)_v / P_v * L^-d.
 
     An exponent absent from the quotient has N(Q)_v = 0 and is the empty
-    class, read without building P_v.  Otherwise N(Q)_v is unpacked, then
-    divided exactly by P_v once.  Its quotient is nonzero with a nonzero
-    constant term (P_v has constant term +-1 and an unpacked
-    numerator's poly starts nonzero), so the class is a polynomial only if
-    the division is exact and the L offset is nonnegative; otherwise
-    PolynomialityError shows the reduced fraction.  Negative coefficients
-    are legal but suspicious, and warn.
+    class, read without building P_v.  Otherwise the class is the certified
+    packed quotient (_packed_class) when there is one and its L offset
+    clears the shift.  If not, N(Q)_v is unpacked, then divided exactly by
+    P_v once.  Its quotient is nonzero with a nonzero constant term (P_v
+    has constant term +-1 and an unpacked numerator's poly starts nonzero),
+    so the class is a polynomial only if the division is exact and the L
+    offset is nonnegative; otherwise PolynomialityError shows the reduced
+    fraction.  Negative coefficients are legal but suspicious, and warn.
     """
     # v and w are validated by the caller; d_shift would check them per row
     arrows = sum(v[s] * v[t] for s, t in quiver.arrows)
     d = sum(map(mul, v, v)) - arrows - sum(map(mul, v, w))
     if v not in quotient:
         return MotiveResult(quiver, v, w, d, ())
-    offset, num = _unpack(quotient[v], bits)
-    offset -= d
-    den = _denominator(v)
-    try:
-        poly = _pdiv_exact(num, den)
-    except ArithmeticError:
-        poly = None
-    if poly is None or offset < 0:
-        raise PolynomialityError(
-            f"polynomiality violated for v={v}, w={w}: got {_fraction((offset, num), den)}"
-        )
+    certified = _packed_class(quotient[v], v, bits)
+    if certified is not None and certified[0] >= d:
+        offset, poly = certified[0] - d, certified[1]
+    else:
+        offset, num = _unpack(quotient[v], bits)
+        offset -= d
+        den = _denominator(v)
+        try:
+            poly = _pdiv_exact(num, den)
+        except ArithmeticError:
+            poly = None
+        if poly is None or offset < 0:
+            raise PolynomialityError(
+                f"polynomiality violated for v={v}, w={w}: got {_fraction((offset, num), den)}"
+            )
     poly = _pshift(poly, offset)
     if any(c < 0 for c in poly):
         warnings.warn(

@@ -994,14 +994,19 @@ def _same_values(a, b, q: int) -> bool:
     return len(a) == len(b) and all(diff[t::q] == diff[q - 1 :: q] for t in range(q - 1))
 
 
-def charsum_linear_lemma(n: int, family: Iterable[tuple[Sequence[int], int]], q: int) -> bool:
+def charsum_linear_lemma(
+    n: int, family: Iterable[tuple[Sequence[int], int]], q: int, budget: int = DEFAULT_BUDGET
+) -> bool:
     """Orthogonality over an affine-linear family.
 
     For each (g1, g2) in the family, summing the character of <g1, x> + g2
     over the n-dimensional coordinate space must give q^n times the
-    character of g2 when g1 vanishes and zero otherwise.  Checked exactly.
+    character of g2 when g1 vanishes and zero otherwise.  Checked exactly;
+    budget bounds the q^n points summed over.
     """
     _require_prime(q)
+    if q**n > budget:
+        raise EnumerationBudgetError(q**n, budget, "linear-lemma enumeration")
     vectors = list(product(range(q), repeat=n))
     for g1, g2 in family:
         g1 = tuple(int(x) for x in g1)
@@ -1057,7 +1062,9 @@ def _transform_counts(f: list, q: int, phases: list[list[int]]) -> list[list[int
     ]
 
 
-def fourier_inversion_check(n: int, q: int, trials: int = 100, seed: int = 7) -> bool:
+def fourier_inversion_check(
+    n: int, q: int, trials: int = 100, seed: int = 7, budget: int = DEFAULT_BUDGET
+) -> bool:
     """Transforming twice must scale by q^n and flip the argument's sign.
 
     Checked exactly for `trials` pseudo-random cyclotomic-valued functions,
@@ -1066,9 +1073,13 @@ def fourier_inversion_check(n: int, q: int, trials: int = 100, seed: int = 7) ->
     _same_values.  The complex-conjugate transform passes that test too, so
     first the transform of the delta function at every point u must be
     zeta^<u, w>, with the phase summed here rather than read from the table
-    (at q = 2 the two transforms coincide).
+    (at q = 2 the two transforms coincide).  budget bounds the larger of
+    the q^n x q^n phase table and the q^(n+1) * trials random counts.
     """
     _require_prime(q)
+    need = max(q ** (2 * n), q ** (n + 1) * trials)
+    if need > budget:
+        raise EnumerationBudgetError(need, budget, "Fourier inversion")
     rng = random.Random(seed)
     points = list(product(range(q), repeat=n))
     index = {vv: i for i, vv in enumerate(points)}

@@ -122,7 +122,7 @@ def harmonic_suite(
 ) -> list[CaseResult]:
     """Character-sum identities: orthogonality, inversion, fiber identity.
 
-    budget bounds the points each fiber identity enumerates.
+    budget bounds the points each check enumerates or tabulates.
     """
     rng = random.Random(seed)
     checks = {}  # case name -> check returning a bool
@@ -134,11 +134,11 @@ def harmonic_suite(
                 for _ in range(12)
             ]
             checks[f"linear-orthogonality n={n} q={q}"] = partial(
-                fflab.charsum_linear_lemma, n, family, q
+                fflab.charsum_linear_lemma, n, family, q, budget=budget
             )
         for n in (1, 2):
             checks[f"fourier-inversion n={n} q={q} trials={trials}"] = partial(
-                fflab.fourier_inversion_check, n, q, trials=trials, seed=seed
+                fflab.fourier_inversion_check, n, q, trials=trials, seed=seed, budget=budget
             )
         for name, qv, v, w, alpha in _FIBER_IDENTITY_CASES:
             checks[f"fiber-identity {name} q={q}"] = partial(

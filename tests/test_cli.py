@@ -378,12 +378,42 @@ class TestVerifyCommand:
         )
         assert rc == 0
         records = [json.loads(line) for line in out.strip().splitlines()]
+        # the Fourier checks count the larger of their q^n x q^n phase table
+        # and their q^(n+1) * 100 random counts against the budget too
         skipped = [r for r in records if r["status"] != "PASS"]
-        assert [(r["status"], r["case"]) for r in skipped] == [
-            ("SKIP", "fiber-identity a2 v=(1,1) w=(1,0) q=2")
+        assert [(r["status"], r["case"], r["detail"]) for r in skipped] == [
+            ("SKIP", "fourier-inversion n=1 q=2 trials=100",
+             "Fourier inversion needs 400 points, budget is 10"),
+            ("SKIP", "fourier-inversion n=2 q=2 trials=100",
+             "Fourier inversion needs 800 points, budget is 10"),
+            ("SKIP", "fiber-identity a2 v=(1,1) w=(1,0) q=2",
+             "commuting-variety enumeration needs 16 points, budget is 10"),
         ]
-        assert "needs 16 points, budget is 10" in skipped[0]["detail"]
         assert len(records) == 10
+
+    def test_budget_bounds_the_harmonic_checks_at_a_large_prime(self):
+        # each check over budget refuses before it allocates (the Fourier
+        # check at n = 1 would build a 1009^2 phase table and 10^8 random
+        # counts); a fresh interpreter, so the peak memory is the command's
+        code = (
+            "import resource, sys\n"
+            "from quivermotive import cli\n"
+            "rc = cli.main(['verify', 'harmonic', '--q', '1009', '--budget', '100000',"
+            " '--format', 'records'])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(rc)\n"
+        )
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, timeout=60
+        )
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr.split()[-1]) < 200 * 1024  # KiB
+        records = [json.loads(line) for line in proc.stdout.strip().splitlines()]
+        status = {r["case"]: r["status"] for r in records}
+        assert status.pop("linear-orthogonality n=1 q=1009") == "PASS"
+        assert len(status) == 9 and set(status.values()) == {"SKIP"}
 
     def test_harmonic_fiber_identity_can_fail(self, capsys, monkeypatch):
         from quivermotive import fflab

@@ -26,6 +26,7 @@ from quivermotive.partitions import (
     partitions_of,
     tuples_with_sizes,
 )
+from quivermotive.poly import _pdiv_exact
 from quivermotive.quiver import (
     A2,
     BUILTIN_QUIVERS,
@@ -36,6 +37,7 @@ from quivermotive.quiver import (
     TWO_LOOP,
     InputError,
     d_shift,
+    parse_quiver,
 )
 from quivermotive.series import MSeries
 
@@ -458,6 +460,53 @@ class TestMotiveClass:
         assert result.class_polynomial == (0, 0, -1)
 
 
+# star3 with its center moved to vertex 2 and both arrows pointing into it
+RELABELLED_STAR3 = parse_quiver('{"vertices": 3, "edges": [[1, 2], [0, 2]]}')[0]
+EXTRACTION_CASES = [(q, 10 if q.vertex_count == 1 else 6) for q in BUILTIN_QUIVERS.values()]
+EXTRACTION_CASES += [(RELABELLED_STAR3, 6)]
+
+
+class TestPackedDivision:
+    @pytest.mark.parametrize("quiver,bound", EXTRACTION_CASES)
+    def test_matches_the_unpacked_division(self, quiver, bound):
+        # every class of a correct engine is certified, and equals the
+        # exact division of the unpacked numerator by P_v
+        w = tuple(range(1, quiver.vertex_count + 1))
+        bits = engine._packing_bits(bound)
+        quotient = engine._quotient_numerators(quiver, w, bound)
+        assert len(quotient) > 1
+        for v, num in quotient.items():
+            offset, poly = engine._unpack(num, bits)
+            expected = (offset, _pdiv_exact(poly, engine._denominator(v)))
+            assert engine._packed_class(num, v, bits) == expected, v
+
+    @pytest.mark.parametrize("quiver,bound", EXTRACTION_CASES)
+    def test_refused_certificate_gives_the_same_rows(self, monkeypatch, quiver, bound):
+        w = tuple(range(1, quiver.vertex_count + 1))
+        expected = motive_table(quiver, w, bound)
+        monkeypatch.setattr(engine, "_packed_class", lambda *args: None)
+        assert motive_table(quiver, w, bound) == expected
+
+    def test_large_digits_are_refused(self):
+        # 100 (L - 1) divides, but its quotient digit 100 needs 7 bits and P_1
+        # has L1 norm 2, so at 8 bits the product is not certified; the
+        # unpacked division reads the same class
+        num = packed((1, (-100, 100)))
+        assert engine._packed_class(num, (1,), BITS) is None
+        row = engine._class_at(JORDAN, (1,), (1,), {(1,): num}, BITS)
+        assert row.class_polynomial == (0, 0, 100)
+
+    def test_divisible_value_of_an_indivisible_numerator(self):
+        # 63 + 63 L + 63 L^2 + 63 L^3 + 3 L^4 is 255 at L = 1, so its value
+        # at X = 256 divides by P_1(X) = 255 although L - 1 does not divide
+        # it: the certificate refuses the quotient and the error is raised
+        num = packed((0, (63, 63, 63, 63, 3)))
+        assert num[1] % 255 == 0
+        assert engine._packed_class(num, (1,), BITS) is None
+        with pytest.raises(PolynomialityError, match="polynomiality violated for v=\\(1,\\)"):
+            engine._class_at(JORDAN, (1,), (1,), {(1,): num}, BITS)
+
+
 class TestMotiveTable:
     def test_matches_direct_calls(self):
         rows = motive_table(JORDAN, (1,), 3)
@@ -686,14 +735,23 @@ def test_empty_classes_build_no_denominator(monkeypatch, fresh_engine_caches):
     expected = motive_table(STAR3, (1, 1, 1), 8)
     empty = {row.v for row in expected if not row.class_polynomial}
     assert 0 < len(empty) < len(expected) == 165
-    original = engine._denominator
+    # P_v is built unpacked by _denominator and packed by _packed_class
+    denominator, packed_class = engine._denominator, engine._packed_class
 
-    def guarded(exp):
+    def refuse(exp):
         if tuple(exp) in empty:
             raise AssertionError(f"P_v built for the empty class at {exp}")
-        return original(exp)
 
-    monkeypatch.setattr(engine, "_denominator", guarded)
+    def guarded_denominator(exp):
+        refuse(exp)
+        return denominator(exp)
+
+    def guarded_packed_class(num, exp, bits):
+        refuse(exp)
+        return packed_class(num, exp, bits)
+
+    monkeypatch.setattr(engine, "_denominator", guarded_denominator)
+    monkeypatch.setattr(engine, "_packed_class", guarded_packed_class)
     assert motive_table(STAR3, (1, 1, 1), 8) == expected
 
 
