@@ -8,13 +8,11 @@ internals and engine building blocks stay importable from their modules.
 
 Exports whose code the engine does not run load on first access, through
 the name-to-module table _LAZY: the finite-field oracles, MSeries, the
-fraction type LRat with L, and the partition helpers.  Of the oracles only
-count_stable_fiber (module stable) needs numpy, and it loads numpy when it
-is called.
+fraction type LRat with L, and the partition helpers.  The package needs
+nothing beyond the standard library.
 Importing the package loads the engine, the polynomial kernel (poly) and
 the quiver module, and the motive and series commands load nothing else:
-neither numpy, dataclasses, fractions nor the lrat, partitions or series
-modules.
+neither dataclasses, fractions nor the lrat, partitions or series modules.
 """
 
 from .engine import (
@@ -47,7 +45,7 @@ _LAZY = {
     "EnumerationBudgetError": "fflab",
     "centralizer_order": "fflab",
     "count_moment_fiber": "fflab",
-    "count_stable_fiber": "stable",
+    "count_stable_fiber": "fflab",
     "kappa_oracle": "fflab",
     "L": "lrat",
     "LRat": "lrat",

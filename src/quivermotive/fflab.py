@@ -13,8 +13,9 @@ with no floating point anywhere.
 Field arithmetic goes through one layer (_Field, built once per field by
 _field): elements are small ints under % and pow, and batches of points are
 bit-sliced into Python ints, one bit per point and one int per binary digit
-of an element.  The oracles here run on Python ints alone; the stable-locus
-count, which needs numpy, lives in the stable module.
+of an element.  The oracles here run on Python ints alone.  The one-system
+eliminations (_echelon_mod) and the stable-locus count's span closures
+(_close_span) work on plain lists of field elements.
 
 The matrix of the derived action rho'(X) is built in one place, as integer
 rows per arrow and framing block (_arrow_rows, _framing_rows), for the
@@ -54,15 +55,6 @@ class EnumerationBudgetError(RuntimeError):
         self.needed = needed
         self.budget = budget
         super().__init__(f"{what} needs {needed} points, budget is {budget}")
-
-
-def __getattr__(name: str):
-    # the stable-locus count lives in its own module, loaded on first access
-    if name == "count_stable_fiber":
-        from .stable import count_stable_fiber
-
-        return count_stable_fiber
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_prime(q: int) -> int:
@@ -496,8 +488,7 @@ def _echelon_mod(rows: list[list[int]], q: int, ncols: int) -> tuple[list[list[i
     """Reduced row-echelon form of one system over the q-element field, in lists.
 
     The rows hold field elements and are left as they are.  Pivots are
-    taken in the first ncols columns only, so trailing columns ride along,
-    with the same row swaps as stable._batch_echelon and so the same rows.
+    taken in the first ncols columns only, so trailing columns ride along.
     Returns (rows, pivots) with pivots[r] the pivot column of row r.
     """
     rows = list(rows)  # rows are replaced, never written in place
@@ -808,6 +799,143 @@ def count_moment_fiber(
         goals = [(alpha * t) % q for t in traces]
         return _count_fiber_full(mats, goals, q, d)
     return _count_fiber_linear(quiver, v, w, mats, traces, q, d, alpha)
+
+
+# ---------------------------------------------------------------------------
+# The stable locus of the zero fiber
+
+def _close_span(basis, vectors, ops, q: int, n: int):
+    """Extend basis by vectors and by the images under ops of each row it gains, up to n rows.
+
+    basis holds (pivot, row) pairs, each row 0 at the pivots before it and 1
+    at its own, and its rows' images are not taken; ops are n x n matrices.
+    """
+    basis, stack = list(basis), list(vectors)
+    while stack and len(basis) < n:
+        vec = stack.pop()
+        for p, row in basis:
+            c = vec[p]
+            if c:
+                vec = [(x - c * y) % q for x, y in zip(vec, row)]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is not None:
+            unit = pow(vec[pivot], -1, q)
+            vec = [x * unit % q for x in vec]
+            basis.append((pivot, vec))
+            if len(basis) < n:
+                stack += [[sum(map(mul, row, vec)) % q for row in M] for M in ops]
+    return basis
+
+
+def _line_points(q: int, m: int):
+    """(index, weight) for 0, weight 1, and for each line through 0 of F_q^m, weight q - 1.
+
+    A line's index is the base-q digits (_digits_of) of its point with top nonzero digit 1.
+    """
+    yield 0, 1
+    for k in range(m):
+        for index in range(q**k, 2 * q**k):
+            yield index, q - 1
+
+
+def count_stable_fiber(
+    quiver: Quiver, v: Sequence[int], w: Sequence[int], q: int, budget: int = DEFAULT_BUDGET
+) -> int:
+    """Theta-stable points of the zero fiber of the moment map.
+
+    A point (phi, psi) of the fiber over 0 is stable when the images of the
+    framing maps W_i -> V_i generate V under the phi arrows and their psi
+    duals.  The group acts freely on this locus with the quiver variety as
+    quotient, so the count is the group order times the variety's point
+    count over every field, small characteristic included.
+
+    The budget bounds the phi points, then the zero-fiber points
+    (count_moment_fiber), both refused before any stability test.  Stability
+    and the moment map are G_v-invariant and g maps the psi solutions of phi
+    onto those of g phi, so one arrow part per G_v-orbit (_arrow_orbits) is
+    taken, weighted by the orbit size.  Scalars in G_v scale the framing,
+    psi solutions scale, and neither changes the span stability closes, so
+    both run over one point per line (_line_points).  Each phi's system in
+    psi, rows phi^T M, is eliminated (_echelon_mod) psi framing first: the
+    rows that pivot later cut out the solutions' projection onto the psi
+    arrows, which stability alone reads, each projected point standing for
+    q^(nullity - projected rank) solutions.  The framing images close under
+    the phi arrows to U0 (_close_span).  If U0 is V every solution is
+    stable; if U0 has codimension 1, psi is unstable just when it maps U0
+    into U0, a linear condition; else the closure runs per projected point.
+    """
+    v = check_dim_vector(quiver, v, "v")
+    w = check_dim_vector(quiver, w, "w")
+    _require_prime(q)
+    d = dim_rep_space(quiver, v, w)
+    if q**d > budget:
+        raise EnumerationBudgetError(q**d, budget, "stable-fiber phi enumeration")
+    zero_fiber = count_moment_fiber(quiver, v, w, 0, q, budget)
+    if zero_fiber > budget:
+        raise EnumerationBudgetError(zero_fiber, budget, "zero-fiber enumeration")
+    mats, _ = _moment_system(quiver, v, w, q)
+    na, n, n_frame = len(quiver.arrows), sum(v), sum(map(mul, v, w))
+    n_arrow = d - n_frame
+    # the columns of each form, the psi framing first
+    columns = [[[row[b] for row in M] for b in [*range(n_arrow, d), *range(n_arrow)]] for M in mats]
+    start = [sum(v[:i]) for i in range(quiver.vertex_count)]
+    phi_shapes, psi_shapes = _phi_shapes(quiver, v, w), _psi_shapes(quiver, v, w)
+
+    def operators(vec, dual):  # the arrows in vec as n x n matrices, psi's mapping V_t to V_s
+        ops, shapes = [], psi_shapes if dual else phi_shapes
+        for E, (s, t) in zip(_matrices(vec, shapes[:na]), quiver.arrows):
+            src, dst = (start[t], start[s]) if dual else (start[s], start[t])
+            ops.append([[0] * n for _ in range(n)])
+            for r, row in enumerate(E):
+                ops[-1][dst + r][src : src + len(row)] = row
+        return ops
+
+    total = 0
+    for rep, size in zip(*_arrow_orbits(quiver, v, q)):
+        arrows = _digits_of(rep, q, n_arrow)
+        phi_ops = operators(arrows, False)
+        for f, f_weight in _line_points(q, n_frame):
+            phi = arrows + _digits_of(f, q, n_frame)
+            images = [
+                [0] * start[i] + list(column) + [0] * (n - start[i] - v[i])
+                for i, F in enumerate(_matrices(phi, phi_shapes)[na:])
+                for column in zip(*F)
+            ]
+            closed = _close_span([], images, phi_ops, q, n)
+            if n and not closed:
+                continue  # no framing image, so nothing is stable
+            rows = [[sum(map(mul, phi, col)) % q for col in form] for form in columns]
+            echelon, pivots = _echelon_mod(rows, q, d)
+            if len(closed) == n:
+                total += size * f_weight * q ** (d - len(pivots))
+                continue
+            cut = {p - n_frame: row[n_frame:] for p, row in zip(pivots, echelon) if p >= n_frame}
+            free = [c for c in range(n_arrow) if c not in cut]
+            # each psi arrow coordinate in terms of the free ones
+            solve = [[-cut[k][c] % q if k in cut else int(k == c) for c in free] for k in range(n_arrow)]
+            lift = size * f_weight * q ** (n_frame - len(pivots) + len(cut))
+            if len(closed) == n - 1:
+                # ell vanishes on U0, and row j of reads holds ell(psi_j u) for the
+                # j-th free direction psi_j and the rows u of U0: its kernel is
+                # where psi maps U0 into U0
+                ell = [int(all(p != c for p, _ in closed)) for c in range(n)]
+                for p, row in reversed(closed):
+                    ell[p] = -sum(map(mul, row, ell)) % q
+                ell_ops = [
+                    [[sum(map(mul, ell, col)) for col in zip(*M)] for M in operators(psi, True)]
+                    for psi in zip(*solve)
+                ]
+                reads = [[sum(map(mul, e, u)) % q for e in es for _, u in closed] for es in ell_ops]
+                rank = len(_echelon_mod(reads, q, len(closed) * na)[1])
+                total += lift * (q ** len(free) - q ** (len(free) - rank))
+                continue
+            for x, x_weight in _line_points(q, len(free)):
+                values = _digits_of(x, q, len(free))
+                ops = operators([sum(map(mul, row, values)) % q for row in solve], True)
+                images = [[sum(map(mul, row, u)) % q for row in M] for _, u in closed for M in ops]
+                if len(_close_span(closed, images, phi_ops + ops, q, n)) == n:
+                    total += lift * x_weight
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ class Quiver(_Record):
 def check_dim_vector(quiver: Quiver, vec: Sequence[int], name: str = "dimension vector") -> tuple[int, ...]:
     """Validate and normalize a dimension vector for the quiver.
 
-    Entries must be integers: Python ints or integer scalars such as numpy's,
-    normalized to int.  A bool, float or str entry is refused, never
+    Entries must be integers: Python ints or any integer scalar with
+    __index__, normalized to int.  A bool, float or str entry is refused, never
     truncated or parsed.
     """
     entries = tuple(vec)

@@ -640,16 +640,16 @@ assert "numpy" not in sys.modules
     _run_fresh_interpreter(code)
 
 
-def test_stable_fiber_loads_numpy_when_called():
-    # in a fresh interpreter: count_stable_fiber, which no command runs, is
-    # the one oracle on numpy, and loads it only when it is called
+def test_package_runs_without_numpy():
+    # in a fresh interpreter where numpy cannot be imported: the stable
+    # count, the verify suites and the selftest all run on Python ints
     code = """
 import sys
+sys.modules["numpy"] = None
 from quivermotive import JORDAN, cli, count_stable_fiber
-assert cli.main(["verify", "all", "--q", "2"]) == 0
-assert "numpy" not in sys.modules
 assert count_stable_fiber(JORDAN, (2,), (1,), 2) == 144
-assert "numpy" in sys.modules
+assert cli.main(["verify", "all", "--q", "2"]) == 0
+assert cli.main(["selftest", "--fast"]) == 0
 """
     _run_fresh_interpreter(code)
 

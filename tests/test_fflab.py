@@ -15,6 +15,7 @@ from quivermotive.fflab import (
     charsum_fiber_identity,
     charsum_linear_lemma,
     count_moment_fiber,
+    count_stable_fiber,
     fourier_inversion_check,
     group_order,
     jordan_nilpotent,
@@ -32,7 +33,6 @@ from quivermotive.quiver import (
     TWO_LOOP,
     Quiver,
 )
-from quivermotive.stable import _batch_echelon, count_stable_fiber
 from quivermotive.verify import _FIBER_IDENTITY_CASES
 
 P = Partition
@@ -394,6 +394,12 @@ class TestStableFiber:
         (A2, (1, 1), (0, 1), 3),
         (DOUBLE_ARROW, (1, 1), (1, 0), 2),
         (STAR3, (1, 1, 1), (1, 1, 1), 2),
+        # two psi loop operators at one vertex, and two framed vertices
+        (TWO_LOOP, (1,), (1,), 3),
+        (DOUBLE_ARROW, (1, 1), (1, 1), 2),
+        # framed at a leaf: the framing image spans a line of V, so the
+        # closure runs per projected psi point, one per line through 0
+        (STAR3, (1, 1, 1), (0, 1, 0), 3),
     )
 
     def test_matches_pairwise_enumeration(self):
@@ -440,6 +446,15 @@ class TestStableFiber:
         with pytest.raises(EnumerationBudgetError, match="needs 688 points"):
             count_stable_fiber(JORDAN, (2,), (1,), 2, budget=100)
         assert count_stable_fiber(JORDAN, (2,), (1,), 2, budget=688) == 144
+
+    def test_refused_before_the_stability_pass(self):
+        # Jordan v=(3,), w=(1,) over F_3: 3^12 phis fit the default budget,
+        # the zero fiber does not, and its size comes from the orbit-reduced
+        # fiber count, so the refusal takes no stability test at all
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError, match="needs 67969773 points"):
+            count_stable_fiber(JORDAN, (3,), (1,), 3)
+        assert time.perf_counter() - start < 5
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError, match="prime"):
@@ -816,7 +831,7 @@ class TestOracleReferences:
             assert fflab._rank_rational(rows) == _fraction_rank(rows), rows
             assert rows == before, "the rows were written in place"
 
-    def test_list_echelon_matches_batch(self):
+    def test_list_echelon_is_reduced_and_keeps_the_row_space(self):
         rng = random.Random(41)
         for q in (2, 3, 5, 7):
             systems = [[[0] * 4 for _ in range(3)], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
@@ -828,10 +843,20 @@ class TestOracleReferences:
             for rows in systems:
                 # pivots in every column, or in all but a trailing right-hand side
                 for ncols in {len(rows[0]), max(1, len(rows[0]) - 1)}:
-                    echelon, rank, pivots = _batch_echelon(np.array([rows]), q, ncols)
-                    listed, list_pivots = fflab._echelon_mod(rows, q, ncols)
-                    assert listed == echelon[0].tolist(), (q, rows, ncols)
-                    assert list_pivots == pivots[0, : rank[0]].tolist(), (q, rows, ncols)
+                    before = [list(row) for row in rows]
+                    echelon, pivots = fflab._echelon_mod(rows, q, ncols)
+                    assert rows == before, "the rows were written in place"
+                    assert len(echelon) == len(rows)
+                    assert pivots == sorted(set(pivots)) and all(p < ncols for p in pivots)
+                    for r, p in enumerate(pivots):
+                        # a unit pivot, alone in its column, after a zero lead
+                        assert [row[p] for row in echelon] == [int(k == r) for k in range(len(rows))]
+                        assert not any(echelon[r][:p]), (q, rows, ncols)
+                    # past the rank, nothing is left in the pivot columns
+                    assert not any(x for row in echelon[len(pivots) :] for x in row[:ncols]), (q, rows, ncols)
+                    # the same row space: neither side adds to the other's rank
+                    rank = _rank_mod(rows, q)
+                    assert _rank_mod(echelon, q) == rank == _rank_mod(rows + echelon, q), (q, rows)
             assert fflab._echelon_mod(systems[2], q, 5)[1] == [0, 1, 2, 3, 4]
             assert fflab._echelon_mod(systems[0], q, 4) == (systems[0], [])
 
@@ -1128,6 +1153,26 @@ def _point_from_vectors(quiver, v, w, phi_vec, psi_vec):
     return FpPoint.build(
         quiver, v, w, phi_arrows, phi_framing, mats[:n_arrows], mats[n_arrows:]
     )
+
+
+def _rank_mod(rows, q):
+    """Rank over the q-element field, by inserting each row into a basis keyed by leading column.
+
+    A row is reduced by the basis row of its leading column until it
+    vanishes or leads a column that has none, which it then takes.
+    """
+    basis = {}
+    for row in rows:
+        row = [x % q for x in row]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        while lead in basis:
+            c = row[lead]
+            row = [(x - c * y) % q for x, y in zip(row, basis[lead])]
+            lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            unit = pow(row[lead], -1, q)
+            basis[lead] = [x * unit % q for x in row]
+    return len(basis)
 
 
 def _generated_subspace(ops, gens, q, n):
