@@ -7,7 +7,8 @@ prime fields.  The package exports what the README documents; the oracle
 internals and engine building blocks stay importable from their modules.
 
 Exports whose code the engine does not run load on first access, through
-the name-to-module table _LAZY: the finite-field oracles, MSeries, the
+the name-to-module table _LAZY: the finite-field oracles (fflab, and the
+stable-locus count from points, which no command loads), MSeries, the
 fraction type LRat with L, and the partition helpers.  The package needs
 nothing beyond the standard library.
 Importing the package loads the engine, the polynomial kernel (poly) and
@@ -45,7 +46,7 @@ _LAZY = {
     "EnumerationBudgetError": "fflab",
     "centralizer_order": "fflab",
     "count_moment_fiber": "fflab",
-    "count_stable_fiber": "fflab",
+    "count_stable_fiber": "points",
     "kappa_oracle": "fflab",
     "L": "lrat",
     "LRat": "lrat",

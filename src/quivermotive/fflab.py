@@ -14,13 +14,16 @@ Field arithmetic goes through one layer (_Field, built once per field by
 _field): elements are small ints under % and pow, and batches of points are
 bit-sliced into Python ints, one bit per point and one int per binary digit
 of an element.  The oracles here run on Python ints alone.  The one-system
-eliminations (_echelon_mod) and the stable-locus count's span closures
-(_close_span) work on plain lists of field elements.
+eliminations (_echelon_mod) work on plain lists, and so does the orbit
+walk (_arrow_orbits), whose image tables are packed into 64-bit machine
+ints only when they are long.
 
 The matrix of the derived action rho'(X) is built in one place, as integer
 rows per arrow and framing block (_arrow_rows, _framing_rows), for the
 kernel ranks, the commutant of a Jordan nilpotent and the moment forms;
-apply_rho_derivative computes the same action by explicit matrix products.
+_rho_products computes the same action by explicit matrix products, for
+the fiber identity.  Explicit (phi, psi) points and the stable-locus count,
+which no command runs, live in quivermotive.points.
 
 The moment-map condition is evaluated against the elementary-matrix basis of
 the symmetry Lie algebra through its defining pairing, never through an
@@ -30,22 +33,26 @@ explicit coordinate formula, which keeps sign conventions out of the code.
 from __future__ import annotations
 
 import random
-from array import array
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import mul
 from typing import Iterable, Sequence
 
 from .partitions import Partition
-from .quiver import InputError, Quiver, _Record, check_dim_vector, dim_group, dim_rep_space
+from .quiver import InputError, Quiver, check_dim_vector, dim_group, dim_rep_space
 
 DEFAULT_BUDGET = 1 << 26
 # Above this many points the automatic strategy stops enumerating full
-# (phi, psi) pairs and enumerates phi only, counting psi solutions exactly.
-FULL_ENUMERATION_CAP = 1 << 20
+# (phi, psi) pairs and enumerates phi only, counting psi solutions exactly:
+# timed on the builtins at q = 2, 3, 5 (and 7), full was faster on every
+# case of 2^16 pairs and the orbit-reduced linear count on every case of
+# 7^6 (about 2^16.8) pairs or more.
+FULL_ENUMERATION_CAP = 1 << 16
 CENTRALIZER_BUDGET = 1 << 20
 # Points per bit-sliced block: each plane of a lane value is at most this many bits.
 LANE_BLOCK = 1 << 20
+# Entries up to which an orbit-walk image table is a list (_separable).
+LIST_TABLE_MAX = 1 << 12
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -210,25 +217,12 @@ def _digits_of(index: int, q: int, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Representation points and the derived action
+# The derived action by matrix products
 
 def _phi_shapes(quiver: Quiver, v, w) -> list[tuple[int, int]]:
     shapes = [(v[t], v[s]) for s, t in quiver.arrows]
     shapes.extend((v[i], w[i]) for i in range(quiver.vertex_count))
     return shapes
-
-
-def _psi_shapes(quiver: Quiver, v, w) -> list[tuple[int, int]]:
-    shapes = [(v[s], v[t]) for s, t in quiver.arrows]
-    shapes.extend((w[i], v[i]) for i in range(quiver.vertex_count))
-    return shapes
-
-
-def _as_matrix(m, rows: int, cols: int, what: str) -> tuple[tuple[int, ...], ...]:
-    m = tuple(tuple(int(x) for x in row) for row in m)
-    if len(m) != rows or any(len(row) != cols for row in m):
-        raise ValueError(f"{what} must be {rows}x{cols}")
-    return m
 
 
 def _zero_matrix(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
@@ -246,85 +240,12 @@ def _mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _mat_mod(a, p: int):
-    return tuple(tuple(x % p for x in row) for row in a)
-
-
-def _trace_of_product(b, a) -> int:
-    # tr(b . a) without forming the product; works for empty shapes.
-    return sum(b[i][j] * a[j][i] for i in range(len(b)) for j in range(len(b[i]) if b else 0))
-
-
-class FpPoint(_Record):
-    """A point of the doubled representation space: matrices and their duals.
-
-    Arrow entries are target x source; dual entries have transposed shapes.
-    """
-
-    __slots__ = ("phi_arrows", "phi_framing", "psi_arrows", "psi_framing")
-
-    def __init__(
-        self, phi_arrows: tuple, phi_framing: tuple, psi_arrows: tuple, psi_framing: tuple
-    ):
-        self._init(phi_arrows, phi_framing, psi_arrows, psi_framing)
-
-    @classmethod
-    def build(cls, quiver: Quiver, v, w, phi_arrows, phi_framing, psi_arrows, psi_framing):
-        v = check_dim_vector(quiver, v, "v")
-        w = check_dim_vector(quiver, w, "w")
-        pshapes = _phi_shapes(quiver, v, w)
-        dshapes = _psi_shapes(quiver, v, w)
-        na = len(quiver.arrows)
-        pa = tuple(
-            _as_matrix(m, *pshapes[i], what=f"phi for arrow {i}") for i, m in enumerate(phi_arrows)
-        )
-        pf = tuple(
-            _as_matrix(m, *pshapes[na + i], what=f"phi framing at vertex {i}")
-            for i, m in enumerate(phi_framing)
-        )
-        da = tuple(
-            _as_matrix(m, *dshapes[i], what=f"psi for arrow {i}") for i, m in enumerate(psi_arrows)
-        )
-        df = tuple(
-            _as_matrix(m, *dshapes[na + i], what=f"psi framing at vertex {i}")
-            for i, m in enumerate(psi_framing)
-        )
-        if len(pa) != na or len(da) != na or len(pf) != quiver.vertex_count or len(df) != quiver.vertex_count:
-            raise ValueError("wrong number of matrix components")
-        return cls(pa, pf, da, df)
-
-
-def apply_rho_derivative(quiver: Quiver, v, w, X, phi, modulus: int | None = None):
-    """Derived action of a Lie-algebra element on a representation point.
-
-    X is one square matrix per vertex; phi is a pair (arrow matrices,
-    framing matrices).  Returns the image in the same shape: for an arrow
-    s -> t the component is X_t . phi_e - phi_e . X_s, for a framing it is
-    X_i . phi_i.
-    """
-    v = check_dim_vector(quiver, v, "v")
-    w = check_dim_vector(quiver, w, "w")
-    X = tuple(_as_matrix(m, v[i], v[i], what=f"X at vertex {i}") for i, m in enumerate(X))
-    if len(X) != quiver.vertex_count:
-        raise ValueError("X needs one matrix per vertex")
-    arrows_in, framing_in = phi
-    shapes = _phi_shapes(quiver, v, w)
-    na = len(quiver.arrows)
-    arrows_in = tuple(
-        _as_matrix(m, *shapes[i], what=f"phi for arrow {i}") for i, m in enumerate(arrows_in)
-    )
-    framing_in = tuple(
-        _as_matrix(m, *shapes[na + i], what=f"phi framing at vertex {i}")
-        for i, m in enumerate(framing_in)
-    )
-    image = _rho_products(quiver, v, w, X, arrows_in, framing_in)
-    if modulus is not None:
-        image = tuple(tuple(_mat_mod(m, modulus) for m in part) for part in image)
-    return image
-
-
 def _rho_products(quiver: Quiver, v, w, X, arrows_in, framing_in):
-    """apply_rho_derivative's matrix products, without its checks or modulus."""
+    """rho'(X) on phi by explicit matrix products, unchecked and unreduced.
+
+    X_t . E - E . X_s for an arrow s -> t and X_i . E for a framing, the
+    action that points.apply_rho_derivative checks its input for and reduces.
+    """
     out_arrows = []
     for e, (s, t) in enumerate(quiver.arrows):
         left = _mat_mul(X[t], arrows_in[e], v[t], v[t], v[s])
@@ -334,18 +255,6 @@ def _rho_products(quiver: Quiver, v, w, X, arrows_in, framing_in):
         _mat_mul(X[i], framing_in[i], v[i], v[i], w[i]) for i in range(quiver.vertex_count)
     ]
     return tuple(out_arrows), tuple(out_framing)
-
-
-def moment_pairing(quiver: Quiver, v, w, point: FpPoint, X, modulus: int | None = None) -> int:
-    """Trace pairing of the derived action on the phi half against the psi half."""
-    arrows, framing = apply_rho_derivative(
-        quiver, v, w, X, (point.phi_arrows, point.phi_framing)
-    )
-    total = sum(_trace_of_product(point.psi_arrows[e], arrows[e]) for e in range(len(arrows)))
-    total += sum(
-        _trace_of_product(point.psi_framing[i], framing[i]) for i in range(len(framing))
-    )
-    return total % modulus if modulus is not None else total
 
 
 # ---------------------------------------------------------------------------
@@ -541,20 +450,32 @@ def _gl_generators(n: int, q: int) -> list[tuple[tuple, tuple]]:
     return gens
 
 
-def _separable(parts) -> array:
+def _separable(parts) -> Sequence[int]:
     """The table x -> sum of parts[k][digit block k of x], the lowest block first.
 
     Block k takes len(parts[k]) values, and each part holds its values
-    already multiplied by their places.  The parts are arrays, and one part
-    is its own table.
+    already multiplied by their places.  The parts are lists of ints, and
+    one part is its own table.  A table of up to LIST_TABLE_MAX entries is a
+    list, whose reads box no new int; a longer one is packed (_packed): a
+    list entry costs a pointer and an int object, about 40 bytes against 8,
+    and timed in-process the walk ran about 1.4x faster on lists with
+    tables of up to 2,401 entries but 1.3-1.6x slower with one of 15,625.
     """
-    table = parts[0] if parts else array("q", [0])
+    table = parts[0] if parts else [0]
     for part in parts[1:]:
-        table = array("q", chain.from_iterable(map(b.__add__, table) for b in part))
-    return table
+        table = list(chain.from_iterable(map(b.__add__, table) for b in part))
+    return table if len(table) <= LIST_TABLE_MAX else _packed(table)
 
 
-def _row_parts(q: int, h, n_rows: int, place) -> list[array]:
+def _packed(values: list[int]) -> memoryview:
+    """values as signed 64-bit machine ints, 8 bytes an entry, read back as ints."""
+    view = memoryview(bytearray(8 * len(values))).cast("q")
+    for i, x in enumerate(values):
+        view[i] = x
+    return view
+
+
+def _row_parts(q: int, h, n_rows: int, place) -> list[list[int]]:
     """The parts of E -> the matrix whose row r is u . h, u row r of E, for n_rows rows.
 
     Each row of E moves on its own, so the map is separable over the rows:
@@ -566,10 +487,10 @@ def _row_parts(q: int, h, n_rows: int, place) -> list[array]:
     for h_i in h:
         images = [tuple((x + c * y) % q for x, y in zip(u, h_i)) for c in range(q) for u in images]
     places = [[q ** place(r, j) for j in range(len(h))] for r in range(n_rows)]
-    return [array("q", [sum(map(mul, u, row)) for u in images]) for row in places]
+    return [[sum(map(mul, u, row)) for u in images] for row in places]
 
 
-def _halves(parts) -> tuple[int, array, array]:
+def _halves(parts) -> tuple[int, Sequence[int], Sequence[int]]:
     """(Q, high, low) with x -> high[x // Q] + low[x % Q] the separable map of parts.
 
     The low blocks are the first ones whose sizes multiply to Q, just past
@@ -700,22 +621,20 @@ def _framing_counts(field: _Field, systems, targets, n: int) -> int:
     return total
 
 
-def _count_fiber_linear(quiver: Quiver, v, w, mats, traces, q: int, d: int, alpha: int) -> int:
+def _count_fiber_linear(mats, goals, q: int, d: int, n_arrow: int, orbits) -> int:
     """Fiber count from the psi systems of one arrow part per G_v-orbit, over every framing.
 
     The psi system of phi = (arrow part a, framing part f) has the rows A(a)
-    on the psi arrow coordinates and F(f) on the psi framing ones.
-    Eliminating [A(a) | I] over A's columns gives the rank r of A(a) and the
-    rows K with K A(a) = 0: the system has q^(D - r) times as many solutions
-    as K F(f) psi_f = K (alpha tr), D the number of arrow coordinates, and
-    that one is linear in f, so all framings are eliminated at once,
-    bit-sliced (_framing_counts).  The moment map is G_v-equivariant, alpha
-    times the identity is central, and g acts on the framings bijectively,
-    so the sum over f is constant on the orbits of arrow parts
-    (_arrow_orbits) and is weighted by the orbit size.
+    on the first n_arrow psi coordinates, the arrows, and F(f) on the rest,
+    the framings.  Eliminating [A(a) | I] over A's columns gives the rank r
+    of A(a) and the rows K with K A(a) = 0: the system has q^(n_arrow - r)
+    times as many solutions as K F(f) psi_f = K goals, and that one is
+    linear in f, so all framings are eliminated at once, bit-sliced
+    (_framing_counts).  The moment map is G_v-equivariant, alpha times the
+    identity is central, and g acts on the framings bijectively, so the sum
+    over f is constant on the orbits of arrow parts (orbits, from
+    _arrow_orbits) and is weighted by the orbit size.
     """
-    n_arrow = d - sum(a * b for a, b in zip(v, w))
-    goals = [(alpha * t) % q for t in traces]
     arrow_terms = [
         [(a, b, m) for a in range(n_arrow) for b, m in enumerate(M[a][:n_arrow]) if m] for M in mats
     ]
@@ -724,9 +643,8 @@ def _count_fiber_linear(quiver: Quiver, v, w, mats, traces, q: int, d: int, alph
         for M in mats
     ]
     identity = [[int(r == k) for k in range(len(mats))] for r in range(len(mats))]
-    reps, sizes = _arrow_orbits(quiver, v, q)
     total = 0
-    for rep, size in zip(reps, sizes):
+    for rep, size in zip(*orbits):
         arrows = _digits_of(rep, q, n_arrow)
         rows = []
         for terms, unit in zip(arrow_terms, identity):
@@ -781,161 +699,35 @@ def count_moment_fiber(
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
     _require_prime(q)
+    return _fiber_count(quiver, v, w, alpha, q, budget, strategy)[0]
+
+
+def _fiber_count(quiver: Quiver, v, w, alpha: int, q: int, budget: int, strategy: str, orbits=None):
+    """count_moment_fiber for checked v, w and q, with the moment forms it counted.
+
+    Returns (count, mats), mats from _moment_system.  A caller that needs
+    the arrow orbits as well passes them, _arrow_orbits(quiver, v, q), and
+    the linear strategy uses them instead of building its own.
+    """
     d = dim_rep_space(quiver, v, w)
     pairs = q ** (2 * d)
-    singles = q**d
     if strategy == "auto":
         strategy = "full" if pairs <= min(budget, FULL_ENUMERATION_CAP) else "linear"
     if strategy == "full":
         if pairs > budget:
             raise EnumerationBudgetError(pairs, budget, "full fiber enumeration")
     elif strategy == "linear":
-        if singles > budget:
-            raise EnumerationBudgetError(singles, budget, "fiber enumeration")
+        if q**d > budget:
+            raise EnumerationBudgetError(q**d, budget, "fiber enumeration")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     mats, traces = _moment_system(quiver, v, w, q)
+    goals = [(alpha * t) % q for t in traces]
     if strategy == "full":
-        goals = [(alpha * t) % q for t in traces]
-        return _count_fiber_full(mats, goals, q, d)
-    return _count_fiber_linear(quiver, v, w, mats, traces, q, d, alpha)
-
-
-# ---------------------------------------------------------------------------
-# The stable locus of the zero fiber
-
-def _close_span(basis, vectors, ops, q: int, n: int):
-    """Extend basis by vectors and by the images under ops of each row it gains, up to n rows.
-
-    basis holds (pivot, row) pairs, each row 0 at the pivots before it and 1
-    at its own, and its rows' images are not taken; ops are n x n matrices.
-    """
-    basis, stack = list(basis), list(vectors)
-    while stack and len(basis) < n:
-        vec = stack.pop()
-        for p, row in basis:
-            c = vec[p]
-            if c:
-                vec = [(x - c * y) % q for x, y in zip(vec, row)]
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is not None:
-            unit = pow(vec[pivot], -1, q)
-            vec = [x * unit % q for x in vec]
-            basis.append((pivot, vec))
-            if len(basis) < n:
-                stack += [[sum(map(mul, row, vec)) % q for row in M] for M in ops]
-    return basis
-
-
-def _line_points(q: int, m: int):
-    """(index, weight) for 0, weight 1, and for each line through 0 of F_q^m, weight q - 1.
-
-    A line's index is the base-q digits (_digits_of) of its point with top nonzero digit 1.
-    """
-    yield 0, 1
-    for k in range(m):
-        for index in range(q**k, 2 * q**k):
-            yield index, q - 1
-
-
-def count_stable_fiber(
-    quiver: Quiver, v: Sequence[int], w: Sequence[int], q: int, budget: int = DEFAULT_BUDGET
-) -> int:
-    """Theta-stable points of the zero fiber of the moment map.
-
-    A point (phi, psi) of the fiber over 0 is stable when the images of the
-    framing maps W_i -> V_i generate V under the phi arrows and their psi
-    duals.  The group acts freely on this locus with the quiver variety as
-    quotient, so the count is the group order times the variety's point
-    count over every field, small characteristic included.
-
-    The budget bounds the phi points, then the zero-fiber points
-    (count_moment_fiber), both refused before any stability test.  Stability
-    and the moment map are G_v-invariant and g maps the psi solutions of phi
-    onto those of g phi, so one arrow part per G_v-orbit (_arrow_orbits) is
-    taken, weighted by the orbit size.  Scalars in G_v scale the framing,
-    psi solutions scale, and neither changes the span stability closes, so
-    both run over one point per line (_line_points).  Each phi's system in
-    psi, rows phi^T M, is eliminated (_echelon_mod) psi framing first: the
-    rows that pivot later cut out the solutions' projection onto the psi
-    arrows, which stability alone reads, each projected point standing for
-    q^(nullity - projected rank) solutions.  The framing images close under
-    the phi arrows to U0 (_close_span).  If U0 is V every solution is
-    stable; if U0 has codimension 1, psi is unstable just when it maps U0
-    into U0, a linear condition; else the closure runs per projected point.
-    """
-    v = check_dim_vector(quiver, v, "v")
-    w = check_dim_vector(quiver, w, "w")
-    _require_prime(q)
-    d = dim_rep_space(quiver, v, w)
-    if q**d > budget:
-        raise EnumerationBudgetError(q**d, budget, "stable-fiber phi enumeration")
-    zero_fiber = count_moment_fiber(quiver, v, w, 0, q, budget)
-    if zero_fiber > budget:
-        raise EnumerationBudgetError(zero_fiber, budget, "zero-fiber enumeration")
-    mats, _ = _moment_system(quiver, v, w, q)
-    na, n, n_frame = len(quiver.arrows), sum(v), sum(map(mul, v, w))
-    n_arrow = d - n_frame
-    # the columns of each form, the psi framing first
-    columns = [[[row[b] for row in M] for b in [*range(n_arrow, d), *range(n_arrow)]] for M in mats]
-    start = [sum(v[:i]) for i in range(quiver.vertex_count)]
-    phi_shapes, psi_shapes = _phi_shapes(quiver, v, w), _psi_shapes(quiver, v, w)
-
-    def operators(vec, dual):  # the arrows in vec as n x n matrices, psi's mapping V_t to V_s
-        ops, shapes = [], psi_shapes if dual else phi_shapes
-        for E, (s, t) in zip(_matrices(vec, shapes[:na]), quiver.arrows):
-            src, dst = (start[t], start[s]) if dual else (start[s], start[t])
-            ops.append([[0] * n for _ in range(n)])
-            for r, row in enumerate(E):
-                ops[-1][dst + r][src : src + len(row)] = row
-        return ops
-
-    total = 0
-    for rep, size in zip(*_arrow_orbits(quiver, v, q)):
-        arrows = _digits_of(rep, q, n_arrow)
-        phi_ops = operators(arrows, False)
-        for f, f_weight in _line_points(q, n_frame):
-            phi = arrows + _digits_of(f, q, n_frame)
-            images = [
-                [0] * start[i] + list(column) + [0] * (n - start[i] - v[i])
-                for i, F in enumerate(_matrices(phi, phi_shapes)[na:])
-                for column in zip(*F)
-            ]
-            closed = _close_span([], images, phi_ops, q, n)
-            if n and not closed:
-                continue  # no framing image, so nothing is stable
-            rows = [[sum(map(mul, phi, col)) % q for col in form] for form in columns]
-            echelon, pivots = _echelon_mod(rows, q, d)
-            if len(closed) == n:
-                total += size * f_weight * q ** (d - len(pivots))
-                continue
-            cut = {p - n_frame: row[n_frame:] for p, row in zip(pivots, echelon) if p >= n_frame}
-            free = [c for c in range(n_arrow) if c not in cut]
-            # each psi arrow coordinate in terms of the free ones
-            solve = [[-cut[k][c] % q if k in cut else int(k == c) for c in free] for k in range(n_arrow)]
-            lift = size * f_weight * q ** (n_frame - len(pivots) + len(cut))
-            if len(closed) == n - 1:
-                # ell vanishes on U0, and row j of reads holds ell(psi_j u) for the
-                # j-th free direction psi_j and the rows u of U0: its kernel is
-                # where psi maps U0 into U0
-                ell = [int(all(p != c for p, _ in closed)) for c in range(n)]
-                for p, row in reversed(closed):
-                    ell[p] = -sum(map(mul, row, ell)) % q
-                ell_ops = [
-                    [[sum(map(mul, ell, col)) for col in zip(*M)] for M in operators(psi, True)]
-                    for psi in zip(*solve)
-                ]
-                reads = [[sum(map(mul, e, u)) % q for e in es for _, u in closed] for es in ell_ops]
-                rank = len(_echelon_mod(reads, q, len(closed) * na)[1])
-                total += lift * (q ** len(free) - q ** (len(free) - rank))
-                continue
-            for x, x_weight in _line_points(q, len(free)):
-                values = _digits_of(x, q, len(free))
-                ops = operators([sum(map(mul, row, values)) % q for row in solve], True)
-                images = [[sum(map(mul, row, u)) % q for row in M] for _, u in closed for M in ops]
-                if len(_close_span(closed, images, phi_ops + ops, q, n)) == n:
-                    total += lift * x_weight
-    return total
+        return _count_fiber_full(mats, goals, q, d), mats
+    n_arrow = d - sum(map(mul, v, w))
+    orbits = orbits or _arrow_orbits(quiver, v, q)
+    return _count_fiber_linear(mats, goals, q, d, n_arrow, orbits), mats
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,13 @@ from quivermotive.fflab import (
     charsum_fiber_identity,
     charsum_linear_lemma,
     count_moment_fiber,
-    count_stable_fiber,
     fourier_inversion_check,
     group_order,
     kappa_oracle,
 )
 from quivermotive.lrat import LRat
 from quivermotive.partitions import exponents_upto, partitions_of, tuples_with_sizes
+from quivermotive.points import count_stable_fiber
 from quivermotive.quiver import (
     A2,
     DOUBLE_ARROW,

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import quivermotive
-from quivermotive import engine, fflab, lrat, partitions, series
+from quivermotive import engine, fflab, lrat, partitions, points, series
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -39,7 +39,7 @@ def test_lazy_exports_are_their_home_objects():
         "EnumerationBudgetError": fflab,
         "centralizer_order": fflab,
         "count_moment_fiber": fflab,
-        "count_stable_fiber": fflab,
+        "count_stable_fiber": points,
         "kappa_oracle": fflab,
         "L": lrat,
         "LRat": lrat,

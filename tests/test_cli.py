@@ -629,13 +629,19 @@ assert "numpy" not in sys.modules
     [["selftest", "--fast"], ["verify", "all"], ["verify", "centralizer", "--q", "2,3,5"]],
 )
 def test_oracle_commands_import_no_numpy(args):
-    # in a fresh interpreter: the oracles run on Python ints, so neither the
-    # selftest nor the verify suites load numpy, at any field size
+    # in a fresh interpreter: the oracles run on Python ints and lists, so
+    # neither the selftest nor the verify suites load numpy or the array
+    # extension, at any field size, nor the library-only points module
+    # (explicit points and the stable count).  Modules the bare interpreter
+    # already holds (host site hooks vary) are exempt.
     code = f"""
 import sys
+bare = set(sys.modules)
 from quivermotive import cli
 assert cli.main({args!r}) == 0
-assert "numpy" not in sys.modules
+unused = ("numpy", "array", "quivermotive.points")
+loaded = [m for m in unused if m in sys.modules and m not in bare]
+assert not loaded, loaded
 """
     _run_fresh_interpreter(code)
 

@@ -6,23 +6,20 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from quivermotive import fflab
+from quivermotive import fflab, points
 from quivermotive.fflab import (
     EnumerationBudgetError,
-    FpPoint,
-    apply_rho_derivative,
     centralizer_order,
     charsum_fiber_identity,
     charsum_linear_lemma,
     count_moment_fiber,
-    count_stable_fiber,
     fourier_inversion_check,
     group_order,
     jordan_nilpotent,
     kappa_oracle,
-    moment_pairing,
 )
 from quivermotive.partitions import Partition, exponents_upto, partitions_of, tuples_with_sizes
+from quivermotive.points import FpPoint, apply_rho_derivative, count_stable_fiber, moment_pairing
 from quivermotive.quiver import (
     A2,
     BUILTIN_QUIVERS,
@@ -312,6 +309,17 @@ class TestPhiOrbits:
         reps, sizes = fflab._arrow_orbits(JORDAN, (3,), 3)
         assert calls.count(3) == 8  # the others check g . g_inv = I on row vectors
         assert len(reps) == 39 and sum(sizes) == 3**9
+
+    def test_packed_tables_walk_the_same_orbits(self, monkeypatch):
+        # tables above LIST_TABLE_MAX entries are packed 64-bit ints; packing
+        # every table of more than one entry changes no orbit
+        parts = [[0, 1, 2], [0, 3, 6]]
+        assert fflab._separable(parts) == list(range(9))
+        expected = [fflab._arrow_orbits(quiver, v, q) for quiver, v, w, q in self.CASES]
+        monkeypatch.setattr(fflab, "LIST_TABLE_MAX", 1)
+        packed = fflab._separable(parts)
+        assert isinstance(packed, memoryview) and packed.tolist() == list(range(9))
+        assert [fflab._arrow_orbits(quiver, v, q) for quiver, v, w, q in self.CASES] == expected
 
 
 class TestLaneBlocks:
@@ -1148,7 +1156,7 @@ class TestMomentSystemInternals:
 
 def _point_from_vectors(quiver, v, w, phi_vec, psi_vec):
     phi_arrows, phi_framing = fflab._unflatten_phi(quiver, v, w, phi_vec)
-    mats = fflab._matrices(psi_vec, fflab._psi_shapes(quiver, v, w))
+    mats = fflab._matrices(psi_vec, points._psi_shapes(quiver, v, w))
     n_arrows = len(quiver.arrows)
     return FpPoint.build(
         quiver, v, w, phi_arrows, phi_framing, mats[:n_arrows], mats[n_arrows:]
