@@ -14,9 +14,8 @@ Field arithmetic goes through one layer (_Field, built once per field by
 _field): elements are small ints under % and pow, and batches of points are
 bit-sliced into Python ints, one bit per point and one int per binary digit
 of an element.  The oracles here run on Python ints alone.  The one-system
-eliminations (_echelon_mod) work on plain lists, and so does the orbit
-walk (_arrow_orbits), whose image tables are packed into 64-bit machine
-ints only when they are long.
+eliminations (_echelon_mod) work on plain lists; the orbit walk
+(_arrow_orbits) reads image tables packed into 64-bit machine ints.
 
 The matrix of the derived action rho'(X) is built in one place, as integer
 rows per arrow and framing block (_arrow_rows, _framing_rows), for the
@@ -51,8 +50,6 @@ FULL_ENUMERATION_CAP = 1 << 16
 CENTRALIZER_BUDGET = 1 << 20
 # Points per bit-sliced block: each plane of a lane value is at most this many bits.
 LANE_BLOCK = 1 << 20
-# Entries up to which an orbit-walk image table is a list (_separable).
-LIST_TABLE_MAX = 1 << 12
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -450,21 +447,17 @@ def _gl_generators(n: int, q: int) -> list[tuple[tuple, tuple]]:
     return gens
 
 
-def _separable(parts) -> Sequence[int]:
+def _separable(parts) -> memoryview:
     """The table x -> sum of parts[k][digit block k of x], the lowest block first.
 
     Block k takes len(parts[k]) values, and each part holds its values
-    already multiplied by their places.  The parts are lists of ints, and
-    one part is its own table.  A table of up to LIST_TABLE_MAX entries is a
-    list, whose reads box no new int; a longer one is packed (_packed): a
-    list entry costs a pointer and an int object, about 40 bytes against 8,
-    and timed in-process the walk ran about 1.4x faster on lists with
-    tables of up to 2,401 entries but 1.3-1.6x slower with one of 15,625.
+    already multiplied by their places.  The parts are lists of ints; the
+    table is packed (_packed), 8 bytes an entry against about 40 in a list.
     """
     table = parts[0] if parts else [0]
     for part in parts[1:]:
         table = list(chain.from_iterable(map(b.__add__, table) for b in part))
-    return table if len(table) <= LIST_TABLE_MAX else _packed(table)
+    return _packed(table)
 
 
 def _packed(values: list[int]) -> memoryview:
@@ -490,7 +483,7 @@ def _row_parts(q: int, h, n_rows: int, place) -> list[list[int]]:
     return [[sum(map(mul, u, row)) for u in images] for row in places]
 
 
-def _halves(parts) -> tuple[int, Sequence[int], Sequence[int]]:
+def _halves(parts) -> tuple[int, memoryview, memoryview]:
     """(Q, high, low) with x -> high[x // Q] + low[x % Q] the separable map of parts.
 
     The low blocks are the first ones whose sizes multiply to Q, just past

@@ -310,16 +310,12 @@ class TestPhiOrbits:
         assert calls.count(3) == 8  # the others check g . g_inv = I on row vectors
         assert len(reps) == 39 and sum(sizes) == 3**9
 
-    def test_packed_tables_walk_the_same_orbits(self, monkeypatch):
-        # tables above LIST_TABLE_MAX entries are packed 64-bit ints; packing
-        # every table of more than one entry changes no orbit
-        parts = [[0, 1, 2], [0, 3, 6]]
-        assert fflab._separable(parts) == list(range(9))
-        expected = [fflab._arrow_orbits(quiver, v, q) for quiver, v, w, q in self.CASES]
-        monkeypatch.setattr(fflab, "LIST_TABLE_MAX", 1)
-        packed = fflab._separable(parts)
-        assert isinstance(packed, memoryview) and packed.tolist() == list(range(9))
-        assert [fflab._arrow_orbits(quiver, v, q) for quiver, v, w, q in self.CASES] == expected
+    def test_separable_tables_are_packed(self):
+        # image tables are 64-bit machine ints, the lowest digit block first
+        table = fflab._separable([[0, 1, 2], [0, 3, 6], [0, 1 << 40]])
+        assert isinstance(table, memoryview) and table.format == "q"
+        assert table.tolist() == list(range(9)) + [x + (1 << 40) for x in range(9)]
+        assert fflab._separable([]).tolist() == [0]
 
 
 class TestLaneBlocks:
