@@ -1,5 +1,9 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -597,10 +601,10 @@ def _run_fresh_interpreter(code):
 def test_engine_commands_import_no_numpy():
     # in a fresh interpreter: motive and series, whatever --threads says,
     # load neither the oracles and numpy nor the modules that only
-    # other code runs (the fraction type and the partitions among them), so
-    # the package loads exactly the modules they run; the series type and
-    # verify load on demand.  Modules the bare interpreter already holds
-    # (host site hooks vary) are exempt.
+    # other code runs (the fraction type and the partitions among them, and
+    # argparse with its gettext and locale), so the package loads exactly the
+    # modules they run; the series type and verify load on demand.  Modules
+    # the bare interpreter already holds (host site hooks vary) are exempt.
     code = """
 import sys
 bare = set(sys.modules)
@@ -610,7 +614,8 @@ assert cli.main(args) == 0
 assert cli.main(["motive", "--quiver", "jordan", "--v", "3", "--w", "1"]) == 0
 unused = ("numpy", "quivermotive.fflab", "quivermotive.verify", "quivermotive.series",
           "quivermotive.lrat", "quivermotive.partitions",
-          "dataclasses", "fractions", "decimal", "concurrent.futures", "logging")
+          "dataclasses", "fractions", "decimal", "concurrent.futures", "logging",
+          "argparse", "gettext", "locale")
 loaded = [m for m in unused if m in sys.modules and m not in bare]
 assert not loaded, loaded
 package = sorted(m for m in sys.modules if m.startswith("quivermotive"))
@@ -632,14 +637,15 @@ def test_oracle_commands_import_no_numpy(args):
     # in a fresh interpreter: the oracles run on Python ints and lists, so
     # neither the selftest nor the verify suites load numpy or the array
     # extension, at any field size, nor the library-only points module
-    # (explicit points and the stable count).  Modules the bare interpreter
-    # already holds (host site hooks vary) are exempt.
+    # (explicit points and the stable count), nor argparse with its gettext
+    # and locale.  Modules the bare interpreter already holds (host site
+    # hooks vary) are exempt.
     code = f"""
 import sys
 bare = set(sys.modules)
 from quivermotive import cli
 assert cli.main({args!r}) == 0
-unused = ("numpy", "array", "quivermotive.points")
+unused = ("numpy", "array", "quivermotive.points", "argparse", "gettext", "locale")
 loaded = [m for m in unused if m in sys.modules and m not in bare]
 assert not loaded, loaded
 """
@@ -726,6 +732,229 @@ loaded = [m for m in unused if m in sys.modules and m not in bare]
 assert not loaded, loaded
 """
     _run_fresh_interpreter(code)
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _argparse_reference():
+    # the argparse parser the command line used to have, kept as the
+    # reference for its grammar: the same commands, options, kinds, defaults
+    # and required arguments, without the help texts
+    parser = argparse.ArgumentParser(prog="quivermotive")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, quiver_required):
+        p.add_argument("--quiver", required=quiver_required, default="jordan")
+        p.add_argument("--format", choices=("human", "records"), default="human")
+        p.add_argument("--threads", type=_positive_int, default=1)
+
+    p_motive = sub.add_parser("motive")
+    add_common(p_motive, quiver_required=True)
+    p_motive.add_argument("--v")
+    p_motive.add_argument("--w")
+    p_motive.set_defaults(func=cli.cmd_motive)
+
+    p_series = sub.add_parser("series")
+    add_common(p_series, quiver_required=True)
+    p_series.add_argument("--w")
+    p_series.add_argument("--max-degree", type=int)
+    p_series.set_defaults(func=cli.cmd_series)
+
+    p_verify = sub.add_parser("verify")
+    p_verify.add_argument("suite", choices=("ffcount", "centralizer", "kappa", "harmonic", "all"))
+    add_common(p_verify, quiver_required=False)
+    p_verify.add_argument("--w")
+    p_verify.add_argument("--q")
+    p_verify.add_argument("--alpha", type=int, default=1)
+    p_verify.add_argument("--budget", type=_positive_int, default=None)
+    p_verify.set_defaults(func=cli.cmd_verify)
+
+    p_selftest = sub.add_parser("selftest")
+    p_selftest.add_argument("--fast", action="store_true")
+    p_selftest.add_argument("--format", choices=("human", "records"), default="human")
+    p_selftest.set_defaults(func=cli.cmd_selftest)
+    return parser
+
+
+def _parse_outcome(parser, argv):
+    """("ok", namespace with func by name) or ("exit", code), and the output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(list(argv)))
+        except SystemExit as exc:
+            return ("exit", exc.code), out.getvalue(), err.getvalue()
+    return ("ok", {**args, "func": args["func"].__name__}), out.getvalue(), err.getvalue()
+
+
+# every option of every command, with a value the reference accepts
+_OPTION_VALUES = {
+    "motive": [("--quiver", "a2"), ("--format", "records"), ("--threads", "3"),
+               ("--v", "1,2"), ("--w", "0,1")],
+    "series": [("--quiver", "star3"), ("--format", "records"), ("--threads", "2"),
+               ("--w", "1,1,1"), ("--max-degree", "8")],
+    "verify": [("--quiver", "a2"), ("--format", "records"), ("--threads", "2"), ("--w", "1,1"),
+               ("--q", "2,3"), ("--alpha", "-1"), ("--budget", "7")],
+    "selftest": [("--format", "records")],
+}
+_BASE = {"motive": ["motive", "--quiver", "jordan"], "series": ["series", "--quiver", "jordan"],
+         "verify": ["verify", "kappa"], "selftest": ["selftest"]}
+_VALID_ARGV = (
+    [[*_BASE[name], option, value] for name, pairs in _OPTION_VALUES.items()
+     for option, value in pairs]
+    + [[*_BASE[name], f"{option}={value}"] for name, pairs in _OPTION_VALUES.items()
+       for option, value in pairs]
+    + [
+        ["selftest", "--fast"],
+        ["selftest", "--format", "records", "--fast"],
+        ["series", "--quiver", "jordan", "--w", "1", "--max-degree", "16", "--format", "records"],
+        ["series", "--quiver", "jordan", "--w", "1", "--max", "3"],
+        ["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", "8", "--thr", "2"],
+        ["series", "--quiver=jordan", "--max=2", "--thr=4"],
+        ["verify", "all", "--q", "2"],
+        ["verify", "all", "--quiver", "jordan", "--w", "1", "--q", "2", "--format", "records"],
+        ["motive", "--quiver", "jordan", "--v", "-1", "--w", "1"],
+        ["motive", "--quiver", "jordan", "--v=-1", "--w", "-2"],
+        ["series", "--quiver", "a2", "--quiver", "jordan", "--max-degree", "1", "--max-degree", "4"],
+        ["selftest", "--fast", "--fast", "--format", "human", "--format", "records"],
+        ["verify", "--q", "2", "all", "--format", "records"],
+        ["verify", "--quiver", "jordan", "ffcount", "--w", "1", "--alpha", "2"],
+        ["verify", "--", "all"],
+        ["verify", "all", "--"],
+        ["verify", "--q", "2", "--", "harmonic"],
+    ]
+)
+_REFUSED_ARGV = [
+    [],
+    ["bogus"],
+    ["--quiver", "jordan", "series"],
+    ["verify", "bogus"],
+    ["verify"],
+    ["verify", "all", "kappa"],
+    ["series", "--quiver", "jordan", "--bogus"],
+    ["series", "--quiver", "jordan", "--bogus", "1"],
+    ["selftest", "--f"],
+    ["selftest", "--fast=1"],
+    ["series", "--quiver"],
+    ["motive", "--quiver", "jordan", "--v"],
+    ["series", "--quiver", "jordan", "--w", "--max-degree", "2"],
+    ["series", "--quiver", "jordan", "--max-degree", "x"],
+    ["series", "--quiver", "jordan", "--max-degree", "2.5"],
+    ["series", "--quiver", "jordan", "--format", "xml"],
+    ["series", "--quiver", "jordan", "--threads", "0"],
+    ["series", "--quiver", "jordan", "--threads", "x"],
+    ["verify", "all", "--budget", "0"],
+    ["series", "--quiver", "jordan", "extra"],
+    ["series", "--w", "1", "--max-degree", "2"],
+    ["motive", "--quiver", "jordan", "--v", "-1,2"],
+    ["series", "--quiver", "jordan", "--", "--w", "1"],
+    ["series", "-hx"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parser_reads_argv_as_argparse_did(argv):
+    reference, _, _ = _parse_outcome(_argparse_reference(), argv)
+    got, out, err = _parse_outcome(cli.build_parser(), argv)
+    assert reference[0] == "ok", reference
+    assert got == reference
+    assert out == err == ""
+
+
+@pytest.mark.parametrize("argv", _REFUSED_ARGV, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parser_refuses_argv_as_argparse_did(argv):
+    reference, _, _ = _parse_outcome(_argparse_reference(), argv)
+    got, out, err = _parse_outcome(cli.build_parser(), argv)
+    assert reference == got == ("exit", 2)
+    assert out == ""
+    assert err.startswith("usage: quivermotive")
+    assert err.splitlines()[-1].startswith("quivermotive")
+
+
+def test_parser_matches_argparse_on_random_argv():
+    # seeded random argv over tokens that hit every rule of the grammar:
+    # abbreviations, '=' values, negative numbers, '--', -h run-ons, unknown
+    # and ambiguous options; the outcome (namespace, or exit code, with
+    # help on stdout or a usage line on stderr) must match the reference
+    tokens = [
+        "motive", "series", "verify", "selftest", "all", "kappa", "bogus", "jordan", "1,1",
+        "0", "2", "x", "xml", "records", "", "-", "--", "-1", "-2.5", "-1,2", "-x", "--x",
+        "---x", "a b", "-a b", "--quiver", "--qu", "--q", "--v", "--w", "--max-degree", "--max",
+        "--m", "--threads", "--thr", "--t", "--format", "--f", "--fo", "--fast", "--fa",
+        "--alpha", "--a", "--budget", "--b", "-h", "--help", "--he", "-hh", "-hx", "-h=",
+        "-h=h", "--help=1", "--q=2", "--thr=2", "--threads=0", "--fast=1", "--=", "--f=x",
+        "--format=records", "--max=3", "--max-degree=x", "--v=-1", "--w=", "--budget=-1",
+    ]
+    rng = random.Random(25)
+    reference, new = _argparse_reference(), cli.build_parser()
+    outcomes = set()
+    for _ in range(3000):
+        argv = [rng.choice(tokens) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.75:
+            argv.insert(0, rng.choice(["motive", "series", "verify", "selftest"]))
+        if argv[:1] == ["verify"] and rng.random() < 0.6:
+            argv.insert(rng.randint(1, len(argv)), rng.choice(["all", "kappa"]))
+        want, want_out, want_err = _parse_outcome(reference, argv)
+        got, out, err = _parse_outcome(new, argv)
+        assert got == want, argv
+        assert (bool(out), err.startswith("usage:")) == (bool(want_out), want_err.startswith("usage:")), argv
+        outcomes.add(want[0] if want[0] == "ok" else want[1])
+    assert outcomes == {"ok", 0, 2}
+
+
+@pytest.mark.parametrize("command", [None, "motive", "series", "verify", "selftest"])
+def test_help_lists_every_option_with_its_help(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    text = " ".join(captured.out.split())
+    for name in [command] if command else _OPTION_VALUES:
+        for option, _ in _OPTION_VALUES[name] + [("--fast", None)] * (name == "selftest"):
+            assert option in text, (name, option)
+        for arg in cli._COMMANDS[name][1]:
+            assert " ".join(arg[3].split()) in text, (name, arg[0])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["series", "--quiver", "jordan", "--w", "1", "--max-degree", "16", "--format", "records"],
+        ["verify", "all", "--quiver", "jordan", "--w", "1", "--q", "2", "--format", "records"],
+    ],
+)
+def test_benchmark_child_runs_the_command(capsys, tmp_path, args):
+    # perfbench/cli_child.py as the benchmark spawns it: a parse-only run and
+    # a full run each exit 0 and write their stamps, and the full run prints
+    # the bytes cli.main prints
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "cli_child.py"
+    assert cli.main(args) == 0
+    expected = capsys.readouterr().out.encode()
+    for flag, stamps in ([["--setup-only"], {"setup_end"}], [[], {"setup_end", "compute_end"}]):
+        stamp = tmp_path / "stamps.json"
+        stamp.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, str(child), str(stamp), *flag, *args],
+            env=_fresh_env(),
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written = json.loads(stamp.read_text())
+        assert set(written) == stamps
+        assert proc.stdout == (expected if "compute_end" in stamps else b"")
+        if "compute_end" in stamps:
+            assert written["setup_end"] <= written["compute_end"]
 
 
 class TestSelftestCommand:
