@@ -21,8 +21,8 @@ The matrix of the derived action rho'(X) is built in one place, as integer
 rows per arrow and framing block (_arrow_rows, _framing_rows), for the
 kernel ranks, the commutant of a Jordan nilpotent and the moment forms;
 _rho_products computes the same action by explicit matrix products, for
-the fiber identity.  Explicit (phi, psi) points and the stable-locus count,
-which no command runs, live in quivermotive.points.
+the fiber identity and as the tests' reference for the moment forms.  The
+stable-locus count, which no command runs, lives in quivermotive.points.
 
 The moment-map condition is evaluated against the elementary-matrix basis of
 the symmetry Lie algebra through its defining pairing, never through an
@@ -61,9 +61,32 @@ class EnumerationBudgetError(RuntimeError):
         super().__init__(f"{what} needs {needed} points, budget is {budget}")
 
 
+# Strong-pseudoprime tests to the first twelve prime bases decide primality
+# exactly below psi_12 = 318665857834031151167461 (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_TEST_BOUND = 318665857834031151167461
+
+
 def _require_prime(q: int) -> int:
-    if q < 2 or any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
+    """q if it is prime, else an InputError; q from PRIME_TEST_BOUND on is refused.
+
+    Miller-Rabin to the bases _PRIME_BASES, exact below the bound: a dozen
+    modular powers, whatever the size of q.
+    """
+    if q >= PRIME_TEST_BOUND:
+        raise InputError(f"field size must be below {PRIME_TEST_BOUND}, got {q}")
+    if q in _PRIME_BASES:
+        return q
+    if q < 2 or any(q % a == 0 for a in _PRIME_BASES):
         raise InputError(f"field size must be prime, got {q}")
+    odd, twos = q - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _PRIME_BASES:
+        x = pow(a, odd, q)
+        if x != 1 and all(pow(x, 1 << k, q) != q - 1 for k in range(twos)):
+            raise InputError(f"field size must be prime, got {q}")
     return q
 
 
@@ -240,8 +263,9 @@ def _mat_sub(a, b):
 def _rho_products(quiver: Quiver, v, w, X, arrows_in, framing_in):
     """rho'(X) on phi by explicit matrix products, unchecked and unreduced.
 
-    X_t . E - E . X_s for an arrow s -> t and X_i . E for a framing, the
-    action that points.apply_rho_derivative checks its input for and reduces.
+    X_t . E - E . X_s for an arrow s -> t and X_i . E for a framing: the
+    second implementation of the action, next to the integer rows of
+    _arrow_rows and _framing_rows.
     """
     out_arrows = []
     for e, (s, t) in enumerate(quiver.arrows):

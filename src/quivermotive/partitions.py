@@ -14,7 +14,6 @@ lists them up to a total degree.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul
@@ -70,12 +69,6 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
 
-    def multiplicity(self, k: int) -> int:
-        """Number of parts equal to k (k >= 1)."""
-        if k < 1:
-            raise ValueError("part sizes start at 1")
-        return sum(1 for p in self.parts if p == k)
-
     def multiplicities(self) -> dict[int, int]:
         """Map part size -> multiplicity for the sizes that occur."""
         out: dict[int, int] = {}
@@ -86,17 +79,6 @@ class Partition:
     def conjugate(self) -> "Partition":
         """The transposed Young diagram."""
         return Partition(self._columns)
-
-    def _prepend(self, first: int) -> "Partition":
-        """(first, *self.parts) for first >= every part, without re-validating.
-
-        The new part adds one box to each of the first `first` columns.
-        """
-        lam = object.__new__(Partition)
-        lam.parts = (first,) + self.parts
-        cols = self._columns
-        lam._columns = tuple(c + 1 for c in cols) + (1,) * (first - len(cols))
-        return lam
 
 
 # A tuple of partitions, one per quiver vertex.
@@ -112,26 +94,18 @@ def pairing(lam: Partition, mu: Partition) -> int:
     return sum(map(mul, lam._columns, mu._columns))
 
 
+def _descending(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """The weakly decreasing tuples of parts at most cap that sum to n, largest first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, cap), 0, -1):
+        for rest in _descending(n - first, first):
+            yield (first, *rest)
+
+
 @lru_cache(maxsize=256)
 def _partitions_cached(n: int) -> tuple[Partition, ...]:
-    """partitions_of(n) from the cached smaller sizes, one _prepend per partition.
-
-    The partitions of n with largest part `first` are `first` prepended to
-    the partitions of n - first with largest part at most `first`, which
-    form a suffix of partitions_of(n - first) in reverse-lexicographic order.
-    """
-    if n == 0:
-        return (Partition(),)
-    out = []
-    for first in range(n, 0, -1):
-        rest = _partitions_cached(n - first)
-        start = bisect_left(rest, -first, key=_minus_largest_part)
-        out.extend(lam._prepend(first) for lam in rest[start:])
-    return tuple(out)
-
-
-def _minus_largest_part(lam: Partition) -> int:
-    return -lam.parts[0] if lam.parts else 0
+    return tuple(map(Partition, _descending(n, n)))
 
 
 def partitions_of(n: int) -> list[Partition]:

@@ -1,16 +1,10 @@
-"""Explicit points of the doubled representation space, and the stable-locus count.
+"""The stable-locus count of the zero fiber.
 
-Library code that no command runs, kept apart from fflab so that the verify
-and selftest commands do not compile it:
-
-- FpPoint, apply_rho_derivative and moment_pairing hold and pair explicit
-  (phi, psi) points, the second implementation of rho' that the tests
-  check the moment forms against;
-- count_stable_fiber counts the theta-stable points of the zero fiber, the
-  count acceptance criterion 2 compares with class times group order.
-
-Both run on fflab's field layer and eliminations; the span closures of the
-stable count (_close_span) work on plain lists of field elements.
+count_stable_fiber counts the theta-stable points of the zero fiber, the
+count acceptance criterion 2 compares with class times group order.  No
+command runs it, so it lives apart from fflab and the verify and selftest
+commands do not compile it.  It runs on fflab's orbits and eliminations;
+its span closures (_close_span) work on plain lists of field elements.
 """
 
 from __future__ import annotations
@@ -28,118 +22,15 @@ from .fflab import (
     _matrices,
     _phi_shapes,
     _require_prime,
-    _rho_products,
 )
-from .quiver import Quiver, _Record, check_dim_vector, dim_rep_space
+from .quiver import Quiver, check_dim_vector, dim_rep_space
 
-
-# ---------------------------------------------------------------------------
-# Representation points and the derived action
 
 def _psi_shapes(quiver: Quiver, v, w) -> list[tuple[int, int]]:
     shapes = [(v[s], v[t]) for s, t in quiver.arrows]
     shapes.extend((w[i], v[i]) for i in range(quiver.vertex_count))
     return shapes
 
-
-def _as_matrix(m, rows: int, cols: int, what: str) -> tuple[tuple[int, ...], ...]:
-    m = tuple(tuple(int(x) for x in row) for row in m)
-    if len(m) != rows or any(len(row) != cols for row in m):
-        raise ValueError(f"{what} must be {rows}x{cols}")
-    return m
-
-
-def _mat_mod(a, p: int):
-    return tuple(tuple(x % p for x in row) for row in a)
-
-
-def _trace_of_product(b, a) -> int:
-    # tr(b . a) without forming the product; works for empty shapes.
-    return sum(b[i][j] * a[j][i] for i in range(len(b)) for j in range(len(b[i]) if b else 0))
-
-
-class FpPoint(_Record):
-    """A point of the doubled representation space: matrices and their duals.
-
-    Arrow entries are target x source; dual entries have transposed shapes.
-    """
-
-    __slots__ = ("phi_arrows", "phi_framing", "psi_arrows", "psi_framing")
-
-    def __init__(
-        self, phi_arrows: tuple, phi_framing: tuple, psi_arrows: tuple, psi_framing: tuple
-    ):
-        self._init(phi_arrows, phi_framing, psi_arrows, psi_framing)
-
-    @classmethod
-    def build(cls, quiver: Quiver, v, w, phi_arrows, phi_framing, psi_arrows, psi_framing):
-        v = check_dim_vector(quiver, v, "v")
-        w = check_dim_vector(quiver, w, "w")
-        pshapes = _phi_shapes(quiver, v, w)
-        dshapes = _psi_shapes(quiver, v, w)
-        na = len(quiver.arrows)
-        pa = tuple(
-            _as_matrix(m, *pshapes[i], what=f"phi for arrow {i}") for i, m in enumerate(phi_arrows)
-        )
-        pf = tuple(
-            _as_matrix(m, *pshapes[na + i], what=f"phi framing at vertex {i}")
-            for i, m in enumerate(phi_framing)
-        )
-        da = tuple(
-            _as_matrix(m, *dshapes[i], what=f"psi for arrow {i}") for i, m in enumerate(psi_arrows)
-        )
-        df = tuple(
-            _as_matrix(m, *dshapes[na + i], what=f"psi framing at vertex {i}")
-            for i, m in enumerate(psi_framing)
-        )
-        if len(pa) != na or len(da) != na or len(pf) != quiver.vertex_count or len(df) != quiver.vertex_count:
-            raise ValueError("wrong number of matrix components")
-        return cls(pa, pf, da, df)
-
-
-def apply_rho_derivative(quiver: Quiver, v, w, X, phi, modulus: int | None = None):
-    """Derived action of a Lie-algebra element on a representation point.
-
-    X is one square matrix per vertex; phi is a pair (arrow matrices,
-    framing matrices).  Returns the image in the same shape: for an arrow
-    s -> t the component is X_t . phi_e - phi_e . X_s, for a framing it is
-    X_i . phi_i.
-    """
-    v = check_dim_vector(quiver, v, "v")
-    w = check_dim_vector(quiver, w, "w")
-    X = tuple(_as_matrix(m, v[i], v[i], what=f"X at vertex {i}") for i, m in enumerate(X))
-    if len(X) != quiver.vertex_count:
-        raise ValueError("X needs one matrix per vertex")
-    arrows_in, framing_in = phi
-    shapes = _phi_shapes(quiver, v, w)
-    na = len(quiver.arrows)
-    arrows_in = tuple(
-        _as_matrix(m, *shapes[i], what=f"phi for arrow {i}") for i, m in enumerate(arrows_in)
-    )
-    framing_in = tuple(
-        _as_matrix(m, *shapes[na + i], what=f"phi framing at vertex {i}")
-        for i, m in enumerate(framing_in)
-    )
-    image = _rho_products(quiver, v, w, X, arrows_in, framing_in)
-    if modulus is not None:
-        image = tuple(tuple(_mat_mod(m, modulus) for m in part) for part in image)
-    return image
-
-
-def moment_pairing(quiver: Quiver, v, w, point: FpPoint, X, modulus: int | None = None) -> int:
-    """Trace pairing of the derived action on the phi half against the psi half."""
-    arrows, framing = apply_rho_derivative(
-        quiver, v, w, X, (point.phi_arrows, point.phi_framing)
-    )
-    total = sum(_trace_of_product(point.psi_arrows[e], arrows[e]) for e in range(len(arrows)))
-    total += sum(
-        _trace_of_product(point.psi_framing[i], framing[i]) for i in range(len(framing))
-    )
-    return total % modulus if modulus is not None else total
-
-
-# ---------------------------------------------------------------------------
-# The stable locus of the zero fiber
 
 def _close_span(basis, vectors, ops, q: int, n: int):
     """Extend basis by vectors and by the images under ops of each row it gains, up to n rows.

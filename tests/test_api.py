@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -16,6 +17,17 @@ def test_exports_resolve_and_are_documented():
     for name in quivermotive.__all__:
         assert hasattr(quivermotive, name), name
         assert f"`{name}`" in readme, name
+
+
+def test_readme_module_lists_name_their_attributes():
+    # each bullet "- `quivermotive.X`: `name`, ..." names attributes of module X
+    readme = README.read_text(encoding="utf-8")
+    bullets = re.findall(r"^- `quivermotive\.(\w+)`: (.*?)(?=^\S|\Z)", readme, re.M | re.S)
+    assert len(bullets) >= 3
+    for module, text in bullets:
+        home = importlib.import_module(f"quivermotive.{module}")
+        for name in re.findall(r"`([A-Za-z_]\w*)`", text):
+            assert hasattr(home, name), (module, name)
 
 
 def test_readme_library_snippet_runs(capsys):

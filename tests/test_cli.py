@@ -289,6 +289,18 @@ class TestVerifyCommand:
         bad = fields.split(",")[-1]
         assert err == f"error: field size must be prime, got {bad}\n"
 
+    def test_large_prime_field_is_checked_at_once(self, capsys):
+        # a dozen modular powers, not trial division up to the square root
+        start = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "verify", "centralizer", "--q", "10000000000000061")
+        assert time.perf_counter() - start < 5
+        assert (rc, out.splitlines()[-1]) == (0, "summary: 1 passed, 0 failed, 0 flagged, 11 skipped")
+        bound = 318665857834031151167461  # the least strong pseudoprime to the bases 2 to 37
+        for bad in ("0", "1", "4", "6", "3215031751", str(bound)):
+            rc, out, err = run_cli(capsys, "verify", "centralizer", "--q", bad)
+            assert (rc, out) == (2, ""), bad
+        assert err == f"error: field size must be below {bound}, got {bound}\n"
+
     def test_empty_field_list_exits_2(self, capsys):
         # an empty --q is refused, never replaced by the default fields
         rc, out, err = run_cli(capsys, "verify", "centralizer", "--q", "")

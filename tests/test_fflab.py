@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -6,7 +7,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from quivermotive import fflab, points
+from quivermotive import cli, fflab, points
 from quivermotive.fflab import (
     EnumerationBudgetError,
     centralizer_order,
@@ -19,7 +20,7 @@ from quivermotive.fflab import (
     kappa_oracle,
 )
 from quivermotive.partitions import Partition, exponents_upto, partitions_of, tuples_with_sizes
-from quivermotive.points import FpPoint, apply_rho_derivative, count_stable_fiber, moment_pairing
+from quivermotive.points import count_stable_fiber
 from quivermotive.quiver import (
     A2,
     BUILTIN_QUIVERS,
@@ -38,29 +39,20 @@ CYCLE3 = Quiver(3, ((0, 1), (1, 2), (2, 0)))
 
 class TestRhoDerivative:
     def test_zero_element_acts_as_zero(self):
-        arrows, framing = apply_rho_derivative(
-            JORDAN, (1,), (1,), [((0,),)], ([((3,),)], [((5,),)])
-        )
+        arrows, framing = fflab._rho_products(JORDAN, (1,), (1,), [((0,),)], [((3,),)], [((5,),)])
         assert arrows == (((0,),),)
         assert framing == (((0,),),)
 
     def test_one_dimensional_loop_commutes(self):
         # on a 1x1 loop the bracket vanishes, only the framing moves
-        arrows, framing = apply_rho_derivative(
-            JORDAN, (1,), (1,), [((4,),)], ([((2,),)], [((3,),)])
-        )
+        arrows, framing = fflab._rho_products(JORDAN, (1,), (1,), [((4,),)], [((2,),)], [((3,),)])
         assert arrows == (((0,),),)
         assert framing == (((12,),),)
 
     def test_identity_on_framing(self):
         identity = ((1, 0), (0, 1))
-        phi = (tuple(), (((1,), (2,)),))
-        arrows, framing = apply_rho_derivative(SINGLE_VERTEX, (2,), (1,), [identity], phi)
+        arrows, framing = fflab._rho_products(SINGLE_VERTEX, (2,), (1,), [identity], (), (((1,), (2,)),))
         assert framing == (((1,), (2,)),)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="2x2"):
-            apply_rho_derivative(JORDAN, (2,), (1,), [((1,),)], ([((1, 0), (0, 1))], [((1,), (1,))]))
 
     def test_linear_in_x_and_phi(self):
         rng = random.Random(3)
@@ -74,21 +66,27 @@ class TestRhoDerivative:
                 tuple((x + y) % p for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2)
             )
 
+        def rho(X, phi):  # rho'(X) phi, reduced mod p
+            return tuple(
+                tuple(tuple(tuple(x % p for x in row) for row in m) for m in part)
+                for part in fflab._rho_products(JORDAN, (2,), (1,), X, *phi)
+            )
+
         for _ in range(20):
             X1, X2 = (rand(2, 2),), (rand(2, 2),)
             Xsum = (add(X1[0], X2[0]),)
             phi = ([rand(2, 2)], [rand(2, 1)])
-            a1, f1 = apply_rho_derivative(JORDAN, (2,), (1,), X1, phi, modulus=p)
-            a2, f2 = apply_rho_derivative(JORDAN, (2,), (1,), X2, phi, modulus=p)
-            asum, fsum = apply_rho_derivative(JORDAN, (2,), (1,), Xsum, phi, modulus=p)
+            a1, f1 = rho(X1, phi)
+            a2, f2 = rho(X2, phi)
+            asum, fsum = rho(Xsum, phi)
             assert asum == (add(a1[0], a2[0]),)
             assert fsum == (add(f1[0], f2[0]),)
             # and in the point, for a fixed Lie-algebra element
             phi2 = ([rand(2, 2)], [rand(2, 1)])
             phisum = ([add(phi[0][0], phi2[0][0])], [add(phi[1][0], phi2[1][0])])
-            b1, g1 = apply_rho_derivative(JORDAN, (2,), (1,), X1, phi, modulus=p)
-            b2, g2 = apply_rho_derivative(JORDAN, (2,), (1,), X1, phi2, modulus=p)
-            bsum, gsum = apply_rho_derivative(JORDAN, (2,), (1,), X1, phisum, modulus=p)
+            b1, g1 = rho(X1, phi)
+            b2, g2 = rho(X1, phi2)
+            bsum, gsum = rho(X1, phisum)
             assert bsum == (add(b1[0], b2[0]),)
             assert gsum == (add(g1[0], g2[0]),)
 
@@ -97,21 +95,19 @@ class TestMomentPairing:
     def test_hand_expansion_one_dimensional(self):
         # phi = (a, b), psi = (c, d), X = (x): the loop bracket dies in
         # dimension one and the framing contributes x * b * d
-        point = FpPoint.build(JORDAN, (1,), (1,), [((2,),)], [((3,),)], [((5,),)], [((7,),)])
-        assert moment_pairing(JORDAN, (1,), (1,), point, (((4,),),)) == 4 * 3 * 7
+        point = ((((2,),),), (((3,),),), (((5,),),), (((7,),),))
+        assert _trace_pairing(JORDAN, (1,), (1,), point, (((4,),),), 101) == 4 * 3 * 7
 
     def test_zero_element(self):
-        point = FpPoint.build(JORDAN, (1,), (1,), [((1,),)], [((1,),)], [((1,),)], [((1,),)])
-        assert moment_pairing(JORDAN, (1,), (1,), point, (((0,),),)) == 0
+        point = ((((1,),),),) * 4
+        assert _trace_pairing(JORDAN, (1,), (1,), point, (((0,),),), 101) == 0
 
     def test_doubling_psi_doubles_value(self):
-        point = FpPoint.build(JORDAN, (1,), (1,), [((2,),)], [((3,),)], [((5,),)], [((7,),)])
-        doubled = FpPoint.build(
-            JORDAN, (1,), (1,), [((2,),)], [((3,),)], [((10,),)], [((14,),)]
-        )
+        point = ((((2,),),), (((3,),),), (((5,),),), (((7,),),))
+        doubled = ((((2,),),), (((3,),),), (((10,),),), (((14,),),))
         X = (((1,),),)
-        assert moment_pairing(JORDAN, (1,), (1,), doubled, X) == 2 * moment_pairing(
-            JORDAN, (1,), (1,), point, X
+        assert _trace_pairing(JORDAN, (1,), (1,), doubled, X, 101) == 2 * _trace_pairing(
+            JORDAN, (1,), (1,), point, X, 101
         )
 
     def test_linear_in_x_and_psi_mod_p(self):
@@ -122,16 +118,16 @@ class TestMomentPairing:
             return tuple(tuple(rng.randrange(p) for _ in range(c)) for _ in range(r))
 
         def pair(point, X):
-            return moment_pairing(JORDAN, (2,), (1,), point, (X,), modulus=p)
+            return _trace_pairing(JORDAN, (2,), (1,), point, (X,), p)
 
         for _ in range(10):
-            phi, psi = [rand_mat(2, 2)], [rand_mat(2, 1)]
+            phi, psi = (rand_mat(2, 2),), (rand_mat(2, 1),)
             psi_arrow, psi_framing = rand_mat(2, 2), rand_mat(1, 2)
-            point = FpPoint.build(JORDAN, (2,), (1,), phi, psi, [psi_arrow], [psi_framing])
-            doubled = FpPoint.build(
-                JORDAN, (2,), (1,), phi, psi,
-                [tuple(tuple(2 * x for x in row) for row in psi_arrow)],
-                [tuple(tuple(2 * x for x in row) for row in psi_framing)],
+            point = (phi, psi, (psi_arrow,), (psi_framing,))
+            doubled = (
+                phi, psi,
+                (tuple(tuple(2 * x for x in row) for row in psi_arrow),),
+                (tuple(tuple(2 * x for x in row) for row in psi_framing),),
             )
             X1, X2 = rand_mat(2, 2), rand_mat(2, 2)
             Xsum = tuple(tuple((a + b) % p for a, b in zip(r1, r2)) for r1, r2 in zip(X1, X2))
@@ -553,6 +549,15 @@ class TestCentralizerOrder:
         assert jordan_nilpotent(P()) == ()
 
 
+def test_prime_check_matches_trial_division():
+    for q in range(-2, 5000):
+        prime = q > 1 and all(q % d for d in range(2, int(q**0.5) + 1))
+        try:
+            assert fflab._require_prime(q) == q and prime, q
+        except ValueError:
+            assert not prime, q
+
+
 def _timed(f, *args):
     start = time.perf_counter()
     f(*args)
@@ -774,8 +779,8 @@ class TestOracleReferences:
                     for a in range(d):
                         unit = [0] * d
                         unit[a] = 1
-                        arrows, framing = apply_rho_derivative(
-                            quiver, v, w, X, fflab._unflatten_phi(quiver, v, w, unit)
+                        arrows, framing = fflab._rho_products(
+                            quiver, v, w, X, *fflab._unflatten_phi(quiver, v, w, unit)
                         )
                         flat = [x for m in arrows + framing for row in m for x in row]
                         assert [row[a] for row in rho] == flat, (quiver, v, w, a)
@@ -1125,38 +1130,61 @@ class TestEngineOracleConsistency:
 
 class TestMomentSystemInternals:
     def test_bilinear_matrices_reproduce_pairing(self):
-        rng = random.Random(17)
-        for quiver, v, w in ((JORDAN, (2,), (1,)), (A2, (1, 2), (1, 1))):
-            q = 5
-            mats, traces = fflab._moment_system(quiver, v, w, q)
-            d = fflab.dim_rep_space(quiver, v, w)
-            basis = fflab._lie_basis(quiver, v)
-            for _ in range(10):
-                phi_vec = [rng.randrange(q) for _ in range(d)]
-                psi_vec = [rng.randrange(q) for _ in range(d)]
-                phi = fflab._unflatten_phi(quiver, v, w, phi_vec)
-                # psi slots transpose the phi shapes; rebuild via the dual layout
-                point = _point_from_vectors(quiver, v, w, phi_vec, psi_vec)
-                for (X, _), M, t in zip(basis, mats, traces):
-                    direct = moment_pairing(quiver, v, w, point, X, modulus=q)
-                    via_matrix = (
-                        sum(
-                            phi_vec[a] * int(M[a][b]) * psi_vec[b]
-                            for a in range(d)
-                            for b in range(d)
-                        )
-                        % q
-                    )
-                    assert direct == via_matrix
+        assert _forms_reproduce_pairing()
+
+    def test_products_without_the_source_term_fail(self, capsys, monkeypatch, fresh_fflab_caches):
+        # rho'(X) on an arrow as E -> X_t E, the -E X_s term dropped: the
+        # moment forms stop matching the pairing, and the fiber identity
+        # fails on each case with an arrow, while the vertex case holds
+        original = fflab._rho_products
+
+        def without_source_term(quiver, v, w, X, arrows_in, framing_in):
+            _, framing = original(quiver, v, w, X, arrows_in, framing_in)
+            arrows = zip(arrows_in, quiver.arrows)
+            return tuple(fflab._mat_mul(X[t], E, v[t], v[t], v[s]) for E, (s, t) in arrows), framing
+
+        monkeypatch.setattr(fflab, "_rho_products", without_source_term)
+        assert not _forms_reproduce_pairing()
+        assert cli.main(["verify", "harmonic", "--q", "2", "--format", "records"]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        failed = [r["case"] for r in records if r["status"] == "FAIL"]
+        arrowed = [name for name, quiver, *_ in _FIBER_IDENTITY_CASES if quiver.arrows]
+        assert failed == [f"fiber-identity {name} q=2" for name in arrowed]
+        assert len(failed) == 4
+
+
+def _forms_reproduce_pairing():
+    """Whether phi^T M psi, M the moment form of a basis element X, is the trace pairing at X."""
+    rng = random.Random(17)
+    q = 5
+    for quiver, v, w in ((JORDAN, (2,), (1,)), (A2, (1, 2), (1, 1))):
+        mats, _ = fflab._moment_system(quiver, v, w, q)
+        d = fflab.dim_rep_space(quiver, v, w)
+        basis = fflab._lie_basis(quiver, v)
+        for _ in range(10):
+            phi_vec = [rng.randrange(q) for _ in range(d)]
+            psi_vec = [rng.randrange(q) for _ in range(d)]
+            point = _point_from_vectors(quiver, v, w, phi_vec, psi_vec)
+            for (X, _), M in zip(basis, mats):
+                via_matrix = sum(phi_vec[a] * M[a][b] * psi_vec[b] for a in range(d) for b in range(d))
+                if _trace_pairing(quiver, v, w, point, X, q) != via_matrix % q:
+                    return False
+    return True
 
 
 def _point_from_vectors(quiver, v, w, phi_vec, psi_vec):
-    phi_arrows, phi_framing = fflab._unflatten_phi(quiver, v, w, phi_vec)
-    mats = fflab._matrices(psi_vec, points._psi_shapes(quiver, v, w))
+    """(phi arrows, phi framing, psi arrows, psi framing), psi's shapes the transposes of phi's."""
+    mats = tuple(fflab._matrices(psi_vec, points._psi_shapes(quiver, v, w)))
     n_arrows = len(quiver.arrows)
-    return FpPoint.build(
-        quiver, v, w, phi_arrows, phi_framing, mats[:n_arrows], mats[n_arrows:]
-    )
+    return (*fflab._unflatten_phi(quiver, v, w, phi_vec), mats[:n_arrows], mats[n_arrows:])
+
+
+def _trace_pairing(quiver, v, w, point, X, q):
+    """The sum of tr(psi . rho'(X) phi) over the arrows and framings of point, mod q."""
+    phi_arrows, phi_framing, psi_arrows, psi_framing = point
+    arrows, framing = fflab._rho_products(quiver, v, w, X, phi_arrows, phi_framing)
+    pairs = zip(psi_arrows + psi_framing, arrows + framing)
+    return sum(b[i][j] * a[j][i] for b, a in pairs for i in range(len(b)) for j in range(len(a))) % q
 
 
 def _rank_mod(rows, q):
@@ -1228,7 +1256,7 @@ def _cyclic_commuting_triples(n, q):
 def _stable_by_pairs(quiver, v, w, q):
     """Stable zero-fiber points by testing every (phi, psi) pair directly.
 
-    The moment condition goes through moment_pairing on the elementary
+    The moment condition goes through _trace_pairing on the elementary
     basis, stability through an explicit closure of the framing images'
     span, with no elimination anywhere.
     """
@@ -1240,10 +1268,11 @@ def _stable_by_pairs(quiver, v, w, q):
     for phi_vec in product(range(q), repeat=d):
         for psi_vec in product(range(q), repeat=d):
             point = _point_from_vectors(quiver, v, w, phi_vec, psi_vec)
-            if any(moment_pairing(quiver, v, w, point, X, modulus=q) for X in basis):
+            if any(_trace_pairing(quiver, v, w, point, X, q) for X in basis):
                 continue
+            phi_arrows, phi_framing, psi_arrows, _ = point
             ops = []
-            for (s, t), fwd, back in zip(quiver.arrows, point.phi_arrows, point.psi_arrows):
+            for (s, t), fwd, back in zip(quiver.arrows, phi_arrows, psi_arrows):
                 big_fwd = [[0] * n for _ in range(n)]
                 big_back = [[0] * n for _ in range(n)]
                 for a in range(v[t]):
@@ -1252,7 +1281,7 @@ def _stable_by_pairs(quiver, v, w, q):
                         big_back[offsets[s] + b][offsets[t] + a] = back[b][a]
                 ops += [big_fwd, big_back]
             gens = []
-            for i, frame in enumerate(point.phi_framing):
+            for i, frame in enumerate(phi_framing):
                 for b in range(w[i]):
                     vec = [0] * n
                     for a in range(v[i]):

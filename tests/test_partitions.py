@@ -65,14 +65,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((1, 2))
 
-    def test_multiplicity(self):
-        lam = Partition((2, 1, 1))
-        assert lam.multiplicity(1) == 2
-        assert lam.multiplicity(2) == 1
-        assert Partition((3,)).multiplicity(2) == 0
-        with pytest.raises(ValueError):
-            lam.multiplicity(0)
-
     def test_ones(self):
         assert Partition.ones(0) == Partition()
         assert Partition.ones(3).parts == (1, 1, 1)
@@ -119,8 +111,8 @@ class TestEnumeration:
             assert len(partitions_of(n)) == table[n]
 
     def test_matches_validated_constructor(self):
-        # the enumeration skips Partition's checks: it must give what the
-        # checked constructor gives, conjugate columns included, in order
+        # the enumeration gives what the constructor gives for the parts of
+        # the reference recursion, conjugate columns included, in order
         for n in range(31):
             got = partitions_of(n)
             expected = [Partition(parts) for parts in descending_sums(n, n)]
