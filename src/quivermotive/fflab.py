@@ -19,9 +19,10 @@ eliminations (_echelon_mod) work on plain lists; the orbit walk
 
 The matrix of the derived action rho'(X) is built in one place, as integer
 rows per arrow and framing block (_arrow_rows, _framing_rows), for the
-kernel ranks, the commutant of a Jordan nilpotent and the moment forms;
-_rho_products computes the same action by explicit matrix products, for
-the fiber identity and as the tests' reference for the moment forms.  The
+kernel ranks, the commutant of a Jordan nilpotent and the moment forms, one
+list of nonzero terms per basis element read off the blocks; _rho_products
+computes the same action by explicit matrix products, for the fiber
+identity and as the tests' reference for the moment forms.  The
 stable-locus count, which no command runs, lives in quivermotive.points.
 
 The moment-map condition is evaluated against the elementary-matrix basis of
@@ -245,6 +246,11 @@ def _phi_shapes(quiver: Quiver, v, w) -> list[tuple[int, int]]:
     return shapes
 
 
+def _psi_shapes(quiver: Quiver, v, w) -> list[tuple[int, int]]:
+    """The shapes of the psi components, each the transpose of its phi component's."""
+    return [(cols, rows) for rows, cols in _phi_shapes(quiver, v, w)]
+
+
 def _zero_matrix(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) * cols for _ in range(rows))
 
@@ -338,66 +344,40 @@ def _arrow_rows(X_t, X_s) -> list[list[int]]:
     return rows
 
 
-def _rho_matrix(quiver: Quiver, v, w, X) -> list[list[int]]:
-    """Integer matrix of phi -> rho'(X) phi in flattened phi coordinates, as rows.
-
-    Column a is the image of the a-th unit phi vector, flattened like phi:
-    components in arrow-then-framing order, each row-major.  The matrix is
-    block diagonal with one block per phi component: _arrow_rows for each
-    arrow, then _framing_rows for each vertex.
-    """
-    blocks = [_arrow_rows(X[t], X[s]) for s, t in quiver.arrows]
-    blocks += [_framing_rows(X[i], w[i]) for i in range(quiver.vertex_count)]
-    d = sum(len(block) for block in blocks)
-    rows: list[list[int]] = []
-    for block in blocks:
-        pos = len(rows)
-        rows += [[0] * pos + row + [0] * (d - pos - len(row)) for row in block]
-    return rows
-
-
-def _psi_order(quiver: Quiver, v, w) -> list[int]:
-    """The phi coordinate that each psi coordinate pairs with.
-
-    A psi component has the transposed shape of its phi component, so psi
-    entry (c, r) pairs with phi entry (r, c) under the trace pairing.
-    """
-    order = []
-    pos = 0
-    for rows, cols in _phi_shapes(quiver, v, w):
-        order.extend(pos + r * cols + c for c in range(cols) for r in range(rows))
-        pos += rows * cols
-    return order
-
-
 def _moment_system(quiver: Quiver, v, w, q: int):
     """Bilinear forms of the moment condition over the q-element field.
 
-    Returns (mats, traces): for each Lie-algebra basis element a d x d
-    matrix M of field elements, as row lists, with pairing value
-    phi^T M psi, and the 0/1 trace of the basis element.
+    Returns (forms, traces): for each Lie-algebra basis element X the
+    nonzero terms (a, b, m) of its form, the sum of m phi_a psi_b, and the
+    0/1 trace of X.  The row of phi entry (r, c) in a block of rho'(X)
+    (_arrow_rows, _framing_rows) at offset pos, shape (rows, cols), pairs
+    with psi entry (c, r), coordinate pos + c * rows + r (_psi_shapes).
     """
-    order = _psi_order(quiver, v, w)
-    mats = []
-    traces = []
+    shapes = _phi_shapes(quiver, v, w)
+    forms, traces = [], []
     for X, diag in _lie_basis(quiver, v):
-        rho = _rho_matrix(quiver, v, w, X)
-        # M[a][b] pairs the image of phi unit a with psi unit b
-        mats.append([[rho[r][a] % q for r in order] for a in range(len(order))])
+        blocks = [_arrow_rows(X[t], X[s]) for s, t in quiver.arrows]
+        blocks += [_framing_rows(X[i], w[i]) for i in range(quiver.vertex_count)]
+        terms, pos = [], 0
+        for block, (rows, cols) in zip(blocks, shapes):
+            for k, row in enumerate(block):
+                r, c = divmod(k, cols)
+                terms += [(pos + j, pos + c * rows + r, m % q) for j, m in enumerate(row) if m % q]
+            pos += rows * cols
+        forms.append(terms)
         traces.append(1 if diag else 0)
-    return mats, traces
+    return forms, traces
 
 
-def _count_fiber_full(mats, targets, q: int, d: int) -> int:
-    """The (phi, psi) pairs on which every form phi^T M psi takes its target, on bit-sliced lanes.
+def _count_fiber_full(forms, targets, q: int, d: int) -> int:
+    """The (phi, psi) pairs on which every moment form takes its target, on bit-sliced lanes.
 
     One lane per pair: coordinate b < d is psi_b and coordinate d + a is
-    phi_a (field.lane_blocks).  A form is the sum of its nonzero entries
-    times the lane products phi_a psi_b, each product formed once for all
-    the forms; the lanes where every form meets its target are counted.
+    phi_a (field.lane_blocks).  A form is the sum of its terms m times the
+    lane products phi_a psi_b, each product formed once for all the forms;
+    the lanes where every form meets its target are counted.
     """
     field = _field(q)
-    forms = [[(a, b, m) for a, row in enumerate(M) for b, m in enumerate(row) if m] for M in mats]
     total = 0
     for coords, mask in field.lane_blocks(2 * d):
         psi, phi = coords[:d], coords[d:]
@@ -638,7 +618,7 @@ def _framing_counts(field: _Field, systems, targets, n: int) -> int:
     return total
 
 
-def _count_fiber_linear(mats, goals, q: int, d: int, n_arrow: int, orbits) -> int:
+def _count_fiber_linear(forms, goals, q: int, d: int, n_arrow: int, orbits) -> int:
     """Fiber count from the psi systems of one arrow part per G_v-orbit, over every framing.
 
     The psi system of phi = (arrow part a, framing part f) has the rows A(a)
@@ -650,16 +630,14 @@ def _count_fiber_linear(mats, goals, q: int, d: int, n_arrow: int, orbits) -> in
     (_framing_counts).  The moment map is G_v-equivariant, alpha times the
     identity is central, and g acts on the framings bijectively, so the sum
     over f is constant on the orbits of arrow parts (orbits, from
-    _arrow_orbits) and is weighted by the orbit size.
+    _arrow_orbits) and is weighted by the orbit size.  A form's terms with
+    a < n_arrow pair arrow coordinates, the others framing coordinates.
     """
-    arrow_terms = [
-        [(a, b, m) for a in range(n_arrow) for b, m in enumerate(M[a][:n_arrow]) if m] for M in mats
-    ]
+    arrow_terms = [[term for term in terms if term[0] < n_arrow] for terms in forms]
     framing_terms = [
-        [(j, b, m) for j in range(d - n_arrow) for b, m in enumerate(M[n_arrow + j][n_arrow:]) if m]
-        for M in mats
+        [(a - n_arrow, b - n_arrow, m) for a, b, m in terms if a >= n_arrow] for terms in forms
     ]
-    identity = [[int(r == k) for k in range(len(mats))] for r in range(len(mats))]
+    identity = [[int(r == k) for k in range(len(forms))] for r in range(len(forms))]
     total = 0
     for rep, size in zip(*orbits):
         arrows = _digits_of(rep, q, n_arrow)
@@ -722,7 +700,7 @@ def count_moment_fiber(
 def _fiber_count(quiver: Quiver, v, w, alpha: int, q: int, budget: int, strategy: str, orbits=None):
     """count_moment_fiber for checked v, w and q, with the moment forms it counted.
 
-    Returns (count, mats), mats from _moment_system.  A caller that needs
+    Returns (count, forms), forms from _moment_system.  A caller that needs
     the arrow orbits as well passes them, _arrow_orbits(quiver, v, q), and
     the linear strategy uses them instead of building its own.
     """
@@ -738,13 +716,13 @@ def _fiber_count(quiver: Quiver, v, w, alpha: int, q: int, budget: int, strategy
             raise EnumerationBudgetError(q**d, budget, "fiber enumeration")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    mats, traces = _moment_system(quiver, v, w, q)
+    forms, traces = _moment_system(quiver, v, w, q)
     goals = [(alpha * t) % q for t in traces]
     if strategy == "full":
-        return _count_fiber_full(mats, goals, q, d), mats
+        return _count_fiber_full(forms, goals, q, d), forms
     n_arrow = d - sum(map(mul, v, w))
     orbits = orbits or _arrow_orbits(quiver, v, q)
-    return _count_fiber_linear(mats, goals, q, d, n_arrow, orbits), mats
+    return _count_fiber_linear(forms, goals, q, d, n_arrow, orbits), forms
 
 
 # ---------------------------------------------------------------------------
@@ -905,8 +883,9 @@ def _kappa_nullity(quiver: Quiver, w: Sequence[int], lam_tuple: Sequence[Partiti
     """kappa_oracle without its checks: w must fit the quiver, lam_tuple one partition per vertex.
 
     The matrix of phi -> rho'(X) phi, for X the blockwise Jordan
-    representative of the partition tuple, is block diagonal (_rho_matrix),
-    so its nullity is the sum of the block nullities, each an exact rational
+    representative of the partition tuple, is block diagonal, one block per
+    arrow (_arrow_rows) and per framing (_framing_rows), so its nullity is
+    the sum of the block nullities, each an exact rational
     rank of the block's rows taken once per distinct block: they are cached
     on the partitions and the framing width.
     """

@@ -3,8 +3,9 @@
 count_stable_fiber counts the theta-stable points of the zero fiber, the
 count acceptance criterion 2 compares with class times group order.  No
 command runs it, so it lives apart from fflab and the verify and selftest
-commands do not compile it.  It runs on fflab's orbits and eliminations;
-its span closures (_close_span) work on plain lists of field elements.
+commands do not compile it.  It runs on fflab's moment forms, orbits and
+eliminations; its span closures (_close_span) work on plain lists of field
+elements.
 """
 
 from __future__ import annotations
@@ -21,15 +22,10 @@ from .fflab import (
     _fiber_count,
     _matrices,
     _phi_shapes,
+    _psi_shapes,
     _require_prime,
 )
 from .quiver import Quiver, check_dim_vector, dim_rep_space
-
-
-def _psi_shapes(quiver: Quiver, v, w) -> list[tuple[int, int]]:
-    shapes = [(v[s], v[t]) for s, t in quiver.arrows]
-    shapes.extend((w[i], v[i]) for i in range(quiver.vertex_count))
-    return shapes
 
 
 def _close_span(basis, vectors, ops, q: int, n: int):
@@ -86,13 +82,14 @@ def count_stable_fiber(
     weighted by the orbit size.  Scalars in G_v scale the framing,
     psi solutions scale, and neither changes the span stability closes, so
     both run over one point per line (_line_points).  Each phi's system in
-    psi, rows phi^T M, is eliminated (_echelon_mod) psi framing first: the
-    rows that pivot later cut out the solutions' projection onto the psi
-    arrows, which stability alone reads, each projected point standing for
-    q^(nullity - projected rank) solutions.  The framing images close under
-    the phi arrows to U0 (_close_span).  If U0 is V every solution is
-    stable; if U0 has codimension 1, psi is unstable just when it maps U0
-    into U0, a linear condition; else the closure runs per projected point.
+    psi, a row per moment form, is eliminated (_echelon_mod) psi framing
+    first: the rows that pivot later cut out the solutions' projection onto
+    the psi arrows, which stability alone reads, each projected point
+    standing for q^(nullity - projected rank) solutions.  The framing
+    images close under the phi arrows to U0 (_close_span).  If U0 is V
+    every solution is stable; if U0 has codimension 1, psi is unstable just
+    when it maps U0 into U0, a linear condition; else the closure runs per
+    projected point.
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
@@ -101,13 +98,11 @@ def count_stable_fiber(
     if q**d > budget:
         raise EnumerationBudgetError(q**d, budget, "stable-fiber phi enumeration")
     orbits = _arrow_orbits(quiver, v, q)
-    zero_fiber, mats = _fiber_count(quiver, v, w, 0, q, budget, "auto", orbits)
+    zero_fiber, forms = _fiber_count(quiver, v, w, 0, q, budget, "auto", orbits)
     if zero_fiber > budget:
         raise EnumerationBudgetError(zero_fiber, budget, "zero-fiber enumeration")
     na, n, n_frame = len(quiver.arrows), sum(v), sum(map(mul, v, w))
     n_arrow = d - n_frame
-    # the columns of each form, the psi framing first
-    columns = [[[row[b] for row in M] for b in [*range(n_arrow, d), *range(n_arrow)]] for M in mats]
     start = [sum(v[:i]) for i in range(quiver.vertex_count)]
     phi_shapes, psi_shapes = _phi_shapes(quiver, v, w), _psi_shapes(quiver, v, w)
 
@@ -134,7 +129,12 @@ def count_stable_fiber(
             closed = _close_span([], images, phi_ops, q, n)
             if n and not closed:
                 continue  # no framing image, so nothing is stable
-            rows = [[sum(map(mul, phi, col)) % q for col in form] for form in columns]
+            rows = []
+            for terms in forms:  # psi's columns rotated, its framing first
+                row = [0] * d
+                for a, b, m in terms:
+                    row[(b - n_arrow) % d] += phi[a] * m
+                rows.append([x % q for x in row])
             echelon, pivots = _echelon_mod(rows, q, d)
             if len(closed) == n:
                 total += size * f_weight * q ** (d - len(pivots))

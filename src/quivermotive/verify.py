@@ -2,12 +2,12 @@
 
 Each suite returns a list of case results, every one from the runner
 _case: a check that holds is PASS, one that fails is FAIL, and an oracle
-over its enumeration budget is SKIP.  FAIL marks identities that must hold
-over every field.  Only the ffcount suite reports a mismatch as FLAG: the
-level-1 deformed fiber counts the variety only where its level is generic
-(p divides no positive root beta <= v), and at q in {2, 3} some dimension
-vectors have such a root and their fibers really deviate (see README).  The
-variety's own count, taken on the stable zero fiber, holds over every field.
+over its enumeration budget is SKIP.  Only the ffcount suite reports a
+mismatch as FLAG, and only at q <= |v|: the level-1 deformed fiber counts
+the variety only where its level is generic (p divides no positive root
+beta <= v, as at q > |v|), and at q in {2, 3} some dimension vectors have
+such a root and their fibers really deviate (see README).  The variety's
+own count, taken on the stable zero fiber, holds over every field.
 
 The selftest is no separate battery: run_selftest runs the same four
 suites at small bounds, at a generic level, so a correct engine gives only
@@ -173,13 +173,14 @@ def ffcount_suite(
 ) -> list[CaseResult]:
     """Engine polynomial against the brute-force quotient count.
 
-    The count is taken on the level-alpha deformed fiber.  Mismatches come
-    out as FLAG, not FAIL: that fiber counts the variety only where the level
-    is generic (p divides no positive root beta <= v), and over small fields
-    some dimension vectors have such a root and genuinely deviate.  The
-    variety's own count, on the stable zero fiber, holds over every field.
-    A level that vanishes in one of the fields raises InputError up front
-    (see check_level).
+    The count is taken on the level-alpha deformed fiber, which counts the
+    variety where the level is generic: p divides alpha |beta| for no
+    positive root beta <= v (Crawley-Boevey, Compositio 2001).  A level
+    zero in a field raises InputError up front (check_level), so q > |v|,
+    above every such |beta|, is generic and a mismatch there is a FAIL.
+    At q <= |v| some dimension vectors genuinely deviate, so a mismatch is
+    a FLAG; the variety's own count, on the stable zero fiber, holds over
+    every field.
     """
     check_level(alpha, qs)
     w = quiver.check_dim_vector(qv, w, "w")
@@ -189,18 +190,17 @@ def ffcount_suite(
         expected = _peval(cls, q) * fflab.group_order(exp, q)
         detail = f"fiber={fiber}"
         if expected != fiber:
-            detail += f" polynomial predicts {expected} (small-characteristic exception)"
+            detail += f" polynomial predicts {expected}"
+            if q <= sum(exp):
+                detail += " (small-characteristic exception)"
         return expected == fiber, detail
 
     out = []
     for exp in exponents_upto(qv.vertex_count, max_total)[1:]:  # v = 0 comes first
         cls = engine.motive_class(qv, exp, w, threads=threads).class_polynomial
-        out += [
-            _case(
-                "ffcount", f"{label} v={exp} w={w} q={q}", lambda: check(cls, exp, q), miss="FLAG"
-            )
-            for q in qs
-        ]
+        for q in qs:
+            miss = "FAIL" if q > sum(exp) else "FLAG"  # q > |v| makes the level generic
+            out.append(_case("ffcount", f"{label} v={exp} w={w} q={q}", lambda: check(cls, exp, q), miss))
     return out
 
 

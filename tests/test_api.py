@@ -1,6 +1,8 @@
 import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import quivermotive
 from quivermotive import engine, fflab, lrat, partitions, points, series
 
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(quivermotive.__file__).parent
 
 
 def test_exports_resolve_and_are_documented():
@@ -71,3 +74,27 @@ def test_lazy_exports_are_their_home_objects():
     for module in (quivermotive, engine):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             module.no_such_name
+
+
+def test_private_names_cited_in_src_are_defined():
+    # a docstring or comment naming a private helper must not outlive it; a
+    # subscript such as X_t, lam'_i or [e choose f]_L is no citation
+    cited_name = re.compile(r"(?<![\w')\]])_[A-Za-z]\w*")
+    defined, cited = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+                doc = ast.get_docstring(node) or ""
+                cited.update((path.name, name) for name in cited_name.findall(doc))
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type == tokenize.COMMENT:
+                cited.update((path.name, name) for name in cited_name.findall(token.string))
+    assert len(cited) > 30
+    assert sorted((path, name) for path, name in cited if name not in defined) == []

@@ -279,6 +279,37 @@ class TestVerifyCommand:
         rc, out, _ = run_cli(capsys, "motive", "--quiver", "jordan", "--v", "2", "--w", "1")
         assert rc == 3 or (rc == 0 and "class = L^3 + L^4\n" not in out)
 
+    def test_raised_constant_term_fails_ffcount(self, capsys, monkeypatch):
+        # every class one too large at L^0: the level is generic at q > |v|,
+        # so a mismatch there FAILs, and only q <= |v| may FLAG
+        from quivermotive import engine
+
+        original = engine.motive_class
+
+        def raised(quiver, v, w, threads=1):
+            result = original(quiver, v, w, threads)
+            head, *tail = result.class_polynomial
+            return engine.MotiveResult(quiver, result.v, result.w, result.d_shift, (head + 1, *tail))
+
+        monkeypatch.setattr(engine, "motive_class", raised)
+        rc, out, _ = run_cli(
+            capsys, "verify", "ffcount", "--quiver", "jordan", "--q", "2,3", "--format", "records"
+        )
+        assert rc == 1
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        status = {r["case"]: r["status"] for r in records}
+        assert status == {
+            "jordan v=(1,) w=(1,) q=2": "FAIL",
+            "jordan v=(1,) w=(1,) q=3": "FAIL",
+            "jordan v=(2,) w=(1,) q=2": "FLAG",
+            "jordan v=(2,) w=(1,) q=3": "FAIL",
+            "jordan v=(3,) w=(1,) q=2": "FLAG",
+            "jordan v=(3,) w=(1,) q=3": "FLAG",
+        }
+        for r in records:
+            exception = r["detail"].endswith(" (small-characteristic exception)")
+            assert exception == (r["status"] == "FLAG"), r
+
     @pytest.mark.parametrize(
         "suite,fields", [("all", "2,0"), ("harmonic", "0"), ("kappa", "0"), ("ffcount", "1")]
     )
