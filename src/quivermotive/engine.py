@@ -37,17 +37,67 @@ one recursion from the constant term,
 
     N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L * N(U)_f * N(Q)_{e-f}.
 
-The recursion runs in push form.  The pending entry at e starts as N(F)_e,
-and the exponents g come up in graded order; every term pushed to g comes
-from a lower total degree, so the entry at g is N(Q)_g when g comes up.  A
-nonzero N(Q)_g then pushes -[g + f choose f]_L * N(U)_f * N(Q)_g to g + f,
-for every nonzero N(U)_f with 0 < |f| <= bound - |g|, and a zero N(Q)_g
-pushes nothing.  Most N(Q)_g are zero for a Dynkin quiver, since M(v, w)
+The recursion runs forward from each nonzero N(Q)_g.  The pending entry at
+e starts as N(F)_e, and the exponents g come up in graded order; every term
+sent to g comes from a lower total degree, so the entry at g is N(Q)_g when
+g comes up.  In push form a nonzero N(Q)_g then adds
+-[g + f choose f]_L * N(U)_f * N(Q)_g to the entry at g + f, for every
+nonzero N(U)_f with 0 < |f| <= bound - |g|, and a zero N(Q)_g sends
+nothing.  Most N(Q)_g are zero for a Dynkin quiver, since M(v, w)
 is empty unless Lambda_w - alpha_v is a weight of the tensor product of the
 fundamental representations (Nakajima, Duke 1998): star3 with w = (1,1,1)
 has 34 nonzero N(Q)_g among the 165 exponents of degree <= 8.  The zero
 test reads the packed value, and is exact (Packed evaluation, below).  An
 exponent with no N(Q)_v is the empty class, and no P_v is built for it.
+
+Pulled quotient.  At one vertex every N(Q)_g is nonzero, and each push
+costs two long products.  Let q_g = N(Q)_g(X) / P_g(X), one big-int
+division per nonzero g, as _packed_class makes for a class; it is exact
+whenever N(Q)_g / P_g is a polynomial.  Since
+
+    [e choose f]_L * P_g = P_e / P_f    for g = e - f,
+
+the term of f at e is (P_e / P_f)(X) * N(U)_f * q_g.  So a nonzero N(Q)_g
+records the divided product N(U)_f * q_g at e = g + f, one multiply, and
+when e comes up it subtracts the sum over its products of (P_e / P_f)(X)
+times the product from N(F)_e and the pushed terms, by a nested Horner over
+the sorted f (_pulled_sum).  Per vertex, over ascending f_i, the running
+sum is multiplied by (P_k' / P_k)(X) from one f_i = k to the next k': a
+single factor L^j - 1 is one shift and one subtraction, and a gap of
+several factors one multiply by _cyclo_packed.  Every numerator is the
+same integer as in push form, so the majorant, the zero test and the
+packed-division certificate below hold unchanged.  A g whose P_g(X) leaves
+a remainder, which only a non-polynomial engine gives, keeps the push.
+
+The pull pays a division per nonzero g and a Horner step per product, and
+saves the long products, so it runs only where the values are long: at
+PULL_VALUE_BITS = 2048 or more bits per vertex (_pulls), the value length
+_value_bits that _check_cost uses, divided by the vertex count.  The
+threshold comes from the quotient stage timed both ways in process, with
+w = (1, ..., 1), medians of interleaved runs on a shared 2-core Xeon host:
+pull / push time, and the bits per vertex by vertex count n.
+
+    degree               6      8     10     12     14     16     20
+    jordan            1.38   1.21   0.94   0.66   0.42   0.28   0.16
+    twoloop           1.38   1.19   0.93   0.74   0.58   0.54   0.49
+    vertex            1.27   1.60   1.18   1.04   0.85   0.83   0.47
+    a2                1.75   1.67   1.43   1.16   0.89   0.59   0.40
+    double            1.76   1.55   1.20   0.99   0.67   0.50   0.35
+    loop and edge     1.56   1.51   1.12   0.87   0.59   0.42   0.26
+    star3             2.01   1.78   1.51   1.28   1.00   0.76   ----
+    3-cycle           2.01   1.71   1.44   1.19   0.92   0.68   ----
+    D4                2.22   1.95   1.49   1.43   1.11   0.76   ----
+    bits, n = 1        418    999   2016   3555   5830   8905  18146
+    bits, n = 2        209    499   1008   1777   2915   4452   9073
+    bits, n = 3        139    333    672   1185   1943   2968
+    bits, n = 4        104    249    504    888   1457   2226
+
+Below 1,700 bits per vertex the pull is slower on every quiver, by 11 % or
+more.  From 2,900 on it is faster on every one but the arrowless vertex,
+whose quotient takes under 0.1 ms either way.  In between the ratio runs
+from 0.76 to 1.18 and the threshold splits that band.  The benchmark's
+series workloads fall on either side: Jordan at degree 16 pulls, star3 at
+degree 8 pushes.
 
 Column chains.  A tuple of partitions, one per vertex, is a chain of column
 vectors c_1 >= c_2 >= ... > 0 in Z^n, c_k[i] the k-th column of lam_i, and
@@ -92,9 +142,9 @@ a run above MAX_CHAIN_COST is refused as input.
 Packed evaluation.  Every numerator polynomial is held as one Python int,
 its value at L = X = 2^bits, so the column steps, the chain sums, the
 L-shifts, the factors P_(e_i) / P_(l_i), the Gaussian binomials and the
-quotient recursion are big-int shifts, adds and multiplies.  Evaluation at
-X is a ring homomorphism, so the packed numerators are exactly the values
-of the true ones; what needs an argument is reading a polynomial back.  An integer polynomial whose
+quotient recursion are big-int shifts, adds, multiplies and exact
+divisions.  Evaluation at X is a ring homomorphism, so the packed
+numerators are exactly the values of the true ones; what needs an argument is reading a polynomial back.  An integer polynomial whose
 coefficients all lie in (-X/2, X/2) is the only such polynomial with its
 value at X, and its coefficients are the balanced base-X digits of that
 value (_unpack).  bits is fixed before anything is packed, from an a-priori
@@ -170,7 +220,7 @@ import warnings
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .poly import Poly, _pdiv_exact, _pmul, _pshift
@@ -195,12 +245,16 @@ def __getattr__(name: str):
 
 # The largest column-chain recursion the engine runs, in the estimate of
 # _check_cost (states times the bits of a value, weighted by its
-# LONG_VALUE_BITS blocks).  On a shared 2-core Xeon host, in-process,
-# star3 at degree 20 (4.2 * 10^9) took 5-6 s, a2 at degree 30 (9.3 * 10^9)
-# 10-12 s and Jordan at degree 48 (3.7 * 10^9) 5-9 s; Jordan at degree 60
-# (2.4 * 10^10, now refused) took 40 s.
+# LONG_VALUE_BITS blocks).  On a shared 2-core Xeon host, in-process and
+# with cold caches, star3 at degree 20 (4.2 * 10^9) took 2.4-2.6 s, a2 at
+# degree 30 (9.3 * 10^9) 5.6-5.8 s and Jordan at degree 48 (3.7 * 10^9)
+# 1.7-1.8 s; Jordan at degree 60 (2.4 * 10^10, refused) took 9.3 s.  In push
+# form alone they took 3.0, 6.4, 4.4 and 22.8 s in the same session.
 MAX_CHAIN_COST = 10**10
 LONG_VALUE_BITS = 2**15
+# The value length, in bits per vertex (_value_bits over the vertex count),
+# from which _graded_quotient pulls its numerators instead of pushing them.
+PULL_VALUE_BITS = 2048
 
 
 class PolynomialityError(ArithmeticError):
@@ -409,6 +463,14 @@ def _column_step(high: int, low: int, bits: int) -> Packed:
     return m * (m + 1) // 2, _gauss_row(high, bits)[low]
 
 
+def _packed_denominator(exp: Sequence[int], bits: int) -> int:
+    """P_exp(X): the product of the packed P_(exp_i)."""
+    den = 1
+    for k in exp:
+        den *= _cyclo_packed(0, k, bits)
+    return den
+
+
 def _packed_class(packed: Packed, exp: tuple[int, ...], bits: int) -> Laurent | None:
     """packed / P_exp as a Laurent polynomial, or None where it is not certified.
 
@@ -416,10 +478,7 @@ def _packed_class(packed: Packed, exp: tuple[int, ...], bits: int) -> Laurent | 
     under the certificate of the module docstring (Packed division).
     """
     offset, value = packed
-    den = 1
-    for k in exp:
-        den *= _cyclo_packed(0, k, bits)
-    whole, rest = divmod(value, den)
+    whole, rest = divmod(value, _packed_denominator(exp, bits))
     if rest:
         return None
     offset, poly = _unpack((offset, whole), bits)
@@ -450,38 +509,57 @@ def _merge(table: dict, key: tuple[int, ...], offset: int, value: int, bits: int
 def _graded_quotient(
     framed: Graded, unframed: Graded, nvars: int, bound: int, bits: int
 ) -> Graded:
-    """Numerators of framed / unframed, pushed forward from each nonzero N(Q)_g.
+    """Numerators of framed / unframed, from each nonzero N(Q)_g forward.
 
     N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L N(U)_f N(Q)_{e-f},
     exact because N(U)_0 is 1, which is checked.  Each pending entry starts
     as N(F)_e; in graded order, the entry at g is complete once popped, and
-    a nonzero N(Q)_g pushes -[g + f choose f]_L N(U)_f N(Q)_g to g + f for
-    every nonzero N(U)_f with 0 < |f| <= bound - |g|.  A zero N(Q)_g costs
-    nothing.  The zero test is exact: the popped value is N(Q)_g packed, and
-    the majorant m(|g|) keeps its coefficients inside (-X/4, X/4).
+    a nonzero N(Q)_g sends a term to g + f for every nonzero N(U)_f with
+    0 < |f| <= bound - |g|.  In push form the term is
+    -[g + f choose f]_L N(U)_f N(Q)_g, added to the pending entry; when the
+    values are long (_pulls) it is the divided product N(U)_f q_g, and e
+    pulls its products by a nested Horner (_pulled_sum).  A g whose P_g(X)
+    leaves a remainder keeps the push.  A zero N(Q)_g costs nothing.  The
+    zero test is exact: the popped value is N(Q)_g packed, and the majorant
+    m(|g|) keeps its coefficients inside (-X/4, X/4).
     """
     constant = _unpack(unframed.get((0,) * nvars, (0, 0)), bits)
     if constant != (0, (1,)):
         raise PolynomialityError(
             f"series division needs the unframed constant term 1, got {_fraction(constant, (1,))}"
         )
+    pull = _pulls(nvars, bound)
     gauss = [_gauss_row(n, bits) for n in range(bound + 1)]
     # the nonzero N(U)_f with f != 0, by total degree, so the push can stop
     # at the room left
     units = sorted((sum(f), f, x) for f, x in unframed.items() if any(f))
     pending = dict(framed)
+    # per exponent e, the divided products (f, N(U)_f q_(e-f)) it pulls
+    pulled: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
     out: Graded = {}
     for g in exponents_upto(nvars, bound):
+        products = pulled.pop(g, None)
+        if products:
+            offset, value = _pulled_sum(products, g, bits)
+            _merge(pending, g, offset, -value, bits)
         num = pending.pop(g, None)
         if num is None or not num[1]:
             continue
         out[g] = num
         room = bound - sum(g)
         offset, value = num
+        quotient = None
+        if pull and units and units[0][0] <= room:
+            whole, rest = divmod(value, _packed_denominator(g, bits))
+            if not rest:
+                quotient = whole
         for size, f, (unit_offset, unit_value) in units:
             if size > room:
                 break
             e = tuple(map(add, g, f))
+            if quotient is not None:
+                pulled.setdefault(e, []).append((f, offset + unit_offset, unit_value * quotient))
+                continue
             term = -unit_value * value
             for top, k in zip(e, f):
                 # [top choose k]_L is 1 at k = 0 and at k = top
@@ -489,6 +567,55 @@ def _graded_quotient(
                     term *= gauss[top][k]
             _merge(pending, e, offset + unit_offset, term, bits)
     return out
+
+
+def _pulled_sum(products: list, exp: tuple[int, ...], bits: int) -> Packed:
+    """The sum over products (f, offset, a) of L^offset (P_exp / P_f)(X) a, by nested Horner.
+
+    Sorted by f, the products are folded one vertex at a time from the
+    last: among the products that agree before vertex i, over ascending
+    f_i = k, the running sum is multiplied by (P_k' / P_k)(X) from one k to
+    the next k' and by (P_(exp_i) / P_k)(X) after the last, so every
+    product gets its P_(exp_i) / P_(f_i).  A factor L^j - 1 is a shift and
+    a subtraction.
+    """
+    products.sort(key=itemgetter(0))
+    for i in reversed(range(len(exp))):
+        sums: dict = {}
+        lows: dict = {}
+        for f, offset, value in products:
+            head = f[:i]
+            if head in sums:
+                base, acc = sums[head]
+                sums[head] = base, _times_cyclo(acc, lows[head], f[i], bits)
+            lows[head] = f[i]
+            _merge(sums, head, offset, value, bits)
+        products = [
+            (head, offset, _times_cyclo(acc, lows[head], exp[i], bits))
+            for head, (offset, acc) in sums.items()
+        ]
+    return products[0][1:]
+
+
+def _times_cyclo(value: int, low: int, high: int, bits: int) -> int:
+    """value times (P_high / P_low)(X): one shift and subtraction for one factor."""
+    if high == low + 1:
+        return (value << bits * high) - value
+    return value if high == low else value * _cyclo_packed(low, high, bits)
+
+
+def _value_bits(bound: int) -> int:
+    """The bits of one value at total degree bound.
+
+    The packing width times bound (bound + 1) / 2 + 1 digits, the length of
+    P_e at |e| = bound.
+    """
+    return _packing_bits(bound) * (bound * (bound + 1) // 2 + 1)
+
+
+def _pulls(nvars: int, bound: int) -> bool:
+    """Whether the quotient pulls: at PULL_VALUE_BITS or more value bits per vertex."""
+    return _value_bits(bound) // nvars >= PULL_VALUE_BITS
 
 
 def _check_cost(nvars: int, bound: int) -> None:
@@ -502,7 +629,7 @@ def _check_cost(nvars: int, bound: int) -> None:
     length.  At one vertex there are few states, but their values are long.
     """
     states = comb(bound + 2 * nvars, 2 * nvars)
-    value_bits = _packing_bits(bound) * (bound * (bound + 1) // 2 + 1)
+    value_bits = _value_bits(bound)
     weight = -(-value_bits // LONG_VALUE_BITS)
     cost = states * value_bits * weight
     if cost > MAX_CHAIN_COST:

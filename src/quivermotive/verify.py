@@ -196,8 +196,10 @@ def ffcount_suite(
         return expected == fiber, detail
 
     out = []
-    for exp in exponents_upto(qv.vertex_count, max_total)[1:]:  # v = 0 comes first
-        cls = engine.motive_class(qv, exp, w, threads=threads).class_polynomial
+    # every v off one table: its rows equal the motive_class calls by
+    # truncation independence, and come in the same graded order
+    for row in engine.motive_table(qv, w, max_total, threads=threads)[1:]:  # v = 0 comes first
+        exp, cls = row.v, row.class_polynomial
         for q in qs:
             miss = "FAIL" if q > sum(exp) else "FLAG"  # q > |v| makes the level generic
             out.append(_case("ffcount", f"{label} v={exp} w={w} q={q}", lambda: check(cls, exp, q), miss))

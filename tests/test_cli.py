@@ -284,14 +284,17 @@ class TestVerifyCommand:
         # so a mismatch there FAILs, and only q <= |v| may FLAG
         from quivermotive import engine
 
-        original = engine.motive_class
+        original = engine.motive_table
 
-        def raised(quiver, v, w, threads=1):
-            result = original(quiver, v, w, threads)
+        def raised_row(result):
             head, *tail = result.class_polynomial
-            return engine.MotiveResult(quiver, result.v, result.w, result.d_shift, (head + 1, *tail))
+            return engine.MotiveResult(result.quiver, result.v, result.w, result.d_shift, (head + 1, *tail))
 
-        monkeypatch.setattr(engine, "motive_class", raised)
+        def raised(quiver, w, bound, threads=1):
+            # the suite reads every class off one table
+            return [raised_row(result) for result in original(quiver, w, bound, threads)]
+
+        monkeypatch.setattr(engine, "motive_table", raised)
         rc, out, _ = run_cli(
             capsys, "verify", "ffcount", "--quiver", "jordan", "--q", "2,3", "--format", "records"
         )

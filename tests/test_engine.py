@@ -36,6 +36,7 @@ from quivermotive.quiver import (
     STAR3,
     TWO_LOOP,
     InputError,
+    Quiver,
     d_shift,
     parse_quiver,
 )
@@ -712,13 +713,148 @@ def test_recursion_matches_tuple_sum():
     + [(STAR3, (1, 1, 1), 12), (JORDAN, (1,), 20)],
 )
 def test_push_quotient_matches_pull_reference(quiver, w, bound):
-    # the push form visits only the nonzero N(Q)_g; the full-box pull
-    # recursion gives the same numerators, polynomial for polynomial
+    # the forward recursion visits only the nonzero N(Q)_g; the full-box
+    # reference gives the same numerators, polynomial for polynomial.
+    # Jordan at 20 pulls its long numerators, the other cases push
     bits = engine._packing_bits(bound)
     framed, unframed = engine._series_numerators(quiver, w, bound)
     quotient = engine._quotient_numerators(quiver, w, bound)
     expected = pull_quotient(framed, unframed, quiver.vertex_count, bound, bits)
     assert {exp: engine._unpack(num, bits) for exp, num in quotient.items()} == expected
+
+
+def random_quivers(count, seed):
+    """Seeded quivers on 1 to 3 vertices, with loops and parallel arrows among them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        arrows = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3)))
+        out.append(Quiver(n, arrows))
+    return out
+
+
+D4 = Quiver(4, ((0, 1), (0, 2), (0, 3)))
+CYCLE3 = Quiver(3, ((0, 1), (1, 2), (2, 0)))
+RANDOM_QUIVERS = random_quivers(25, seed=29)
+
+
+def forced_quotient(monkeypatch, quiver, w, bound, pull):
+    """_graded_quotient with the pull threshold forced each way, and whether it pulled."""
+    monkeypatch.setattr(engine, "PULL_VALUE_BITS", 0 if pull else 1 << 62)
+    pulls = []
+    original = engine._pulled_sum
+
+    def counted(products, exp, bits):
+        pulls.append(exp)
+        return original(products, exp, bits)
+
+    monkeypatch.setattr(engine, "_pulled_sum", counted)
+    bits = engine._packing_bits(bound)
+    framed, unframed = engine._series_numerators(quiver, w, bound)
+    out = engine._graded_quotient(framed, unframed, quiver.vertex_count, bound, bits)
+    return {exp: engine._unpack(num, bits) for exp, num in out.items()}, bool(pulls)
+
+
+def test_random_quivers_have_loops_and_parallel_arrows():
+    assert any(s == t for q in RANDOM_QUIVERS for s, t in q.arrows)
+    assert any(len(set(q.arrows)) < len(q.arrows) for q in RANDOM_QUIVERS)
+    assert {q.vertex_count for q in RANDOM_QUIVERS} == {1, 2, 3}
+
+
+@pytest.mark.parametrize(
+    "quiver",
+    [*BUILTIN_QUIVERS.values(), D4, CYCLE3, *RANDOM_QUIVERS],
+    ids=[*BUILTIN_QUIVERS, "d4", "3-cycle", *(f"random{k}" for k in range(len(RANDOM_QUIVERS)))],
+)
+def test_pulled_quotient_matches_the_push(monkeypatch, quiver):
+    # both forms of the quotient recursion give the same numerators: the
+    # pull records N(U)_f q_g and multiplies by P_e / P_f, the push
+    # multiplies N(U)_f N(Q)_g by [e choose f]_L
+    n = quiver.vertex_count
+    bound = {1: 12, 2: 8, 3: 6, 4: 5}[n]
+    w = tuple(random.Random(str(quiver)).randint(0, 2) for _ in range(n))
+    pulled, did_pull = forced_quotient(monkeypatch, quiver, w, bound, pull=True)
+    pushed, did_push = forced_quotient(monkeypatch, quiver, w, bound, pull=False)
+    assert did_pull and not did_push
+    assert pulled == pushed
+
+
+def test_corrupted_kappa_exits_3_alike_in_both_forms(capsys, monkeypatch, fresh_engine_caches):
+    # one wrong arrow term at the column (2,) spoils the classes from v = (3,)
+    # on; at degree 16 the Jordan quotient pulls, and forced to push it
+    # gives the same exit code and message
+    original = engine._arrow_column
+
+    def corrupted(quiver, column):
+        return original(quiver, column) + (1 if tuple(column) == (2,) else 0)
+
+    monkeypatch.setattr(engine, "_arrow_column", corrupted)
+    args = ["series", "--quiver", "jordan", "--w", "1", "--max-degree", "16"]
+    assert engine._pulls(1, 16)
+    outcomes = []
+    for threshold in (engine.PULL_VALUE_BITS, 1 << 62):
+        engine._quotient_numerators.cache_clear()
+        monkeypatch.setattr(engine, "PULL_VALUE_BITS", threshold)
+        rc = cli.main(args)
+        outcomes.append((rc, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    rc, captured = outcomes[0]
+    assert rc == 3 and captured.out == ""
+    assert "polynomiality violated for v=(3,)" in captured.err
+    # the spoiled N(Q)_g leave a remainder by P_g(X), so the pull run pushed
+    # them, as a non-polynomial engine must
+    bits = engine._packing_bits(16)
+    quotient = engine._quotient_numerators(JORDAN, (1,), 16)
+    assert any(value % engine._packed_denominator(g, bits) for g, (_, value) in quotient.items())
+
+
+def test_benchmark_commands_take_their_side(monkeypatch, fresh_engine_caches):
+    # Jordan at degree 16 has 8,905 value bits per vertex and pulls; star3 at
+    # degree 8 (333) and the verify ffcount table of Jordan at degree 3 push
+    decisions = []
+    original = engine._pulls
+
+    def recorded(nvars, bound):
+        decisions.append((nvars, bound, original(nvars, bound)))
+        return decisions[-1][2]
+
+    monkeypatch.setattr(engine, "_pulls", recorded)
+    commands = {
+        "jordan-deep": ["series", "--quiver", "jordan", "--w", "1", "--max-degree", "16"],
+        "star3-wide": ["series", "--quiver", "star3", "--w", "1,1,1", "--max-degree", "8"],
+        "verify-all": ["verify", "all", "--quiver", "jordan", "--w", "1", "--q", "2"],
+    }
+    sides = {}
+    for name, args in commands.items():
+        decisions.clear()
+        assert cli.main([*args, "--format", "records"]) == 0
+        sides[name] = decisions[:]
+    assert sides == {
+        "jordan-deep": [(1, 16, True)],
+        "star3-wide": [(3, 8, False)],
+        "verify-all": [(1, 3, False)],
+    }
+    assert engine._value_bits(16) == 8905 and engine._value_bits(8) // 3 == 333
+
+
+def test_ffcount_reads_every_class_off_one_table(monkeypatch, fresh_engine_caches):
+    # one recursion at the largest bound, not one per v; the classes are the
+    # motive_class ones by truncation independence (the verify goldens)
+    cases = verify.ffcount_suite(JORDAN, "jordan", (1,), qs=(2,), max_total=3)
+    assert [case.name for case in cases] == [f"jordan v=({k},) w=(1,) q=2" for k in (1, 2, 3)]
+    assert engine._numerator_groups.cache_info().misses == 1
+    # a spoiled engine raises at the same first v as the calls one by one
+    original = engine._arrow_column
+    monkeypatch.setattr(engine, "_arrow_column", lambda q, c: original(q, c) + (tuple(c) == (2,)))
+    for clear in (engine._numerator_groups.cache_clear, engine._quotient_numerators.cache_clear):
+        clear()
+    with pytest.raises(PolynomialityError) as direct:
+        for v in [(1,), (2,), (3,)]:
+            motive_class(JORDAN, v, (1,))
+    with pytest.raises(PolynomialityError) as suite:
+        verify.ffcount_suite(JORDAN, "jordan", (1,), qs=(2,), max_total=3)
+    assert str(suite.value) == str(direct.value)
 
 
 @pytest.mark.parametrize("quiver", BUILTIN_QUIVERS.values(), ids=BUILTIN_QUIVERS.keys())
