@@ -52,8 +52,10 @@ exponent with no N(Q)_v is the empty class, and no P_v is built for it.
 
 Pulled quotient.  At one vertex every N(Q)_g is nonzero, and each push
 costs two long products.  Let q_g = N(Q)_g(X) / P_g(X), one big-int
-division per nonzero g, as _packed_class makes for a class; it is exact
-whenever N(Q)_g / P_g is a polynomial.  Since
+division per nonzero g, the top degree included; it is exact whenever
+N(Q)_g / P_g is a polynomial, and it is kept next to the numerators, so
+the class at g is read off q_g without a second division (Packed
+division, below).  Since
 
     [e choose f]_L * P_g = P_e / P_f    for g = e - f,
 
@@ -68,6 +70,13 @@ several factors one multiply by _cyclo_packed.  Every numerator is the
 same integer as in push form, so the majorant, the zero test and the
 packed-division certificate below hold unchanged.  A g whose P_g(X) leaves
 a remainder, which only a non-polynomial engine gives, keeps the push.
+
+The series stage folds the same way.  N(U)_e is the sum over the part
+counts l of (P_e / P_l)(X) * H(l, e - l) (Column chains, below), so in pull
+form _series_numerators takes it by the same nested Horner over the sorted
+l, and N(F)_e with L^(w . l) in the offsets; in push form it multiplies
+each H by its (P_e / P_l)(X) once and sums.  The groups hold the bare H in
+both forms.
 
 The pull pays a division per nonzero g and a Horner step per product, and
 saves the long products, so it runs only where the values are long: at
@@ -95,8 +104,13 @@ pull / push time, and the bits per vertex by vertex count n.
 Below 1,700 bits per vertex the pull is slower on every quiver, by 11 % or
 more.  From 2,900 on it is faster on every one but the arrowless vertex,
 whose quotient takes under 0.1 ms either way.  In between the ratio runs
-from 0.76 to 1.18 and the threshold splits that band.  The benchmark's
-series workloads fall on either side: Jordan at degree 16 pulls, star3 at
+from 0.76 to 1.18 and the threshold splits that band.  The series stage
+alone, timed the same way with its groups cached, gives pull / push 2.09,
+1.50 and 0.80 on star3 at degrees 8, 12 and 16 (333, 1,185 and 2,968 bits
+per vertex), 1.19 and 0.60 on a2 at 12 and 16 (1,777 and 4,452), and 1.07,
+0.54 and 0.08 on Jordan at 10, 16 and 28 (2,016, 8,905 and 53,724), so it
+takes its side from the same _pulls.  The benchmark's series workloads
+fall on either side in both stages: Jordan at degree 16 pulls, star3 at
 degree 8 pushes.
 
 Column chains.  A tuple of partitions, one per vertex, is a chain of column
@@ -125,26 +139,30 @@ a product over vertices, so it is contracted one vertex at a time (sum
 factorization), and a partial state is dropped as soon as its columns
 exceed bound - |r|.  No partition is enumerated.  Then
 
-    N(U)_e = sum over l of G_(e,l),    N(F)_e = sum over l of L^(w . l) G_(e,l),
+    N(U)_e = sum over l of G_(e,l),    N(F)_e = sum over l of L^(w . l) G_(e,l).
 
-both summed in one pass over the groups, which are cached per quiver and
+The groups, which hold the bare H(l, e - l), are cached per quiver and
 degree bound, so the framed and the unframed series, and the tables for
-further framings, share one recursion.  kappa sums the same arrow term over
-the columns of a tuple and adds the framing helper the group shift uses,
-and _centralizer_poly folds the same column step f over the columns of a
-partition, so the exponents and classes the kappa and centralizer checks
-test are the ones the series use.  Before any arithmetic, the recursion's size is estimated from the
-vertex count and the bound alone, as its C(bound + 2n, 2n) states (c, r)
-times the bits of one value, weighted by the value's LONG_VALUE_BITS
-blocks because a product of long values costs more than their length, and
-a run above MAX_CHAIN_COST is refused as input.
+further framings, share one recursion; the series stage applies the
+factor P_e / P_l, by the Horner fold or by one multiply per group
+(Pulled quotient, above), and sums both series in one pass.  kappa sums
+the same arrow term over the columns of a tuple and adds the framing
+helper the group shift uses, and _centralizer_poly folds the same column
+step f over the columns of a partition, so the exponents and classes the
+kappa and centralizer checks test are the ones the series use.  Before
+any arithmetic, the recursion's size is estimated from the vertex count
+and the bound alone, as its C(bound + 2n, 2n) states (c, r) times the bits
+of one value, weighted by the value's LONG_VALUE_BITS blocks because a
+product of long values costs more than their length, and a run above
+MAX_CHAIN_COST is refused as input.
 
 Packed evaluation.  Every numerator polynomial is held as one Python int,
 its value at L = X = 2^bits, so the column steps, the chain sums, the
 L-shifts, the factors P_(e_i) / P_(l_i), the Gaussian binomials and the
 quotient recursion are big-int shifts, adds, multiplies and exact
 divisions.  Evaluation at X is a ring homomorphism, so the packed
-numerators are exactly the values of the true ones; what needs an argument is reading a polynomial back.  An integer polynomial whose
+numerators are exactly the values of the true ones; what needs an argument
+is reading a polynomial back.  An integer polynomial whose
 coefficients all lie in (-X/2, X/2) is the only such polynomial with its
 value at X, and its coefficients are the balanced base-X digits of that
 value (_unpack).  bits is fixed before anything is packed, from an a-priori
@@ -187,9 +205,11 @@ proof.
 
 Packed division.  A class is N(Q)_v / P_v, for a nonzero N(Q)_v, and
 _packed_class reads it with one big-int division of the packed value by
-P_v(X), the product of the packed P_(v_i); only the quotient, the class, is
-unpacked.  Its digits C are accepted under a certificate: the division
-leaves no remainder, and every digit c has c.bit_length() + |v| <= bits - 1.
+P_v(X), the product of the packed P_(v_i); in pull form the exact quotient
+q_v that _graded_quotient kept is passed in, and the division is not made
+again.  Only the quotient, the class, is unpacked.  Its digits C are
+accepted under a certificate: the division leaves no remainder, and every
+digit c has c.bit_length() + |v| <= bits - 1.
 That is a proof that C is the class.  |P_v|_1 <= 2^|v|, since each of its
 |v| factors L^j - 1 has L1 norm 2, so every coefficient of C * P_v lies in
 (-X/2, X/2); so does every coefficient of N(Q)_v, inside (-X/4, X/4) by the
@@ -246,10 +266,11 @@ def __getattr__(name: str):
 # The largest column-chain recursion the engine runs, in the estimate of
 # _check_cost (states times the bits of a value, weighted by its
 # LONG_VALUE_BITS blocks).  On a shared 2-core Xeon host, in-process and
-# with cold caches, star3 at degree 20 (4.2 * 10^9) took 2.4-2.6 s, a2 at
-# degree 30 (9.3 * 10^9) 5.6-5.8 s and Jordan at degree 48 (3.7 * 10^9)
-# 1.7-1.8 s; Jordan at degree 60 (2.4 * 10^10, refused) took 9.3 s.  In push
-# form alone they took 3.0, 6.4, 4.4 and 22.8 s in the same session.
+# with cold caches, star3 at degree 20 (4.2 * 10^9) took 1.7-2.1 s, a2 at
+# degree 30 (9.3 * 10^9) 1.2-1.9 s and Jordan at degree 48 (3.7 * 10^9)
+# 0.8-1.2 s; Jordan at degree 60 (2.4 * 10^10, refused) took 4.0-5.4 s.
+# With the series stage unfolded they took 2.3-3.3, 5.6-6.7, 1.9-2.5 and
+# 10.7-12.9 s in the same session.
 MAX_CHAIN_COST = 10**10
 LONG_VALUE_BITS = 2**15
 # The value length, in bits per vertex (_value_bits over the vertex count),
@@ -358,8 +379,8 @@ Packed = tuple[int, int]
 # left out.
 Graded = dict[tuple[int, ...], Packed]
 # Per exponent e, one entry per part-count vector l: l and the packed w-free
-# group sum G_{e,l}.
-Groups = dict[tuple[int, ...], list[tuple[tuple[int, ...], Packed]]]
+# chain sum H(l, e - l), its L offset and value.
+Groups = dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]]
 
 
 @lru_cache(maxsize=64)
@@ -471,16 +492,20 @@ def _packed_denominator(exp: Sequence[int], bits: int) -> int:
     return den
 
 
-def _packed_class(packed: Packed, exp: tuple[int, ...], bits: int) -> Laurent | None:
+def _packed_class(
+    packed: Packed, exp: tuple[int, ...], bits: int, whole: int | None = None
+) -> Laurent | None:
     """packed / P_exp as a Laurent polynomial, or None where it is not certified.
 
-    One big-int division by P_exp packed; the quotient's digits are accepted
-    under the certificate of the module docstring (Packed division).
+    One big-int division by P_exp packed, unless whole is its exact quotient
+    already; the quotient's digits are accepted under the certificate of the
+    module docstring (Packed division).
     """
     offset, value = packed
-    whole, rest = divmod(value, _packed_denominator(exp, bits))
-    if rest:
-        return None
+    if whole is None:
+        whole, rest = divmod(value, _packed_denominator(exp, bits))
+        if rest:
+            return None
     offset, poly = _unpack((offset, whole), bits)
     return (offset, poly) if max(map(abs, poly)).bit_length() + sum(exp) < bits else None
 
@@ -508,8 +533,8 @@ def _merge(table: dict, key: tuple[int, ...], offset: int, value: int, bits: int
 
 def _graded_quotient(
     framed: Graded, unframed: Graded, nvars: int, bound: int, bits: int
-) -> Graded:
-    """Numerators of framed / unframed, from each nonzero N(Q)_g forward.
+) -> tuple[Graded, dict[tuple[int, ...], int]]:
+    """Numerators of framed / unframed, from each nonzero N(Q)_g forward, and the q_g.
 
     N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L N(U)_f N(Q)_{e-f},
     exact because N(U)_0 is 1, which is checked.  Each pending entry starts
@@ -519,9 +544,11 @@ def _graded_quotient(
     -[g + f choose f]_L N(U)_f N(Q)_g, added to the pending entry; when the
     values are long (_pulls) it is the divided product N(U)_f q_g, and e
     pulls its products by a nested Horner (_pulled_sum).  A g whose P_g(X)
-    leaves a remainder keeps the push.  A zero N(Q)_g costs nothing.  The
-    zero test is exact: the popped value is N(Q)_g packed, and the majorant
-    m(|g|) keeps its coefficients inside (-X/4, X/4).
+    leaves a remainder keeps the push.  The exact quotients q_g come back
+    next to the numerators, for the classes; in push form there are none.  A
+    zero N(Q)_g costs nothing.  The zero test is exact: the popped value is
+    N(Q)_g packed, and the majorant m(|g|) keeps its coefficients inside
+    (-X/4, X/4).
     """
     constant = _unpack(unframed.get((0,) * nvars, (0, 0)), bits)
     if constant != (0, (1,)):
@@ -537,6 +564,7 @@ def _graded_quotient(
     # per exponent e, the divided products (f, N(U)_f q_(e-f)) it pulls
     pulled: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
     out: Graded = {}
+    divided: dict[tuple[int, ...], int] = {}
     for g in exponents_upto(nvars, bound):
         products = pulled.pop(g, None)
         if products:
@@ -548,11 +576,11 @@ def _graded_quotient(
         out[g] = num
         room = bound - sum(g)
         offset, value = num
-        quotient = None
-        if pull and units and units[0][0] <= room:
+        if pull:
             whole, rest = divmod(value, _packed_denominator(g, bits))
             if not rest:
-                quotient = whole
+                divided[g] = whole
+        quotient = divided.get(g)
         for size, f, (unit_offset, unit_value) in units:
             if size > room:
                 break
@@ -566,7 +594,7 @@ def _graded_quotient(
                 if 0 < k < top:
                     term *= gauss[top][k]
             _merge(pending, e, offset + unit_offset, term, bits)
-    return out
+    return out, divided
 
 
 def _pulled_sum(products: list, exp: tuple[int, ...], bits: int) -> Packed:
@@ -579,7 +607,7 @@ def _pulled_sum(products: list, exp: tuple[int, ...], bits: int) -> Packed:
     product gets its P_(exp_i) / P_(f_i).  A factor L^j - 1 is a shift and
     a subtraction.
     """
-    products.sort(key=itemgetter(0))
+    products = sorted(products, key=itemgetter(0))
     for i in reversed(range(len(exp))):
         sums: dict = {}
         lows: dict = {}
@@ -667,15 +695,16 @@ def _contract(table: dict, i: int, room: int, steps: list, bits: int) -> dict:
 
 @lru_cache(maxsize=16)
 def _numerator_groups(quiver: Quiver, bound: int) -> Groups:
-    """The w-free groups G_{e,l} at every exponent of total degree <= bound.
+    """The w-free chain sums H(l, e - l) at every exponent e of total degree <= bound.
 
     One column-chain recursion (module docstring): each remaining size r,
     in graded order, takes the table K(c') = H(c', r - c') of its finished
     chains, contracts it one vertex at a time with the column steps, and
     shifts by the arrow term, giving H(c, r) for every c that fits; that is
-    the group G_{c+r,c} once multiplied by prod P_{e_i} / P_{c_i}, and the
-    table entry at c of the remaining size c + r.  No partition is
-    enumerated.
+    the entry of c at e = c + r, and the table entry at c of the remaining
+    size c + r.  The factor P_e / P_c of the group G_{e,c} is left to
+    _series_numerators, so the groups do not depend on its form.  No
+    partition is enumerated.
     """
     n = quiver.vertex_count
     _check_cost(n, bound)
@@ -705,33 +734,48 @@ def _numerator_groups(quiver: Quiver, bound: int) -> Groups:
             total = tuple(map(add, column, rest))
             if 0 < sum(total) < bound:
                 chains.setdefault(total, {})[column] = (offset, value)
-            for c, r in zip(column, rest):
-                if r:
-                    value *= _cyclo_packed(c, c + r, bits)
-            groups.setdefault(total, []).append((column, (offset, value)))
+            groups.setdefault(total, []).append((column, offset, value))
     return groups
 
 
 def _series_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> tuple[Graded, Graded]:
     """Packed numerators of the nilpotent series framed by w and of the unframed one.
 
-    N(F)_e = sum over l of L^(w . l) G_{e,l} and N(U)_e = sum over l of
-    G_{e,l}, both summed in one pass over the groups.
+    N(U)_e = sum over l of G_{e,l} = (P_e / P_l) H(l, e - l), and N(F)_e the
+    same with each term times L^(w . l).  When the values are long (_pulls),
+    both are folded by the nested Horner of _pulled_sum over the products
+    (l, offset, H), with the framing in the offsets of F; otherwise each
+    G_{e,l} is multiplied out once and both sums read it.
     """
     bits = _packing_bits(bound)
+    pull = _pulls(quiver.vertex_count, bound)
     framed: Graded = {}
     unframed: Graded = {}
     for exp, groups in _numerator_groups(quiver, bound).items():
-        framed_terms = [(offset + _framing(w, parts), value) for parts, (offset, value) in groups]
-        for out, terms in ((framed, framed_terms), (unframed, [packed for _, packed in groups])):
-            num = _packed_sum(terms, bits)
+        if pull:
+            shifted = [
+                (parts, offset + _framing(w, parts), value) for parts, offset, value in groups
+            ]
+            sums = _pulled_sum(shifted, exp, bits), _pulled_sum(groups, exp, bits)
+        else:
+            framed_terms, terms = [], []
+            for parts, offset, value in groups:
+                for low, high in zip(parts, exp):
+                    if high > low:
+                        value *= _cyclo_packed(low, high, bits)
+                framed_terms.append((offset + _framing(w, parts), value))
+                terms.append((offset, value))
+            sums = _packed_sum(framed_terms, bits), _packed_sum(terms, bits)
+        for out, num in zip((framed, unframed), sums):
             if num[1]:
                 out[exp] = num
     return framed, unframed
 
 
 @lru_cache(maxsize=16)
-def _quotient_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> Graded:
+def _quotient_numerators(
+    quiver: Quiver, w: tuple[int, ...], bound: int
+) -> tuple[Graded, dict[tuple[int, ...], int]]:
     framed, unframed = _series_numerators(quiver, w, bound)
     return _graded_quotient(framed, unframed, quiver.vertex_count, bound, _packing_bits(bound))
 
@@ -758,26 +802,33 @@ def nilpotent_series(
 
 
 def _class_at(
-    quiver: Quiver, v: tuple[int, ...], w: tuple[int, ...], quotient: Graded, bits: int
+    quiver: Quiver,
+    v: tuple[int, ...],
+    w: tuple[int, ...],
+    quotient: Graded,
+    divided: dict[tuple[int, ...], int],
+    bits: int,
 ) -> MotiveResult:
     """The class at v read off the packed quotient numerators: N(Q)_v / P_v * L^-d.
 
     An exponent absent from the quotient has N(Q)_v = 0 and is the empty
     class, read without building P_v.  Otherwise the class is the certified
     packed quotient (_packed_class) when there is one and its L offset
-    clears the shift.  If not, N(Q)_v is unpacked, then divided exactly by
-    P_v once.  Its quotient is nonzero with a nonzero constant term (P_v
-    has constant term +-1 and an unpacked numerator's poly starts nonzero),
-    so the class is a polynomial only if the division is exact and the L
-    offset is nonnegative; otherwise PolynomialityError shows the reduced
-    fraction.  Negative coefficients are legal but suspicious, and warn.
+    clears the shift; where the pull already divided N(Q)_v by P_v(X), its
+    quotient in divided is certified without a second division.  If not,
+    N(Q)_v is unpacked, then divided exactly by P_v once.  Its quotient is
+    nonzero with a nonzero constant term (P_v has constant term +-1 and an
+    unpacked numerator's poly starts nonzero), so the class is a polynomial
+    only if the division is exact and the L offset is nonnegative;
+    otherwise PolynomialityError shows the reduced fraction.  Negative
+    coefficients are legal but suspicious, and warn.
     """
     # v and w are validated by the caller; d_shift would check them per row
     arrows = sum(v[s] * v[t] for s, t in quiver.arrows)
     d = sum(map(mul, v, v)) - arrows - sum(map(mul, v, w))
     if v not in quotient:
         return MotiveResult(quiver, v, w, d, ())
-    certified = _packed_class(quotient[v], v, bits)
+    certified = _packed_class(quotient[v], v, bits, divided.get(v))
     if certified is not None and certified[0] >= d:
         offset, poly = certified[0] - d, certified[1]
     else:
@@ -815,8 +866,8 @@ def motive_class(
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
     bound = sum(v)
-    quotient = _quotient_numerators(quiver, w, bound)
-    return _class_at(quiver, v, w, quotient, _packing_bits(bound))
+    quotient, divided = _quotient_numerators(quiver, w, bound)
+    return _class_at(quiver, v, w, quotient, divided, _packing_bits(bound))
 
 
 def motive_table(
@@ -831,9 +882,9 @@ def motive_table(
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
     n = quiver.vertex_count
-    quotient = _quotient_numerators(quiver, w, bound)
+    quotient, divided = _quotient_numerators(quiver, w, bound)
     bits = _packing_bits(bound)
-    return [_class_at(quiver, v, w, quotient, bits) for v in exponents_upto(n, bound)]
+    return [_class_at(quiver, v, w, quotient, divided, bits) for v in exponents_upto(n, bound)]
 
 
 def motive_series(quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1) -> MSeries:

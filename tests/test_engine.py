@@ -1,5 +1,6 @@
 import pickle
 import random
+import sys
 import time
 from collections import Counter
 from itertools import product
@@ -449,7 +450,7 @@ class TestMotiveClass:
         # exactly but leaves L^-4 after the shift by L^-d = L
         for num, got in (((0, (1,)), "(L^1) / (-1 + L^1)"), ((-5, (-1, 1)), "(1) / (L^4)")):
             with pytest.raises(PolynomialityError) as exc:
-                engine._class_at(JORDAN, (1,), (1,), {(1,): packed(num)}, BITS)
+                engine._class_at(JORDAN, (1,), (1,), {(1,): packed(num)}, {}, BITS)
             assert str(exc.value) == f"polynomiality violated for v=(1,), w=(1,): got {got}"
 
     def test_negative_coefficient_warns(self):
@@ -457,14 +458,15 @@ class TestMotiveClass:
         # v=(1), w=(1)
         quotient = {(1,): packed((1, (1, -1)))}
         with pytest.warns(RuntimeWarning, match="negative coefficient"):
-            result = engine._class_at(JORDAN, (1,), (1,), quotient, BITS)
+            result = engine._class_at(JORDAN, (1,), (1,), quotient, {}, BITS)
         assert result.class_polynomial == (0, 0, -1)
 
 
 # star3 with its center moved to vertex 2 and both arrows pointing into it
 RELABELLED_STAR3 = parse_quiver('{"vertices": 3, "edges": [[1, 2], [0, 2]]}')[0]
 EXTRACTION_CASES = [(q, 10 if q.vertex_count == 1 else 6) for q in BUILTIN_QUIVERS.values()]
-EXTRACTION_CASES += [(RELABELLED_STAR3, 6)]
+# Jordan at 10 pushes, at 16 it pulls and keeps every quotient q_v
+EXTRACTION_CASES += [(RELABELLED_STAR3, 6), (JORDAN, 16)]
 
 
 class TestPackedDivision:
@@ -474,19 +476,35 @@ class TestPackedDivision:
         # exact division of the unpacked numerator by P_v
         w = tuple(range(1, quiver.vertex_count + 1))
         bits = engine._packing_bits(bound)
-        quotient = engine._quotient_numerators(quiver, w, bound)
+        quotient, divided = engine._quotient_numerators(quiver, w, bound)
         assert len(quotient) > 1
+        # the pull keeps the quotient of every nonzero N(Q)_v, the push none
+        pull = engine._pulls(quiver.vertex_count, bound)
+        assert set(divided) == (set(quotient) if pull else set())
         for v, num in quotient.items():
             offset, poly = engine._unpack(num, bits)
             expected = (offset, _pdiv_exact(poly, engine._denominator(v)))
             assert engine._packed_class(num, v, bits) == expected, v
+            if v in divided:
+                assert engine._packed_class(num, v, bits, divided[v]) == expected, v
 
     @pytest.mark.parametrize("quiver,bound", EXTRACTION_CASES)
     def test_refused_certificate_gives_the_same_rows(self, monkeypatch, quiver, bound):
+        # every nonzero class goes through the one certificate, also where
+        # the pull kept its quotient, and refused it takes the fallback
         w = tuple(range(1, quiver.vertex_count + 1))
         expected = motive_table(quiver, w, bound)
-        monkeypatch.setattr(engine, "_packed_class", lambda *args: None)
+        refused = []
+
+        def refuse(packed, exp, bits, whole=None):
+            refused.append((exp, whole is not None))
+
+        monkeypatch.setattr(engine, "_packed_class", refuse)
         assert motive_table(quiver, w, bound) == expected
+        quotient, _ = engine._quotient_numerators(quiver, w, bound)
+        pull = engine._pulls(quiver.vertex_count, bound)
+        nonzero = [v for v in exponents_upto(quiver.vertex_count, bound) if v in quotient]
+        assert refused == [(v, pull) for v in nonzero]
 
     def test_large_digits_are_refused(self):
         # 100 (L - 1) divides, but its quotient digit 100 needs 7 bits and P_1
@@ -494,7 +512,7 @@ class TestPackedDivision:
         # unpacked division reads the same class
         num = packed((1, (-100, 100)))
         assert engine._packed_class(num, (1,), BITS) is None
-        row = engine._class_at(JORDAN, (1,), (1,), {(1,): num}, BITS)
+        row = engine._class_at(JORDAN, (1,), (1,), {(1,): num}, {}, BITS)
         assert row.class_polynomial == (0, 0, 100)
 
     def test_divisible_value_of_an_indivisible_numerator(self):
@@ -505,7 +523,7 @@ class TestPackedDivision:
         assert num[1] % 255 == 0
         assert engine._packed_class(num, (1,), BITS) is None
         with pytest.raises(PolynomialityError, match="polynomiality violated for v=\\(1,\\)"):
-            engine._class_at(JORDAN, (1,), (1,), {(1,): num}, BITS)
+            engine._class_at(JORDAN, (1,), (1,), {(1,): num}, {}, BITS)
 
 
 class TestMotiveTable:
@@ -629,7 +647,7 @@ class TestPacking:
         assert 4 * m[bound] < 1 << bits
         w = (1,) * n
         framed, unframed = engine._series_numerators(quiver, w, bound)
-        quotient = engine._quotient_numerators(quiver, w, bound)
+        quotient, _ = engine._quotient_numerators(quiver, w, bound)
         for exp in exponents_upto(n, bound):
             for graded in (framed, unframed, quotient):
                 assert l1_norm(graded.get(exp, (0, 0)), bits) <= m[sum(exp)], (quiver, exp)
@@ -695,15 +713,20 @@ def test_motive_table_enumerates_no_partitions(monkeypatch, fresh_engine_caches)
 
 
 def test_recursion_matches_tuple_sum():
-    # the groups of the column-chain recursion equal the sum over partition
-    # tuples on every builtin, polynomial for polynomial
-    for quiver in BUILTIN_QUIVERS.values():
-        bound = 10 if quiver.vertex_count == 1 else 6
+    # the chain sums H(l, e - l) of the column-chain recursion, times
+    # P_e / P_l, equal the groups summed over partition tuples on every
+    # builtin, polynomial for polynomial; Jordan at 10 pushes, at 12 pulls,
+    # and the groups are the same bare H either way
+    cases = [(q, 10 if q.vertex_count == 1 else 6) for q in BUILTIN_QUIVERS.values()]
+    for quiver, bound in [*cases, (JORDAN, 12)]:
         bits = engine._packing_bits(bound)
-        groups = {
-            exp: {parts: engine._unpack(value, bits) for parts, value in entries}
-            for exp, entries in engine._numerator_groups(quiver, bound).items()
-        }
+        groups = {}
+        for exp, entries in engine._numerator_groups(quiver, bound).items():
+            groups[exp] = {}
+            for parts, offset, value in entries:
+                for length, k in zip(parts, exp):
+                    value *= engine._cyclo_packed(length, k, bits)
+                groups[exp][parts] = engine._unpack((offset, value), bits)
         assert groups == tuple_sum_groups(quiver, bound), quiver
 
 
@@ -718,7 +741,7 @@ def test_push_quotient_matches_pull_reference(quiver, w, bound):
     # Jordan at 20 pulls its long numerators, the other cases push
     bits = engine._packing_bits(bound)
     framed, unframed = engine._series_numerators(quiver, w, bound)
-    quotient = engine._quotient_numerators(quiver, w, bound)
+    quotient, _ = engine._quotient_numerators(quiver, w, bound)
     expected = pull_quotient(framed, unframed, quiver.vertex_count, bound, bits)
     assert {exp: engine._unpack(num, bits) for exp, num in quotient.items()} == expected
 
@@ -752,7 +775,9 @@ def forced_quotient(monkeypatch, quiver, w, bound, pull):
     monkeypatch.setattr(engine, "_pulled_sum", counted)
     bits = engine._packing_bits(bound)
     framed, unframed = engine._series_numerators(quiver, w, bound)
-    out = engine._graded_quotient(framed, unframed, quiver.vertex_count, bound, bits)
+    out, divided = engine._graded_quotient(framed, unframed, quiver.vertex_count, bound, bits)
+    # the pull keeps the exact quotient of every nonzero N(Q)_g, the push none
+    assert set(divided) == (set(out) if pull else set())
     return {exp: engine._unpack(num, bits) for exp, num in out.items()}, bool(pulls)
 
 
@@ -780,6 +805,40 @@ def test_pulled_quotient_matches_the_push(monkeypatch, quiver):
     assert pulled == pushed
 
 
+@pytest.mark.parametrize(
+    "quiver",
+    [*BUILTIN_QUIVERS.values(), D4, CYCLE3, *RANDOM_QUIVERS],
+    ids=[*BUILTIN_QUIVERS, "d4", "3-cycle", *(f"random{k}" for k in range(len(RANDOM_QUIVERS)))],
+)
+def test_pulled_series_matches_the_push(monkeypatch, fresh_engine_caches, quiver):
+    # the series stage folds the bare chain sums by Horner in pull form and
+    # multiplies each group out in push form: both give the same numerators,
+    # from one cached groups table that the second form reuses as it is
+    n = quiver.vertex_count
+    bound = {1: 12, 2: 8, 3: 6, 4: 5}[n]
+    w = tuple(random.Random(str(quiver)).randint(0, 2) for _ in range(n))
+    bits = engine._packing_bits(bound)
+    folds = []
+    original = engine._pulled_sum
+
+    def counted(products, exp, bits):
+        folds.append(exp)
+        return original(products, exp, bits)
+
+    monkeypatch.setattr(engine, "_pulled_sum", counted)
+    series = {}
+    for pull in (True, False):
+        folds.clear()
+        monkeypatch.setattr(engine, "PULL_VALUE_BITS", 0 if pull else 1 << 62)
+        framed, unframed = engine._series_numerators(quiver, w, bound)
+        assert bool(folds) == pull
+        unpacked = [{e: engine._unpack(x, bits) for e, x in s.items()} for s in (framed, unframed)]
+        series[pull] = unpacked
+    assert series[True] == series[False]
+    info = engine._numerator_groups.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_corrupted_kappa_exits_3_alike_in_both_forms(capsys, monkeypatch, fresh_engine_caches):
     # one wrong arrow term at the column (2,) spoils the classes from v = (3,)
     # on; at degree 16 the Jordan quotient pulls, and forced to push it
@@ -793,7 +852,7 @@ def test_corrupted_kappa_exits_3_alike_in_both_forms(capsys, monkeypatch, fresh_
     args = ["series", "--quiver", "jordan", "--w", "1", "--max-degree", "16"]
     assert engine._pulls(1, 16)
     outcomes = []
-    for threshold in (engine.PULL_VALUE_BITS, 1 << 62):
+    for threshold in (1 << 62, engine.PULL_VALUE_BITS):
         engine._quotient_numerators.cache_clear()
         monkeypatch.setattr(engine, "PULL_VALUE_BITS", threshold)
         rc = cli.main(args)
@@ -802,22 +861,27 @@ def test_corrupted_kappa_exits_3_alike_in_both_forms(capsys, monkeypatch, fresh_
     rc, captured = outcomes[0]
     assert rc == 3 and captured.out == ""
     assert "polynomiality violated for v=(3,)" in captured.err
-    # the spoiled N(Q)_g leave a remainder by P_g(X), so the pull run pushed
-    # them, as a non-polynomial engine must
+    # the spoiled N(Q)_g leave a remainder by P_g(X), so the pull run, the
+    # last one, pushed them, as a non-polynomial engine must
     bits = engine._packing_bits(16)
-    quotient = engine._quotient_numerators(JORDAN, (1,), 16)
+    quotient, divided = engine._quotient_numerators(JORDAN, (1,), 16)
     assert any(value % engine._packed_denominator(g, bits) for g, (_, value) in quotient.items())
+    # and kept no quotient for them
+    exact = {g for g, (_, x) in quotient.items() if not x % engine._packed_denominator(g, bits)}
+    assert set(divided) == exact
 
 
 def test_benchmark_commands_take_their_side(monkeypatch, fresh_engine_caches):
     # Jordan at degree 16 has 8,905 value bits per vertex and pulls; star3 at
-    # degree 8 (333) and the verify ffcount table of Jordan at degree 3 push
+    # degree 8 (333) and the verify ffcount table of Jordan at degree 3 push;
+    # each command asks once per stage, the series and the quotient
     decisions = []
     original = engine._pulls
 
     def recorded(nvars, bound):
-        decisions.append((nvars, bound, original(nvars, bound)))
-        return decisions[-1][2]
+        stage = sys._getframe(1).f_code.co_name
+        decisions.append((stage, nvars, bound, original(nvars, bound)))
+        return decisions[-1][-1]
 
     monkeypatch.setattr(engine, "_pulls", recorded)
     commands = {
@@ -830,10 +894,11 @@ def test_benchmark_commands_take_their_side(monkeypatch, fresh_engine_caches):
         decisions.clear()
         assert cli.main([*args, "--format", "records"]) == 0
         sides[name] = decisions[:]
+    stages = ("_series_numerators", "_graded_quotient")
     assert sides == {
-        "jordan-deep": [(1, 16, True)],
-        "star3-wide": [(3, 8, False)],
-        "verify-all": [(1, 3, False)],
+        "jordan-deep": [(stage, 1, 16, True) for stage in stages],
+        "star3-wide": [(stage, 3, 8, False) for stage in stages],
+        "verify-all": [(stage, 1, 3, False) for stage in stages],
     }
     assert engine._value_bits(16) == 8905 and engine._value_bits(8) // 3 == 333
 
@@ -871,8 +936,11 @@ def test_empty_classes_build_no_denominator(monkeypatch, fresh_engine_caches):
     expected = motive_table(STAR3, (1, 1, 1), 8)
     empty = {row.v for row in expected if not row.class_polynomial}
     assert 0 < len(empty) < len(expected) == 165
-    # P_v is built unpacked by _denominator and packed by _packed_class
+    # P_v is built unpacked by _denominator, and packed by
+    # _packed_denominator for _packed_class and for the quotient stage's
+    # division in pull form
     denominator, packed_class = engine._denominator, engine._packed_class
+    packed_denominator = engine._packed_denominator
 
     def refuse(exp):
         if tuple(exp) in empty:
@@ -882,13 +950,41 @@ def test_empty_classes_build_no_denominator(monkeypatch, fresh_engine_caches):
         refuse(exp)
         return denominator(exp)
 
-    def guarded_packed_class(num, exp, bits):
+    def guarded_packed_class(num, exp, bits, whole=None):
         refuse(exp)
-        return packed_class(num, exp, bits)
+        return packed_class(num, exp, bits, whole)
+
+    def guarded_packed_denominator(exp, bits):
+        refuse(exp)
+        return packed_denominator(exp, bits)
 
     monkeypatch.setattr(engine, "_denominator", guarded_denominator)
     monkeypatch.setattr(engine, "_packed_class", guarded_packed_class)
-    assert motive_table(STAR3, (1, 1, 1), 8) == expected
+    monkeypatch.setattr(engine, "_packed_denominator", guarded_packed_denominator)
+    # star3 at degree 8 pushes; forced to pull, it divides every nonzero class
+    for threshold in (engine.PULL_VALUE_BITS, 0):
+        monkeypatch.setattr(engine, "PULL_VALUE_BITS", threshold)
+        engine._quotient_numerators.cache_clear()
+        assert motive_table(STAR3, (1, 1, 1), 8) == expected
+    _, divided = engine._quotient_numerators(STAR3, (1, 1, 1), 8)
+    assert len(divided) == len(expected) - len(empty)
+
+
+def test_pulled_classes_are_divided_once(monkeypatch, fresh_engine_caches):
+    # Jordan at degree 16 pulls: the quotient stage divides each of its 17
+    # nonzero N(Q)_g by P_g(X), and every class is read off that quotient
+    # instead of being divided again
+    calls = []
+    original = engine._packed_denominator
+
+    def counted(exp, bits):
+        calls.append(exp)
+        return original(exp, bits)
+
+    monkeypatch.setattr(engine, "_packed_denominator", counted)
+    rows = motive_table(JORDAN, (1,), 16)
+    assert all(row.class_polynomial for row in rows) and len(rows) == 17
+    assert sorted(calls) == [(k,) for k in range(17)]
 
 
 @pytest.mark.parametrize(
