@@ -155,10 +155,22 @@ def cmd_verify(args) -> int:
         fflab._require_prime(q)
     if len(set(qs)) != len(qs):
         raise InputError(f"--q repeats a field size: {args.q}")
+    if args.suite in ("kappa", "centralizer", "harmonic"):
+        # a suite with a fixed grid refuses the options it would not read
+        reads = () if args.suite == "kappa" else ("q", "budget")
+        unread = [
+            f"--{name}"
+            for name in ("quiver", "w", "alpha", "q", "budget")
+            if getattr(args, name) is not None and name not in reads
+        ]
+        if unread:
+            raise InputError(f"the {args.suite} suite does not read {', '.join(unread)}")
     if args.suite in ("ffcount", "all"):
+        quiver = "jordan" if args.quiver is None else args.quiver
+        alpha = 1 if args.alpha is None else args.alpha
         # a bad level, quiver or w is refused before any suite runs
-        verify.check_level(args.alpha, qs)
-        qv, named = _load_quiver(args.quiver)
+        verify.check_level(alpha, qs)
+        qv, named = _load_quiver(quiver)
         w = _resolve_vector(args.w, named, "w", "--w") or (1,) * qv.vertex_count
         w = check_dim_vector(qv, w, "w")
     # without --budget every suite keeps its own default
@@ -173,10 +185,10 @@ def cmd_verify(args) -> int:
     if args.suite in ("ffcount", "all"):
         cases += verify.ffcount_suite(
             qv,
-            label=args.quiver if args.quiver in BUILTIN_QUIVERS else "quiver",
+            label=quiver if quiver in BUILTIN_QUIVERS else "quiver",
             w=w,
             qs=qs,
-            alpha=args.alpha,
+            alpha=alpha,
             threads=args.threads,
             **budget,
         )
@@ -253,12 +265,12 @@ _COMMANDS = {
     )),
     "verify": ("run oracle verification suites", (
         ("suite", _SUITES, _REQUIRED, "the suite to run; all runs the other four"),
-        ("--quiver", "str", "jordan", _QUIVER_HELP),
+        ("--quiver", "str", None, _QUIVER_HELP + "; for the ffcount suite (default jordan)"),
         _FORMAT,
         _THREADS,
         ("--w", "str", None, "framing vector for the ffcount suite"),
         ("--q", "str", None, "distinct prime field sizes, comma separated (default 2,3)"),
-        ("--alpha", "int", 1,
+        ("--alpha", "int", None,
          "moment-map level for the ffcount suite, nonzero in every field (default 1)"),
         # the defaults of fflab.CENTRALIZER_BUDGET and fflab.DEFAULT_BUDGET,
         # stated without importing the oracles for every command

@@ -51,11 +51,12 @@ test reads the packed value, and is exact (Packed evaluation, below).  An
 exponent with no N(Q)_v is the empty class, and no P_v is built for it.
 
 Pulled quotient.  At one vertex every N(Q)_g is nonzero, and each push
-costs two long products.  Let q_g = N(Q)_g(X) / P_g(X), one big-int
-division per nonzero g, the top degree included; it is exact whenever
-N(Q)_g / P_g is a polynomial, and it is kept next to the numerators, so
-the class at g is read off q_g without a second division (Packed
-division, below).  Since
+costs two long products.  Let q_g = N(Q)_g(X) / P_g(X).  In both forms the
+quotient stage makes this one big-int division when N(Q)_g comes up, for
+every nonzero g, the top degree included; it is exact whenever
+N(Q)_g / P_g is a polynomial, and q_g is kept next to the numerators, so
+the class at g is read off q_g and never divided again (Packed division,
+below).  Only the pull reads q_g inside the recursion.  Since
 
     [e choose f]_L * P_g = P_e / P_f    for g = e - f,
 
@@ -69,22 +70,26 @@ single factor L^j - 1 is one shift and one subtraction, and a gap of
 several factors one multiply by _cyclo_packed.  Every numerator is the
 same integer as in push form, so the majorant, the zero test and the
 packed-division certificate below hold unchanged.  A g whose P_g(X) leaves
-a remainder, which only a non-polynomial engine gives, keeps the push.
+a remainder, which only a non-polynomial engine gives, keeps no q_g and
+keeps the push.
 
 The series stage folds the same way.  N(U)_e is the sum over the part
 counts l of (P_e / P_l)(X) * H(l, e - l) (Column chains, below), so in pull
 form _series_numerators takes it by the same nested Horner over the sorted
 l, and N(F)_e with L^(w . l) in the offsets; in push form it multiplies
-each H by its (P_e / P_l)(X) once and sums.  The groups hold the bare H in
-both forms.
+each H by its (P_e / P_l)(X) once, by the step the fold takes from one l_i
+to the next (_times_cyclo), and sums.  The groups hold the bare H in both
+forms.
 
-The pull pays a division per nonzero g and a Horner step per product, and
-saves the long products, so it runs only where the values are long: at
-PULL_VALUE_BITS = 2048 or more bits per vertex (_pulls), the value length
-_value_bits that _check_cost uses, divided by the vertex count.  The
-threshold comes from the quotient stage timed both ways in process, with
-w = (1, ..., 1), medians of interleaved runs on a shared 2-core Xeon host:
-pull / push time, and the bits per vertex by vertex count n.
+Both forms pay the division per nonzero g, which the classes need anyway.
+The pull adds a Horner step per product and saves the long products, so it
+runs only where the values are long: at PULL_VALUE_BITS = 2048 or more bits
+per vertex (_pulls), the value length _value_bits that _check_cost uses,
+divided by the vertex count.  The threshold comes from the quotient stage
+timed both ways in process, with w = (1, ..., 1), medians of interleaved
+runs on a shared 2-core Xeon host: pull / push time, and the bits per
+vertex by vertex count n.  The push was timed before it made the divisions
+in this stage, so its times below lack one division per nonzero g.
 
     degree               6      8     10     12     14     16     20
     jordan            1.38   1.21   0.94   0.66   0.42   0.28   0.16
@@ -190,37 +195,44 @@ binomial(|e|, k).  At e = (n, 0, ..., 0) both recursions coincide, so m(n)
 is the largest multi-variable majorant at total degree n, and it bounds
 every cofactor of size n as well, since s(n) <= m(n).  m increases with n.
 
-bits is the bit length of m(bound) plus 2, so every
-coefficient of a cofactor or numerator lies in (-X/4, X/4): such a packed
-value is zero exactly when its polynomial is, and unpacking it is exact;
-in particular the quotient's zero test on a pending N(Q)_g is exact, since
-the popped value is N(Q)_g packed.
-The only other value unpacked is the fold of one partition's column steps
-in _centralizer_poly, L^(sum m(m+1)/2) * M at the width of its size n,
-whose L1 norm multinomial(l; m) <= s(n) <= m(n) is covered too.  Nothing
-else is tested for zero: the chain values H and the groups are only
-multiplied and added.  The bound depends on nothing the run computes, so a
-corrupted kappa still unpacks to its exact numerator, and exit 3 stays a
-proof.
+bits is the bit length of m(bound) plus 2, so every coefficient of a
+cofactor or numerator lies in (-X/4, X/4): such a packed value is zero
+exactly when its polynomial is, and unpacking it is exact; in particular
+the quotient's zero test on a pending N(Q)_g is exact, since the popped
+value is N(Q)_g packed.  The only other values unpacked are the fold of one
+partition's column steps in _centralizer_poly, L^(sum m(m+1)/2) * M at the
+width of its size n, whose L1 norm multinomial(l; m) <= s(n) <= m(n) is
+covered too, and the denominators.  P_e is built only packed
+(_cyclo_packed, _packed_denominator), and unpacked where a polynomial is
+needed: the P_l of _centralizer_poly, the nilpotent_series denominators and
+the fallback of _class_at.  That is exact as well.  |P_e|_1 <= 2^|e|, since
+each of its |e| factors L^j - 1 has L1 norm 2, and m(n) >= 2^n: m(0) = 1,
+m(1) = 2, and m(n) >= n m(n - 1) >= 2 m(n - 1) for n >= 2, from the
+term k = 1.  So bits >= |e| + 3 at any bound >= |e| (l <= n at the width of n),
+and every coefficient of P_e, at most 2^|e| in absolute value, lies in
+(-X/4, X/4).  Nothing else is tested for zero: the chain values H and the
+groups are only multiplied and added.  The bound depends on nothing the run
+computes, so a corrupted kappa still unpacks to its exact numerator, and
+exit 3 stays a proof.
 
-Packed division.  A class is N(Q)_v / P_v, for a nonzero N(Q)_v, and
-_packed_class reads it with one big-int division of the packed value by
-P_v(X), the product of the packed P_(v_i); in pull form the exact quotient
-q_v that _graded_quotient kept is passed in, and the division is not made
-again.  Only the quotient, the class, is unpacked.  Its digits C are
-accepted under a certificate: the division leaves no remainder, and every
-digit c has c.bit_length() + |v| <= bits - 1.
-That is a proof that C is the class.  |P_v|_1 <= 2^|v|, since each of its
-|v| factors L^j - 1 has L1 norm 2, so every coefficient of C * P_v lies in
-(-X/2, X/2); so does every coefficient of N(Q)_v, inside (-X/4, X/4) by the
-majorant; and the two have the same value at X, so they are the same
-polynomial.  Any other outcome proves nothing either way: a nonzero
-remainder, an uncertified quotient, or a class with a negative power of L
-after the shift goes to _class_at's fallback, which unpacks N(Q)_v and
-divides it by P_v as a polynomial, exact whenever the class is a
-polynomial.  When that division is inexact, or leaves a negative power of
-L, the reduced fraction is built only to word the PolynomialityError, so
-only the fallback ever raises.
+Packed division.  A class is N(Q)_v / P_v, for a nonzero N(Q)_v.  The one
+big-int division of the packed value by P_v(X), the product of the packed
+P_(v_i), is the quotient stage's, in both forms (Pulled quotient, above),
+and _packed_class reads the class off the exact quotient q_v it kept.  Only
+the quotient, the class, is unpacked.  Its digits C are accepted under a
+certificate: the division left no remainder, and every digit c has
+c.bit_length() + |v| <= bits - 1.  That is a proof that C is the class.
+|P_v|_1 <= 2^|v|, since each of its |v| factors L^j - 1 has L1 norm 2, so
+every coefficient of C * P_v lies in (-X/2, X/2); so does every coefficient
+of N(Q)_v, inside (-X/4, X/4) by the majorant; and the two have the same
+value at X, so they are the same polynomial.  Any other outcome proves
+nothing either way: a nonzero remainder, which keeps no q_v, an uncertified
+quotient, or a class with a negative power of L after the shift goes to
+_class_at's fallback, which unpacks N(Q)_v and divides it by the unpacked
+P_v as a polynomial, exact whenever the class is a polynomial.  When that
+division is inexact, or leaves a negative power of L, the reduced fraction
+is built only to word the PolynomialityError, so only the fallback ever
+raises.
 
 The engine computes with packed ints and the polynomial kernel (poly
 module) alone.  LRat, the reduced-fraction type, is imported where a value
@@ -333,7 +345,8 @@ def _centralizer_poly(lam_tuple: Sequence[Partition]) -> Poly:
             value *= step_value
         shift, steps = _unpack((offset, value), bits)
         power += sum(c * c for c in columns) - shift
-        poly = _pmul(poly, _pdiv_exact(_cyclo_range(len(lam)), steps))
+        cyclo = _unpack((0, _cyclo_packed(0, len(lam), bits)), bits)[1]
+        poly = _pmul(poly, _pdiv_exact(cyclo, steps))
     return _pshift(poly, power)
 
 
@@ -433,27 +446,6 @@ def _packed_sum(terms: list[Packed], bits: int) -> Packed:
     return base, sum(value << (bits * (offset - base)) for offset, value in terms)
 
 
-@lru_cache(maxsize=1024)
-def _cyclo_range(high: int) -> Poly:
-    """P_high = (L - 1)(L^2 - 1)...(L^high - 1) as a polynomial."""
-    out = [1]
-    for j in range(1, high + 1):
-        # times (L^j - 1): a shift by j and a subtraction
-        times = [0] * j + out
-        for i, c in enumerate(out):
-            times[i] -= c
-        out = times
-    return tuple(out)
-
-
-def _denominator(exp: Sequence[int]) -> Poly:
-    """P_e: the product of P_{e_i} over the vertices."""
-    out: Poly = (1,)
-    for k in exp:
-        out = _pmul(out, _cyclo_range(k))
-    return out
-
-
 @lru_cache(maxsize=4096)
 def _cyclo_packed(low: int, high: int, bits: int) -> int:
     """P_high / P_low = (L^(low+1) - 1)...(L^high - 1), packed; 1 if high <= low."""
@@ -492,21 +484,15 @@ def _packed_denominator(exp: Sequence[int], bits: int) -> int:
     return den
 
 
-def _packed_class(
-    packed: Packed, exp: tuple[int, ...], bits: int, whole: int | None = None
-) -> Laurent | None:
-    """packed / P_exp as a Laurent polynomial, or None where it is not certified.
+def _packed_class(quotient: Packed, exp: tuple[int, ...], bits: int) -> Laurent | None:
+    """The class of an exact packed quotient by P_exp, or None where it is not certified.
 
-    One big-int division by P_exp packed, unless whole is its exact quotient
-    already; the quotient's digits are accepted under the certificate of the
-    module docstring (Packed division).
+    quotient is L^offset times a value that the quotient stage divided by
+    P_exp(X) without a remainder; no division is made here.  Its digits are
+    accepted under the certificate of the module docstring (Packed
+    division).
     """
-    offset, value = packed
-    if whole is None:
-        whole, rest = divmod(value, _packed_denominator(exp, bits))
-        if rest:
-            return None
-    offset, poly = _unpack((offset, whole), bits)
+    offset, poly = _unpack(quotient, bits)
     return (offset, poly) if max(map(abs, poly)).bit_length() + sum(exp) < bits else None
 
 
@@ -538,15 +524,16 @@ def _graded_quotient(
 
     N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L N(U)_f N(Q)_{e-f},
     exact because N(U)_0 is 1, which is checked.  Each pending entry starts
-    as N(F)_e; in graded order, the entry at g is complete once popped, and
-    a nonzero N(Q)_g sends a term to g + f for every nonzero N(U)_f with
-    0 < |f| <= bound - |g|.  In push form the term is
-    -[g + f choose f]_L N(U)_f N(Q)_g, added to the pending entry; when the
-    values are long (_pulls) it is the divided product N(U)_f q_g, and e
-    pulls its products by a nested Horner (_pulled_sum).  A g whose P_g(X)
-    leaves a remainder keeps the push.  The exact quotients q_g come back
-    next to the numerators, for the classes; in push form there are none.  A
-    zero N(Q)_g costs nothing.  The zero test is exact: the popped value is
+    as N(F)_e; in graded order, the entry at g is complete once popped.  A
+    nonzero N(Q)_g is divided by P_g(X) once, in both forms, and its
+    quotient q_g is kept where the division is exact; then it sends a term
+    to g + f for every nonzero N(U)_f with 0 < |f| <= bound - |g|.  In push
+    form the term is -[g + f choose f]_L N(U)_f N(Q)_g, added to the
+    pending entry; when the values are long (_pulls) it is the divided
+    product N(U)_f q_g, and e pulls its products by a nested Horner
+    (_pulled_sum).  A g whose P_g(X) leaves a remainder keeps the push.
+    The q_g come back next to the numerators, for the classes.  A zero
+    N(Q)_g costs nothing.  The zero test is exact: the popped value is
     N(Q)_g packed, and the majorant m(|g|) keeps its coefficients inside
     (-X/4, X/4).
     """
@@ -576,11 +563,10 @@ def _graded_quotient(
         out[g] = num
         room = bound - sum(g)
         offset, value = num
-        if pull:
-            whole, rest = divmod(value, _packed_denominator(g, bits))
-            if not rest:
-                divided[g] = whole
-        quotient = divided.get(g)
+        whole, rest = divmod(value, _packed_denominator(g, bits))
+        if not rest:
+            divided[g] = whole
+        quotient = whole if pull and not rest else None
         for size, f, (unit_offset, unit_value) in units:
             if size > room:
                 break
@@ -762,7 +748,7 @@ def _series_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> tuple[
             for parts, offset, value in groups:
                 for low, high in zip(parts, exp):
                     if high > low:
-                        value *= _cyclo_packed(low, high, bits)
+                        value = _times_cyclo(value, low, high, bits)
                 framed_terms.append((offset + _framing(w, parts), value))
                 terms.append((offset, value))
             sums = _packed_sum(framed_terms, bits), _packed_sum(terms, bits)
@@ -796,7 +782,8 @@ def nilpotent_series(
     numerators, _ = _series_numerators(quiver, w, bound)
     bits = _packing_bits(bound)
     coeffs = {
-        exp: _fraction(_unpack(num, bits), _denominator(exp)) for exp, num in numerators.items()
+        exp: _fraction(_unpack(num, bits), _unpack((0, _packed_denominator(exp, bits)), bits)[1])
+        for exp, num in numerators.items()
     }
     return MSeries._raw(quiver.vertex_count, bound, coeffs)
 
@@ -812,11 +799,11 @@ def _class_at(
     """The class at v read off the packed quotient numerators: N(Q)_v / P_v * L^-d.
 
     An exponent absent from the quotient has N(Q)_v = 0 and is the empty
-    class, read without building P_v.  Otherwise the class is the certified
-    packed quotient (_packed_class) when there is one and its L offset
-    clears the shift; where the pull already divided N(Q)_v by P_v(X), its
-    quotient in divided is certified without a second division.  If not,
-    N(Q)_v is unpacked, then divided exactly by P_v once.  Its quotient is
+    class, read without building P_v.  Otherwise the class is the exact
+    quotient q_v the quotient stage kept in divided, certified by
+    _packed_class, when its L offset clears the shift.  If there is no q_v,
+    or it is refused, N(Q)_v and P_v are unpacked, and N(Q)_v is divided
+    exactly by P_v once.  Its quotient is
     nonzero with a nonzero constant term (P_v has constant term +-1 and an
     unpacked numerator's poly starts nonzero), so the class is a polynomial
     only if the division is exact and the L offset is nonnegative;
@@ -828,13 +815,14 @@ def _class_at(
     d = sum(map(mul, v, v)) - arrows - sum(map(mul, v, w))
     if v not in quotient:
         return MotiveResult(quiver, v, w, d, ())
-    certified = _packed_class(quotient[v], v, bits, divided.get(v))
+    whole = divided.get(v)
+    certified = None if whole is None else _packed_class((quotient[v][0], whole), v, bits)
     if certified is not None and certified[0] >= d:
         offset, poly = certified[0] - d, certified[1]
     else:
         offset, num = _unpack(quotient[v], bits)
         offset -= d
-        den = _denominator(v)
+        den = _unpack((0, _packed_denominator(v, bits)), bits)[1]
         try:
             poly = _pdiv_exact(num, den)
         except ArithmeticError:

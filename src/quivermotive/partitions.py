@@ -81,10 +81,6 @@ class Partition:
         return Partition(self._columns)
 
 
-# A tuple of partitions, one per quiver vertex.
-PartitionTuple = tuple[Partition, ...]
-
-
 def pairing(lam: Partition, mu: Partition) -> int:
     """The min-weighted multiplicity pairing of two partitions.
 

@@ -3,6 +3,7 @@ import importlib
 import io
 import re
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 import quivermotive
 from quivermotive import engine, fflab, lrat, partitions, points, series
 
-README = Path(__file__).parent.parent / "README.md"
+ROOT = Path(__file__).parent.parent
+README = ROOT / "README.md"
 SRC = Path(quivermotive.__file__).parent
 
 
@@ -98,3 +100,30 @@ def test_private_names_cited_in_src_are_defined():
                 cited.update((path.name, name) for name in cited_name.findall(token.string))
     assert len(cited) > 30
     assert sorted((path, name) for path, name in cited if name not in defined) == []
+
+
+def test_every_name_defined_in_src_is_named_elsewhere():
+    # a top-level function, class, method or assignment of src/ that
+    # nothing names but its own definition is dead code; the names are
+    # counted as words of src/, tests/, perfbench/ and README.md
+    texts = [README, *SRC.glob("*.py"), *(ROOT / "tests").rglob("*.py")]
+    texts += (ROOT / "perfbench").rglob("*.py")
+    words = Counter(
+        word for path in texts for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
+    )
+    defined = Counter()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+                if isinstance(node, ast.ClassDef):
+                    names += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            defined.update(name for name in names if not name.startswith("__"))
+    assert len(defined) > 200
+    # a name defined k times is named elsewhere when it occurs more than k times
+    assert sorted(name for name, count in defined.items() if words[name] <= count) == []

@@ -417,6 +417,37 @@ class TestVerifyCommand:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "suite,option,value",
+        [("kappa", option, value) for option, value in (
+            ("--quiver", "nope.json"), ("--w", "1"), ("--alpha", "2"), ("--q", "2"),
+            ("--budget", "1"),
+        )]
+        + [(suite, option, value) for suite in ("centralizer", "harmonic") for option, value in (
+            ("--quiver", "jordan"), ("--w", "7,7,7"), ("--alpha", "0"),
+        )],
+    )
+    def test_unread_option_exits_2_before_any_suite(self, capsys, monkeypatch, suite, option, value):
+        # a suite with a fixed grid refuses an option it would not read
+        # instead of running its grid without it
+        from quivermotive import verify
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran with an option it does not read")
+
+        for name in ("centralizer_suite", "kappa_suite", "harmonic_suite", "ffcount_suite"):
+            monkeypatch.setattr(verify, name, no_suite)
+        rc, out, err = run_cli(capsys, "verify", suite, option, value)
+        assert (rc, out) == (2, "")
+        assert err == f"error: the {suite} suite does not read {option}\n"
+
+    def test_unread_options_are_named_together(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "verify", "kappa", "--alpha", "1", "--quiver", "jordan", "--budget", "9"
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: the kappa suite does not read --quiver, --alpha, --budget\n"
+
     def test_harmonic_suite_passes(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "harmonic", "--q", "2,3")
         assert rc == 0
@@ -798,7 +829,7 @@ def _argparse_reference():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, quiver_required):
-        p.add_argument("--quiver", required=quiver_required, default="jordan")
+        p.add_argument("--quiver", required=quiver_required, default=None)
         p.add_argument("--format", choices=("human", "records"), default="human")
         p.add_argument("--threads", type=_positive_int, default=1)
 
@@ -819,7 +850,7 @@ def _argparse_reference():
     add_common(p_verify, quiver_required=False)
     p_verify.add_argument("--w")
     p_verify.add_argument("--q")
-    p_verify.add_argument("--alpha", type=int, default=1)
+    p_verify.add_argument("--alpha", type=int, default=None)
     p_verify.add_argument("--budget", type=_positive_int, default=None)
     p_verify.set_defaults(func=cli.cmd_verify)
 

@@ -27,7 +27,7 @@ from quivermotive.partitions import (
     partitions_of,
     tuples_with_sizes,
 )
-from quivermotive.poly import _pdiv_exact
+from quivermotive.poly import _pdiv_exact, _pmul
 from quivermotive.quiver import (
     A2,
     BUILTIN_QUIVERS,
@@ -52,6 +52,15 @@ def packed(num, bits=BITS):
     """A Laurent numerator (offset, poly) packed at L = 2^bits."""
     offset, poly = num
     return offset, _peval(poly, 1 << bits)
+
+
+def cyclo_product(exp):
+    """P_e = prod over i of (L - 1)(L^2 - 1)...(L^e_i - 1), one factor L^j - 1 at a time."""
+    out = (1,)
+    for k in exp:
+        for j in range(1, k + 1):
+            out = _pmul(out, (-1, *[0] * (j - 1), 1))
+    return out
 
 
 def literal_hua_term(quiver, w, lam_tuple):
@@ -478,52 +487,54 @@ class TestPackedDivision:
         bits = engine._packing_bits(bound)
         quotient, divided = engine._quotient_numerators(quiver, w, bound)
         assert len(quotient) > 1
-        # the pull keeps the quotient of every nonzero N(Q)_v, the push none
-        pull = engine._pulls(quiver.vertex_count, bound)
-        assert set(divided) == (set(quotient) if pull else set())
-        for v, num in quotient.items():
-            offset, poly = engine._unpack(num, bits)
-            expected = (offset, _pdiv_exact(poly, engine._denominator(v)))
-            assert engine._packed_class(num, v, bits) == expected, v
-            if v in divided:
-                assert engine._packed_class(num, v, bits, divided[v]) == expected, v
+        # both forms keep the exact quotient of every nonzero N(Q)_v
+        assert set(divided) == set(quotient)
+        for v, (offset, value) in quotient.items():
+            assert divided[v] * engine._packed_denominator(v, bits) == value, v
+            unpacked_offset, poly = engine._unpack((offset, value), bits)
+            expected = (unpacked_offset, _pdiv_exact(poly, cyclo_product(v)))
+            assert engine._packed_class((offset, divided[v]), v, bits) == expected, v
 
     @pytest.mark.parametrize("quiver,bound", EXTRACTION_CASES)
     def test_refused_certificate_gives_the_same_rows(self, monkeypatch, quiver, bound):
-        # every nonzero class goes through the one certificate, also where
-        # the pull kept its quotient, and refused it takes the fallback
+        # every nonzero class goes through the one certificate, in push and
+        # in pull form, and refused it takes the fallback
         w = tuple(range(1, quiver.vertex_count + 1))
         expected = motive_table(quiver, w, bound)
         refused = []
 
-        def refuse(packed, exp, bits, whole=None):
-            refused.append((exp, whole is not None))
+        def refuse(quotient, exp, bits):
+            refused.append(exp)
 
         monkeypatch.setattr(engine, "_packed_class", refuse)
         assert motive_table(quiver, w, bound) == expected
         quotient, _ = engine._quotient_numerators(quiver, w, bound)
-        pull = engine._pulls(quiver.vertex_count, bound)
         nonzero = [v for v in exponents_upto(quiver.vertex_count, bound) if v in quotient]
-        assert refused == [(v, pull) for v in nonzero]
+        assert refused == nonzero
 
     def test_large_digits_are_refused(self):
         # 100 (L - 1) divides, but its quotient digit 100 needs 7 bits and P_1
         # has L1 norm 2, so at 8 bits the product is not certified; the
         # unpacked division reads the same class
         num = packed((1, (-100, 100)))
-        assert engine._packed_class(num, (1,), BITS) is None
-        row = engine._class_at(JORDAN, (1,), (1,), {(1,): num}, {}, BITS)
-        assert row.class_polynomial == (0, 0, 100)
+        whole, rest = divmod(num[1], engine._packed_denominator((1,), BITS))
+        assert not rest
+        assert engine._packed_class((num[0], whole), (1,), BITS) is None
+        for divided in ({(1,): whole}, {}):
+            row = engine._class_at(JORDAN, (1,), (1,), {(1,): num}, divided, BITS)
+            assert row.class_polynomial == (0, 0, 100)
 
     def test_divisible_value_of_an_indivisible_numerator(self):
         # 63 + 63 L + 63 L^2 + 63 L^3 + 3 L^4 is 255 at L = 1, so its value
         # at X = 256 divides by P_1(X) = 255 although L - 1 does not divide
         # it: the certificate refuses the quotient and the error is raised
         num = packed((0, (63, 63, 63, 63, 3)))
-        assert num[1] % 255 == 0
-        assert engine._packed_class(num, (1,), BITS) is None
-        with pytest.raises(PolynomialityError, match="polynomiality violated for v=\\(1,\\)"):
-            engine._class_at(JORDAN, (1,), (1,), {(1,): num}, {}, BITS)
+        whole, rest = divmod(num[1], 255)
+        assert not rest
+        assert engine._packed_class((0, whole), (1,), BITS) is None
+        for divided in ({(1,): whole}, {}):
+            with pytest.raises(PolynomialityError, match="polynomiality violated for v=\\(1,\\)"):
+                engine._class_at(JORDAN, (1,), (1,), {(1,): num}, divided, BITS)
 
 
 class TestMotiveTable:
@@ -622,6 +633,17 @@ class TestPacking:
         assert engine._packing_bits(16) == 65
         assert engine._packing_bits(8) == 27
         assert engine._packing_bits(28) == 132
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_packed_denominator_unpacks_exactly(self, nvars):
+        # P_e is built only packed, and unpacked where a polynomial is
+        # needed: |P_e|_1 <= 2^|e| and bits - 1 > |e| at the smallest width
+        # that packs e, the one of bound |e|
+        for exp in exponents_upto(nvars, 12):
+            bits = engine._packing_bits(sum(exp))
+            assert bits - 1 > sum(exp) and engine._majorants(sum(exp))[-1] >= 1 << sum(exp)
+            packed_den = engine._packed_denominator(exp, bits)
+            assert engine._unpack((0, packed_den), bits) == (0, cyclo_product(exp)), exp
 
     @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
     def test_one_variable_majorant_bounds_the_recursion(self, nvars):
@@ -776,8 +798,8 @@ def forced_quotient(monkeypatch, quiver, w, bound, pull):
     bits = engine._packing_bits(bound)
     framed, unframed = engine._series_numerators(quiver, w, bound)
     out, divided = engine._graded_quotient(framed, unframed, quiver.vertex_count, bound, bits)
-    # the pull keeps the exact quotient of every nonzero N(Q)_g, the push none
-    assert set(divided) == (set(out) if pull else set())
+    # both forms keep the exact quotient of every nonzero N(Q)_g
+    assert set(divided) == set(out)
     return {exp: engine._unpack(num, bits) for exp, num in out.items()}, bool(pulls)
 
 
@@ -936,32 +958,26 @@ def test_empty_classes_build_no_denominator(monkeypatch, fresh_engine_caches):
     expected = motive_table(STAR3, (1, 1, 1), 8)
     empty = {row.v for row in expected if not row.class_polynomial}
     assert 0 < len(empty) < len(expected) == 165
-    # P_v is built unpacked by _denominator, and packed by
-    # _packed_denominator for _packed_class and for the quotient stage's
-    # division in pull form
-    denominator, packed_class = engine._denominator, engine._packed_class
-    packed_denominator = engine._packed_denominator
+    # P_v is built by _packed_denominator, for the quotient stage's
+    # division and for the unpacked fallback, and _packed_class certifies
+    # the quotient by it
+    packed_class, packed_denominator = engine._packed_class, engine._packed_denominator
 
     def refuse(exp):
         if tuple(exp) in empty:
             raise AssertionError(f"P_v built for the empty class at {exp}")
 
-    def guarded_denominator(exp):
+    def guarded_packed_class(quotient, exp, bits):
         refuse(exp)
-        return denominator(exp)
-
-    def guarded_packed_class(num, exp, bits, whole=None):
-        refuse(exp)
-        return packed_class(num, exp, bits, whole)
+        return packed_class(quotient, exp, bits)
 
     def guarded_packed_denominator(exp, bits):
         refuse(exp)
         return packed_denominator(exp, bits)
 
-    monkeypatch.setattr(engine, "_denominator", guarded_denominator)
     monkeypatch.setattr(engine, "_packed_class", guarded_packed_class)
     monkeypatch.setattr(engine, "_packed_denominator", guarded_packed_denominator)
-    # star3 at degree 8 pushes; forced to pull, it divides every nonzero class
+    # star3 at degree 8 pushes; forced to pull, it divides the same classes
     for threshold in (engine.PULL_VALUE_BITS, 0):
         monkeypatch.setattr(engine, "PULL_VALUE_BITS", threshold)
         engine._quotient_numerators.cache_clear()
@@ -971,9 +987,10 @@ def test_empty_classes_build_no_denominator(monkeypatch, fresh_engine_caches):
 
 
 def test_pulled_classes_are_divided_once(monkeypatch, fresh_engine_caches):
-    # Jordan at degree 16 pulls: the quotient stage divides each of its 17
-    # nonzero N(Q)_g by P_g(X), and every class is read off that quotient
-    # instead of being divided again
+    # Jordan at degree 16 pulls and star3 at degree 8 pushes: in both forms
+    # the quotient stage divides each nonzero N(Q)_g by P_g(X) once, 17 and
+    # 34 of them, and every class is read off that quotient instead of
+    # being divided again
     calls = []
     original = engine._packed_denominator
 
@@ -982,9 +999,12 @@ def test_pulled_classes_are_divided_once(monkeypatch, fresh_engine_caches):
         return original(exp, bits)
 
     monkeypatch.setattr(engine, "_packed_denominator", counted)
-    rows = motive_table(JORDAN, (1,), 16)
-    assert all(row.class_polynomial for row in rows) and len(rows) == 17
-    assert sorted(calls) == [(k,) for k in range(17)]
+    for quiver, w, bound, nonzero in ((JORDAN, (1,), 16, 17), (STAR3, (1, 1, 1), 8, 34)):
+        calls.clear()
+        rows = motive_table(quiver, w, bound)
+        assert engine._pulls(quiver.vertex_count, bound) == (quiver is JORDAN)
+        assert sorted(calls) == sorted(row.v for row in rows if row.class_polynomial)
+        assert len(calls) == nonzero
 
 
 @pytest.mark.parametrize(
