@@ -88,35 +88,34 @@ per vertex (_pulls), the value length _value_bits that _check_cost uses,
 divided by the vertex count.  The threshold comes from the quotient stage
 timed both ways in process, with w = (1, ..., 1), medians of interleaved
 runs on a shared 2-core Xeon host: pull / push time, and the bits per
-vertex by vertex count n.  The push was timed before it made the divisions
-in this stage, so its times below lack one division per nonzero g.
+vertex by vertex count n.  Both forms make the stage's divisions.
 
     degree               6      8     10     12     14     16     20
-    jordan            1.38   1.21   0.94   0.66   0.42   0.28   0.16
-    twoloop           1.38   1.19   0.93   0.74   0.58   0.54   0.49
-    vertex            1.27   1.60   1.18   1.04   0.85   0.83   0.47
-    a2                1.75   1.67   1.43   1.16   0.89   0.59   0.40
-    double            1.76   1.55   1.20   0.99   0.67   0.50   0.35
-    loop and edge     1.56   1.51   1.12   0.87   0.59   0.42   0.26
-    star3             2.01   1.78   1.51   1.28   1.00   0.76   ----
-    3-cycle           2.01   1.71   1.44   1.19   0.92   0.68   ----
-    D4                2.22   1.95   1.49   1.43   1.11   0.76   ----
+    jordan            1.34   1.24   1.02   0.77   0.48   0.31   0.16
+    twoloop           1.38   1.17   0.94   0.69   0.54   0.45   0.40
+    vertex            1.39   1.48   1.30   1.28   1.09   0.93   0.56
+    a2                1.80   1.65   1.47   1.16   0.89   0.64   0.35
+    double            1.59   1.48   1.27   0.99   0.70   0.50   0.34
+    loop and edge     1.56   1.40   1.14   0.87   0.56   0.42   0.23
+    star3             1.84   1.66   1.43   1.19   0.90   0.62   ----
+    3-cycle           1.84   1.69   1.41   1.17   0.91   0.62   ----
+    D4                1.91   1.71   1.62   1.32   0.94   0.71   ----
     bits, n = 1        418    999   2016   3555   5830   8905  18146
     bits, n = 2        209    499   1008   1777   2915   4452   9073
     bits, n = 3        139    333    672   1185   1943   2968
     bits, n = 4        104    249    504    888   1457   2226
 
-Below 1,700 bits per vertex the pull is slower on every quiver, by 11 % or
+Below 1,400 bits per vertex the pull is slower on every quiver, by 14 % or
 more.  From 2,900 on it is faster on every one but the arrowless vertex,
-whose quotient takes under 0.1 ms either way.  In between the ratio runs
-from 0.76 to 1.18 and the threshold splits that band.  The series stage
-alone, timed the same way with its groups cached, gives pull / push 2.09,
-1.50 and 0.80 on star3 at degrees 8, 12 and 16 (333, 1,185 and 2,968 bits
-per vertex), 1.19 and 0.60 on a2 at 12 and 16 (1,777 and 4,452), and 1.07,
-0.54 and 0.08 on Jordan at 10, 16 and 28 (2,016, 8,905 and 53,724), so it
-takes its side from the same _pulls.  The benchmark's series workloads
-fall on either side in both stages: Jordan at degree 16 pulls, star3 at
-degree 8 pushes.
+whose quotient takes 0.2 ms or less where the pull is slower.  In between
+the ratio runs from 0.71 to 1.30 and the threshold splits that band.  The
+series stage alone, timed the same way with its groups cached, gives ratios
+2.13, 1.54 and 0.82 on star3 at degrees 8, 12 and 16 (333, 1,185
+and 2,968 bits per vertex), 1.27 and 0.64 on a2 at 12 and 16 (1,777 and
+4,452), and 1.37, 0.67 and 0.09 on Jordan at 10, 16 and 28 (2,016, 8,905
+and 53,724), so it takes its side from the same _pulls.  The benchmark's
+series workloads fall on either side in both stages: Jordan at degree 16
+pulls, star3 at degree 8 pushes.
 
 Column chains.  A tuple of partitions, one per vertex, is a chain of column
 vectors c_1 >= c_2 >= ... > 0 in Z^n, c_k[i] the k-th column of lam_i, and
@@ -241,9 +240,8 @@ nilpotent_series and that error message), and the partitions module only
 when engine.tuples_with_sizes is read, so the motive and series commands
 load neither.
 
-The public functions accept a threads argument for compatibility and ignore
-it: the sums are Python and big-integer work under the GIL, and worker
-threads over the exponents measured no faster than one thread.
+The engine runs in one thread: the sums are Python and big-integer work
+under the GIL, and worker threads over the exponents measured no faster.
 """
 
 from __future__ import annotations
@@ -772,7 +770,7 @@ def nilpotent_series(
     """Sum of L^kappa / [Z] over all partition tuples, graded by per-vertex sizes.
 
     The T-exponent of a tuple is its vector of partition sizes; the constant
-    term is always 1.
+    term is always 1.  threads is ignored; perfbench/trace_child.py passes it.
     """
     from .series import MSeries
 
@@ -841,9 +839,7 @@ def _class_at(
     return MotiveResult(quiver, v, w, d, poly)
 
 
-def motive_class(
-    quiver: Quiver, v: Sequence[int], w: Sequence[int], threads: int = 1
-) -> MotiveResult:
+def motive_class(quiver: Quiver, v: Sequence[int], w: Sequence[int]) -> MotiveResult:
     """The class of the quiver variety for (v, w) as a polynomial in L.
 
     Truncates the series at total degree sum(v), extracts the T^v
@@ -858,9 +854,7 @@ def motive_class(
     return _class_at(quiver, v, w, quotient, divided, _packing_bits(bound))
 
 
-def motive_table(
-    quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1
-) -> list[MotiveResult]:
+def motive_table(quiver: Quiver, w: Sequence[int], bound: int) -> list[MotiveResult]:
     """Classes for every v with total size <= bound, from one shared series.
 
     Rows come out in graded lexicographic order of v.  Each row agrees with
@@ -875,7 +869,7 @@ def motive_table(
     return [_class_at(quiver, v, w, quotient, divided, bits) for v in exponents_upto(n, bound)]
 
 
-def motive_series(quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1) -> MSeries:
+def motive_series(quiver: Quiver, w: Sequence[int], bound: int) -> MSeries:
     """The quotient series whose T^v coefficient carries the class of (v, w).
 
     Equals the framed nilpotent series divided by its zero-framing sibling;
@@ -885,7 +879,7 @@ def motive_series(quiver: Quiver, w: Sequence[int], bound: int, threads: int = 1
     """
     from .series import MSeries
 
-    rows = motive_table(quiver, w, bound, threads)
+    rows = motive_table(quiver, w, bound)
     coeffs = {row.v: row.coefficient_raw for row in rows if row.class_polynomial}
     return MSeries._raw(quiver.vertex_count, bound, coeffs)
 

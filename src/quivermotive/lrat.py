@@ -83,24 +83,22 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-def _content_normalized(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Strip a common integer content and make the denominator lead positive."""
-    if not num:
-        return (), (1,)
-    c = math.gcd(_pcontent(num), _pcontent(den))
-    if den[-1] < 0:
-        c = -c
-    return tuple(x // c for x in num), tuple(x // c for x in den)
-
-
 def _reduced(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """The canonical form of num / den, with zero as 0 / 1.
+
+    The polynomial gcd and the common integer content are divided out, and
+    the denominator leads positive.
+    """
     if not num:
         return (), (1,)
     g = _pgcd(num, den)
     if len(g) > 1:
         num = _pdiv_exact(num, g)
         den = _pdiv_exact(den, g)
-    return _content_normalized(num, den)
+    c = math.gcd(_pcontent(num), _pcontent(den))
+    if den[-1] < 0:
+        c = -c
+    return tuple(x // c for x in num), tuple(x // c for x in den)
 
 
 class LRat:
@@ -151,15 +149,8 @@ class LRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        g = _pgcd(self.den, other.den)
-        if len(g) > 1:
-            da = _pdiv_exact(self.den, g)
-            db = _pdiv_exact(other.den, g)
-        else:
-            da, db = self.den, other.den
-        num = _padd(_pmul(self.num, db), _pmul(other.num, da))
-        den = _pmul(self.den, db)
-        return LRat._raw(*_reduced(num, den))
+        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
+        return LRat._raw(*_reduced(num, _pmul(self.den, other.den)))
 
     __radd__ = __add__
 
@@ -179,17 +170,7 @@ class LRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num or not other.num:
-            return _ZERO
-        g1 = _pgcd(self.num, other.den)
-        g2 = _pgcd(other.num, self.den)
-        n1 = _pdiv_exact(self.num, g1) if len(g1) > 1 else self.num
-        d2 = _pdiv_exact(other.den, g1) if len(g1) > 1 else other.den
-        n2 = _pdiv_exact(other.num, g2) if len(g2) > 1 else other.num
-        d1 = _pdiv_exact(self.den, g2) if len(g2) > 1 else self.den
-        # Cross-cancellation leaves the primitive parts coprime; only an
-        # integer content can remain.
-        return LRat._raw(*_content_normalized(_pmul(n1, n2), _pmul(d1, d2)))
+        return LRat._raw(*_reduced(_pmul(self.num, other.num), _pmul(self.den, other.den)))
 
     __rmul__ = __mul__
 
@@ -210,7 +191,7 @@ class LRat:
             return NotImplemented
         base = self if k >= 0 else self.inverse()
         k = abs(k)
-        out = _ONE
+        out = ONE
         while k:
             if k & 1:
                 out = out * base
@@ -261,11 +242,8 @@ def _coerce(value) -> Union[LRat, object]:
     return NotImplemented
 
 
-_ZERO = LRat._raw((), (1,))
-_ONE = LRat._raw((1,), (1,))
-
-ZERO = _ZERO
-ONE = _ONE
+ZERO = LRat._raw((), (1,))
+ONE = LRat._raw((1,), (1,))
 L = LRat.l_power(1)
 
 

@@ -87,9 +87,8 @@ def count_stable_fiber(
     the psi arrows, which stability alone reads, each projected point
     standing for q^(nullity - projected rank) solutions.  The framing
     images close under the phi arrows to U0 (_close_span).  If U0 is V
-    every solution is stable; if U0 has codimension 1, psi is unstable just
-    when it maps U0 into U0, a linear condition; else the closure runs per
-    projected point.
+    every solution is stable; else the closure runs once per projected
+    point, one per line through 0.
     """
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
@@ -144,21 +143,6 @@ def count_stable_fiber(
             # each psi arrow coordinate in terms of the free ones
             solve = [[-cut[k][c] % q if k in cut else int(k == c) for c in free] for k in range(n_arrow)]
             lift = size * f_weight * q ** (n_frame - len(pivots) + len(cut))
-            if len(closed) == n - 1:
-                # ell vanishes on U0, and row j of reads holds ell(psi_j u) for the
-                # j-th free direction psi_j and the rows u of U0: its kernel is
-                # where psi maps U0 into U0
-                ell = [int(all(p != c for p, _ in closed)) for c in range(n)]
-                for p, row in reversed(closed):
-                    ell[p] = -sum(map(mul, row, ell)) % q
-                ell_ops = [
-                    [[sum(map(mul, ell, col)) for col in zip(*M)] for M in operators(psi, True)]
-                    for psi in zip(*solve)
-                ]
-                reads = [[sum(map(mul, e, u)) % q for e in es for _, u in closed] for es in ell_ops]
-                rank = len(_echelon_mod(reads, q, len(closed) * na)[1])
-                total += lift * (q ** len(free) - q ** (len(free) - rank))
-                continue
             for x, x_weight in _line_points(q, len(free)):
                 values = _digits_of(x, q, len(free))
                 ops = operators([sum(map(mul, row, values)) % q for row in solve], True)

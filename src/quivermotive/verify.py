@@ -76,13 +76,15 @@ _KAPPA_GRID = (
 )
 
 
-def kappa_suite(max_total: int = 5) -> list[CaseResult]:
+def kappa_suite() -> list[CaseResult]:
     """Combinatorial kernel ranks against exact rational-rank computation.
 
-    The grid is checked once: each w against its quiver, while v and the
-    partition tuples are built from the quiver's own vertices.  Each case
-    then calls fflab._kappa_nullity, kappa_oracle without its per-call
-    checks, so no |v| budget applies beyond max_total itself.
+    The grid is _KAPPA_GRID, with every v up to total size 5 and every
+    partition tuple of sizes v.  It is checked once: each w against its
+    quiver, while v and the partition tuples are built from the quiver's
+    own vertices.  Each case then calls fflab._kappa_nullity, kappa_oracle
+    without its per-call checks, so no |v| budget applies beyond the size 5
+    itself.
     """
 
     def check(q, w, tup):
@@ -103,7 +105,7 @@ def kappa_suite(max_total: int = 5) -> list[CaseResult]:
             lambda: check(q, w, tup),
         )
         for label, q, w in grid
-        for exp in exponents_upto(q.vertex_count, max_total)
+        for exp in exponents_upto(q.vertex_count, 5)
         for tup in partitions.tuples_with_sizes(exp)
     ]
 
@@ -117,14 +119,20 @@ _FIBER_IDENTITY_CASES = (
 )
 
 
-def harmonic_suite(
-    qs=(2, 3, 5), trials: int = 100, seed: int = 7, budget: int = fflab.DEFAULT_BUDGET
-) -> list[CaseResult]:
+_HARMONIC_TRIALS = 100
+_HARMONIC_SEED = 7
+
+
+def harmonic_suite(qs=(2, 3), budget: int = fflab.DEFAULT_BUDGET) -> list[CaseResult]:
     """Character-sum identities: orthogonality, inversion, fiber identity.
 
-    budget bounds the points each check enumerates or tabulates.
+    Over each field of qs: linear orthogonality on random families, drawn
+    from one generator seeded _HARMONIC_SEED; Fourier inversion on
+    _HARMONIC_TRIALS random functions, seeded the same; and the fiber
+    identity on _FIBER_IDENTITY_CASES.  budget bounds the points each check
+    enumerates or tabulates.
     """
-    rng = random.Random(seed)
+    rng = random.Random(_HARMONIC_SEED)
     checks = {}  # case name -> check returning a bool
     for q in qs:
         for n in (1, 2, 3):
@@ -137,8 +145,8 @@ def harmonic_suite(
                 fflab.charsum_linear_lemma, n, family, q, budget=budget
             )
         for n in (1, 2):
-            checks[f"fourier-inversion n={n} q={q} trials={trials}"] = partial(
-                fflab.fourier_inversion_check, n, q, trials=trials, seed=seed, budget=budget
+            checks[f"fourier-inversion n={n} q={q} trials={_HARMONIC_TRIALS}"] = partial(
+                fflab.fourier_inversion_check, n, q, _HARMONIC_TRIALS, _HARMONIC_SEED, budget=budget
             )
         for name, qv, v, w, alpha in _FIBER_IDENTITY_CASES:
             checks[f"fiber-identity {name} q={q}"] = partial(
@@ -180,7 +188,7 @@ def ffcount_suite(
     above every such |beta|, is generic and a mismatch there is a FAIL.
     At q <= |v| some dimension vectors genuinely deviate, so a mismatch is
     a FLAG; the variety's own count, on the stable zero fiber, holds over
-    every field.
+    every field.  threads is ignored; perfbench/trace_child.py passes it.
     """
     check_level(alpha, qs)
     w = quiver.check_dim_vector(qv, w, "w")
@@ -198,7 +206,7 @@ def ffcount_suite(
     out = []
     # every v off one table: its rows equal the motive_class calls by
     # truncation independence, and come in the same graded order
-    for row in engine.motive_table(qv, w, max_total, threads=threads)[1:]:  # v = 0 comes first
+    for row in engine.motive_table(qv, w, max_total)[1:]:  # v = 0 comes first
         exp, cls = row.v, row.class_polynomial
         for q in qs:
             miss = "FAIL" if q > sum(exp) else "FLAG"  # q > |v| makes the level generic

@@ -290,9 +290,9 @@ class TestVerifyCommand:
             head, *tail = result.class_polynomial
             return engine.MotiveResult(result.quiver, result.v, result.w, result.d_shift, (head + 1, *tail))
 
-        def raised(quiver, w, bound, threads=1):
+        def raised(quiver, w, bound):
             # the suite reads every class off one table
-            return [raised_row(result) for result in original(quiver, w, bound, threads)]
+            return [raised_row(result) for result in original(quiver, w, bound)]
 
         monkeypatch.setattr(engine, "motive_table", raised)
         rc, out, _ = run_cli(
@@ -452,6 +452,19 @@ class TestVerifyCommand:
         rc, out, _ = run_cli(capsys, "verify", "harmonic", "--q", "2,3")
         assert rc == 0
         assert "FAIL" not in out
+
+    def test_harmonic_defaults_are_the_commands(self, capsys):
+        # the library's harmonic suite without arguments is the command's
+        from quivermotive import verify
+
+        rc, out, _ = run_cli(capsys, "verify", "harmonic", "--format", "records")
+        assert rc == 0
+        expected = [
+            {"command": "verify", "suite": c.suite, "case": c.name, "status": c.status,
+             "detail": c.detail}
+            for c in verify.harmonic_suite()
+        ]
+        assert [json.loads(line) for line in out.splitlines()] == expected
 
     def test_budget_bounds_the_harmonic_fiber_identities(self, capsys):
         rc, out, _ = run_cli(

@@ -549,13 +549,6 @@ class TestMotiveTable:
         rows = motive_table(A2, (1, 1), 2)
         assert [row.v for row in rows] == list(exponents_upto(2, 2))
 
-    def test_thread_counts_agree(self, fresh_engine_caches):
-        tables = [motive_table(STAR3, (1, 1, 1), 6, threads=t) for t in (1, 2, 3)]
-        assert tables[0] == tables[1] == tables[2]
-        assert len(tables[0]) == len(exponents_upto(3, 6)) == 84
-        # the thread count is no cache key: the other counts reuse the first run
-        assert engine._numerator_groups.cache_info().currsize == 1
-
     def test_group_exception_reaches_caller(self, monkeypatch, fresh_engine_caches):
         original = engine._arrow_column
 
@@ -566,7 +559,7 @@ class TestMotiveTable:
 
         monkeypatch.setattr(engine, "_arrow_column", broken)
         with pytest.raises(ZeroDivisionError, match=r"at \(1, 1, 0\)"):
-            motive_table(STAR3, (1, 1, 1), 4, threads=2)
+            motive_table(STAR3, (1, 1, 1), 4)
         assert engine._numerator_groups.cache_info().currsize == 0
 
     def test_jordan_family_matches_goettsche_product(self):

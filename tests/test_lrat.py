@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 
@@ -15,6 +15,15 @@ def random_lrat(rng, degree=8):
     if not any(den):
         den = [1]
     return LRat(num, den)
+
+
+def poly_mul(a, b):
+    """Product of coefficient lists, test-local."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def brute_force_gl_order(n, q):
@@ -155,6 +164,36 @@ class TestRingAxioms:
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
 
+    @pytest.mark.parametrize("inputs", ["random", "shared factor, zero, negative lead"])
+    def test_sums_and_products_are_canonical(self, inputs):
+        # each sum and product is the canonical form of its unreduced pieces,
+        # num_a den_b + num_b den_a over den_a den_b and num_a num_b over
+        # den_a den_b, built test-locally
+        def add(a, b):
+            return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+        def raw(rng, degree):
+            num = [rng.randint(-4, 4) for _ in range(rng.randint(1, degree + 1))]
+            den = [rng.randint(-4, 4) for _ in range(rng.randint(1, degree))] + [rng.randint(1, 4)]
+            if inputs == "random":
+                return num, den
+            # a shared linear factor in every denominator, a negative leading
+            # denominator, and now and then a zero numerator
+            shared = [rng.choice((-2, -1, 1, 2)), 1]
+            if rng.random() < 0.2:
+                num = [0] * len(num)
+            return num, [-c for c in poly_mul(shared, den)]
+
+        rng = random.Random(8128)
+        for _ in range(300):
+            (na, da), (nb, db) = raw(rng, 4), raw(rng, 4)
+            a, b = LRat(na, da), LRat(nb, db)
+            total = LRat(add(poly_mul(na, db), poly_mul(nb, da)), poly_mul(da, db))
+            prod = LRat(poly_mul(na, nb), poly_mul(da, db))
+            assert ((a + b).num, (a + b).den) == (total.num, total.den)
+            assert ((a * b).num, (a * b).den) == (prod.num, prod.den)
+            assert (a + b).den[-1] > 0 and (a * b).den[-1] > 0
+
     def test_eval_is_homomorphism(self):
         rng = random.Random(987)
         for _ in range(200):
@@ -191,13 +230,6 @@ class TestCanonicalForm:
     def test_common_factor_in_construction(self):
         # a/b and (c*a)/(c*b) built from raw coefficient lists come out with
         # identical representations; the multiplication here is test-local
-        def mul(a, b):
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-            return out
-
         rng = random.Random(654)
         for _ in range(300):
             num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
@@ -206,7 +238,7 @@ class TestCanonicalForm:
             if not any(den) or not any(scale):
                 continue
             plain = LRat(num, den)
-            scaled = LRat(mul(scale, num), mul(scale, den))
+            scaled = LRat(poly_mul(scale, num), poly_mul(scale, den))
             assert (plain.num, plain.den) == (scaled.num, scaled.den)
 
     def test_denominator_positive_leading(self):
