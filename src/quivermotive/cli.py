@@ -94,9 +94,9 @@ def _record_line(record: dict) -> str:
     return _RECORD_ENCODER.encode(record) + "\n"
 
 
-def _motive_record(result) -> dict:
+def _motive_record(result, command: str) -> dict:
     return {
-        "command": "motive",
+        "command": command,
         "v": list(result.v),
         "w": list(result.w),
         "d": result.d_shift,
@@ -115,7 +115,7 @@ def cmd_motive(args) -> int:
         raise QuiverFormatError("no framing vector: pass --w or put 'w' in the spec file")
     result = motive_class(qv, v, w)
     if args.format == "records":
-        record = _motive_record(result)
+        record = _motive_record(result, "motive")
         record["betti"] = [[k, c] for k, c in betti_report(result)]
         sys.stdout.write(_record_line(record))
     else:
@@ -134,7 +134,7 @@ def cmd_series(args) -> int:
         raise QuiverFormatError("no degree bound: pass --max-degree or put 'max_degree' in the spec file")
     rows = motive_table(qv, w, bound)
     if args.format == "records":
-        lines = [_record_line({**_motive_record(row), "command": "series"}) for row in rows]
+        lines = [_record_line(_motive_record(row, "series")) for row in rows]
     else:
         lines = [
             f"v={list(row.v)}  d={row.d_shift}  class = {format_poly(row.class_polynomial)}\n"

@@ -48,7 +48,18 @@ is empty unless Lambda_w - alpha_v is a weight of the tensor product of the
 fundamental representations (Nakajima, Duke 1998): star3 with w = (1,1,1)
 has 34 nonzero N(Q)_g among the 165 exponents of degree <= 8.  The zero
 test reads the packed value, and is exact (Packed evaluation, below).  An
-exponent with no N(Q)_v is the empty class, and no P_v is built for it.
+exponent with no N(Q)_v is the empty class, read without a division.
+
+Exponent index.  Every stage keys its tables by one integer per exponent,
+key(e) = sum over i of e_i R^(n-1-i) with R = bound + 1 (_Index).  Vertex
+0 is the most significant digit, so integer order is tuple order, and no
+entry exceeds the bound, so e + f is one integer addition with no carry
+wherever |e + f| <= bound, the only sums the stages form; raising entry i
+by one adds R^(n-1-i).  One index per vertex count and bound holds the keys
+in graded order, and per key its exponent, for the boundaries, its total
+degree and P_e(X), each P_e one shift and subtraction from a neighbour.
+The quotient stage and the classes read P_g(X) off it.  Every packed value
+is the integer that the same recursion on exponent tuples gives.
 
 Pulled quotient.  At one vertex every N(Q)_g is nonzero, and each push
 costs two long products.  Let q_g = N(Q)_g(X) / P_g(X).  In both forms the
@@ -64,7 +75,9 @@ the term of f at e is (P_e / P_f)(X) * N(U)_f * q_g.  So a nonzero N(Q)_g
 records the divided product N(U)_f * q_g at e = g + f, one multiply, and
 when e comes up it subtracts the sum over its products of (P_e / P_f)(X)
 times the product from N(F)_e and the pushed terms, by a nested Horner over
-the sorted f (_pulled_sum).  Per vertex, over ascending f_i, the running
+the sorted keys of f (_pulled_sum).  Per vertex, from the last, the keys
+that agree before it come in one run, since a key over R is the key of the
+entries before the last; along a run, over ascending f_i, the running
 sum is multiplied by (P_k' / P_k)(X) from one f_i = k to the next k': a
 single factor L^j - 1 is one shift and one subtraction, and a gap of
 several factors one multiply by _cyclo_packed.  Every numerator is the
@@ -91,28 +104,28 @@ runs on a shared 2-core Xeon host: pull / push time, and the bits per
 vertex by vertex count n.  Both forms make the stage's divisions.
 
     degree               6      8     10     12     14     16     20
-    jordan            1.34   1.24   1.02   0.77   0.48   0.31   0.16
-    twoloop           1.38   1.17   0.94   0.69   0.54   0.45   0.40
-    vertex            1.39   1.48   1.30   1.28   1.09   0.93   0.56
-    a2                1.80   1.65   1.47   1.16   0.89   0.64   0.35
-    double            1.59   1.48   1.27   0.99   0.70   0.50   0.34
-    loop and edge     1.56   1.40   1.14   0.87   0.56   0.42   0.23
-    star3             1.84   1.66   1.43   1.19   0.90   0.62   ----
-    3-cycle           1.84   1.69   1.41   1.17   0.91   0.62   ----
-    D4                1.91   1.71   1.62   1.32   0.94   0.71   ----
+    jordan            1.91   1.62   1.12   0.72   0.42   0.28   0.16
+    twoloop           1.84   1.39   0.93   0.66   0.54   0.49   0.43
+    vertex            2.28   2.23   2.06   1.75   1.37   0.99   0.52
+    a2                2.52   2.07   1.65   1.26   0.86   0.59   0.33
+    double            2.37   1.94   1.40   0.94   0.63   0.45   0.31
+    loop and edge     2.17   1.76   1.21   0.79   0.50   0.35   0.22
+    star3             2.44   1.94   1.56   1.13   0.81   0.55   ----
+    3-cycle           2.38   1.95   1.44   1.06   0.74   0.52   ----
+    D4                2.51   2.04   1.61   1.15   0.81   0.46   ----
     bits, n = 1        418    999   2016   3555   5830   8905  18146
     bits, n = 2        209    499   1008   1777   2915   4452   9073
     bits, n = 3        139    333    672   1185   1943   2968
     bits, n = 4        104    249    504    888   1457   2226
 
-Below 1,400 bits per vertex the pull is slower on every quiver, by 14 % or
+Below 1,400 bits per vertex the pull is slower on every quiver, by 6 % or
 more.  From 2,900 on it is faster on every one but the arrowless vertex,
-whose quotient takes 0.2 ms or less where the pull is slower.  In between
-the ratio runs from 0.71 to 1.30 and the threshold splits that band.  The
+whose quotient takes 0.12 ms or less where the pull is slower.  In between
+the ratio runs from 0.46 to 1.26 and the threshold splits that band.  The
 series stage alone, timed the same way with its groups cached, gives ratios
-2.13, 1.54 and 0.82 on star3 at degrees 8, 12 and 16 (333, 1,185
-and 2,968 bits per vertex), 1.27 and 0.64 on a2 at 12 and 16 (1,777 and
-4,452), and 1.37, 0.67 and 0.09 on Jordan at 10, 16 and 28 (2,016, 8,905
+1.78, 1.05 and 0.53 on star3 at degrees 8, 12 and 16 (333, 1,185
+and 2,968 bits per vertex), 0.96 and 0.44 on a2 at 12 and 16 (1,777 and
+4,452), and 1.19, 0.49 and 0.07 on Jordan at 10, 16 and 28 (2,016, 8,905
 and 53,724), so it takes its side from the same _pulls.  The benchmark's
 series workloads fall on either side in both stages: Jordan at degree 16
 pulls, star3 at degree 8 pushes.
@@ -140,8 +153,11 @@ where |c| + |r| <= bound.  The engine runs the recursion through the
 remaining sizes r in graded order; the table K(c') = H(c', r - c') is
 complete by then, since its totals c' + (r - c') are r.  The sum over c' is
 a product over vertices, so it is contracted one vertex at a time (sum
-factorization), and a partial state is dropped as soon as its columns
-exceed bound - |r|.  No partition is enumerated.  Then
+factorization): replacing c'_i by c_i adds (c_i - c'_i) R^(n-1-i) to the
+key, and a partial state ends where its column sum, read off the index,
+reaches bound - |r|.  H(c, r) enters the table of the remaining size c + r
+only where c fits there, 2|c| + |r| <= bound, and the entry at c + r is one
+key addition.  No partition is enumerated.  Then
 
     N(U)_e = sum over l of G_(e,l),    N(F)_e = sum over l of L^(w . l) G_(e,l).
 
@@ -202,7 +218,7 @@ value is N(Q)_g packed.  The only other values unpacked are the fold of one
 partition's column steps in _centralizer_poly, L^(sum m(m+1)/2) * M at the
 width of its size n, whose L1 norm multinomial(l; m) <= s(n) <= m(n) is
 covered too, and the denominators.  P_e is built only packed
-(_cyclo_packed, _packed_denominator), and unpacked where a polynomial is
+(_cyclo_packed, and the index), and unpacked where a polynomial is
 needed: the P_l of _centralizer_poly, the nilpotent_series denominators and
 the fallback of _class_at.  That is exact as well.  |P_e|_1 <= 2^|e|, since
 each of its |e| factors L^j - 1 has L1 norm 2, and m(n) >= 2^n: m(0) = 1,
@@ -215,8 +231,8 @@ computes, so a corrupted kappa still unpacks to its exact numerator, and
 exit 3 stays a proof.
 
 Packed division.  A class is N(Q)_v / P_v, for a nonzero N(Q)_v.  The one
-big-int division of the packed value by P_v(X), the product of the packed
-P_(v_i), is the quotient stage's, in both forms (Pulled quotient, above),
+big-int division of the packed value by P_v(X), read off the index, is the
+quotient stage's, in both forms (Pulled quotient, above),
 and _packed_class reads the class off the exact quotient q_v it kept.  Only
 the quotient, the class, is unpacked.  Its digits C are accepted under a
 certificate: the division left no remainder, and every digit c has
@@ -250,7 +266,7 @@ import warnings
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .poly import Poly, _pdiv_exact, _pmul, _pshift
@@ -276,11 +292,10 @@ def __getattr__(name: str):
 # The largest column-chain recursion the engine runs, in the estimate of
 # _check_cost (states times the bits of a value, weighted by its
 # LONG_VALUE_BITS blocks).  On a shared 2-core Xeon host, in-process and
-# with cold caches, star3 at degree 20 (4.2 * 10^9) took 1.7-2.1 s, a2 at
-# degree 30 (9.3 * 10^9) 1.2-1.9 s and Jordan at degree 48 (3.7 * 10^9)
-# 0.8-1.2 s; Jordan at degree 60 (2.4 * 10^10, refused) took 4.0-5.4 s.
-# With the series stage unfolded they took 2.3-3.3, 5.6-6.7, 1.9-2.5 and
-# 10.7-12.9 s in the same session.
+# with cold caches, seven runs each, star3 at degree 20 (4.2 * 10^9) took
+# 0.9-1.6 s, a2 at degree 30 (9.3 * 10^9) 1.2-2.1 s and Jordan at degree 48
+# (3.7 * 10^9) 0.8-1.5 s; Jordan at degree 60 (2.4 * 10^10, refused) took
+# 4.5-7.8 s.
 MAX_CHAIN_COST = 10**10
 LONG_VALUE_BITS = 2**15
 # The value length, in bits per vertex (_value_bits over the vertex count),
@@ -386,12 +401,52 @@ def _framing(w: Sequence[int], parts: Sequence[int]) -> int:
 Laurent = tuple[int, Poly]
 # L^offset times a polynomial packed as its value at L = 2^bits; zero is (0, 0).
 Packed = tuple[int, int]
-# A truncated series as packed numerators over P_e, keyed by exponent; zeros
-# left out.
-Graded = dict[tuple[int, ...], Packed]
-# Per exponent e, one entry per part-count vector l: l and the packed w-free
-# chain sum H(l, e - l), its L offset and value.
-Groups = dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]]
+# A truncated series as packed numerators over P_e, keyed by the exponent's
+# index key (_index); zeros left out.
+Graded = dict[int, Packed]
+# Per exponent key e, one entry per part-count vector l: the key of l and the
+# packed w-free chain sum H(l, e - l), its L offset and value.
+Groups = dict[int, list[tuple[int, int, int]]]
+
+
+class _Index:
+    """The exponents e with |e| <= bound on nvars vertices, keyed by one integer each.
+
+    key(e) = sum over i of e_i R^(nvars-1-i) with R = radix = bound + 1, so
+    the keys in integer order are the exponents in tuple order, and the sum
+    of two keys is the key of e + f while |e + f| <= bound.  vectors, sizes
+    and dens map a key to e, |e| and the packed P_e(X), in graded order.
+    The cost check runs first, before any arithmetic.  Each P_e(X) is one
+    shift and subtraction from a neighbour: from e minus one at the last
+    vertex, or, where that entry is 0, from the same factors moved one
+    vertex on, the key over R, of the same degree and a lower key.
+    """
+
+    __slots__ = ("nvars", "bound", "radix", "bits", "vectors", "sizes", "dens")
+
+    def __init__(self, nvars: int, bound: int):
+        _check_cost(nvars, bound)
+        self.nvars, self.bound, self.radix = nvars, bound, bound + 1
+        self.bits = _packing_bits(bound)
+        self.vectors: dict[int, tuple[int, ...]] = {}
+        self.sizes, self.dens = {}, {0: 1}
+        for exp in exponents_upto(nvars, bound):
+            key = self.key(exp)
+            self.vectors[key], self.sizes[key] = exp, sum(exp)
+            head, last = divmod(key, self.radix)
+            den = self.dens[key - 1 if last else head]
+            self.dens[key] = (den << self.bits * last) - den if last else den
+
+    def key(self, exp: Sequence[int]) -> int:
+        """The key of an exponent with entries <= bound."""
+        key = 0
+        for k in exp:
+            key = key * self.radix + k
+        return key
+
+
+# one index per vertex count and degree bound, shared by the stages
+_index = lru_cache(maxsize=16)(_Index)
 
 
 @lru_cache(maxsize=64)
@@ -474,14 +529,6 @@ def _column_step(high: int, low: int, bits: int) -> Packed:
     return m * (m + 1) // 2, _gauss_row(high, bits)[low]
 
 
-def _packed_denominator(exp: Sequence[int], bits: int) -> int:
-    """P_exp(X): the product of the packed P_(exp_i)."""
-    den = 1
-    for k in exp:
-        den *= _cyclo_packed(0, k, bits)
-    return den
-
-
 def _packed_class(quotient: Packed, exp: tuple[int, ...], bits: int) -> Laurent | None:
     """The class of an exact packed quotient by P_exp, or None where it is not certified.
 
@@ -504,108 +551,106 @@ def _fraction(num: Laurent, den: Poly) -> LRat:
     return LRat(poly, _pshift(den, -offset))
 
 
-def _merge(table: dict, key: tuple[int, ...], offset: int, value: int, bits: int) -> None:
-    """Add L^offset * value into table[key], in place, at the lower L offset of the two."""
-    acc = table.get(key)
-    if acc is not None:
-        if offset >= acc[0]:
-            offset, value = acc[0], acc[1] + (value << bits * (offset - acc[0]))
-        else:
-            value = (acc[1] << bits * (acc[0] - offset)) + value
-    table[key] = (offset, value)
-
-
 def _graded_quotient(
-    framed: Graded, unframed: Graded, nvars: int, bound: int, bits: int
-) -> tuple[Graded, dict[tuple[int, ...], int]]:
+    framed: Graded, unframed: Graded, index: _Index
+) -> tuple[Graded, dict[int, int]]:
     """Numerators of framed / unframed, from each nonzero N(Q)_g forward, and the q_g.
 
     N(Q)_e = N(F)_e - sum over 0 < f <= e of [e choose f]_L N(U)_f N(Q)_{e-f},
     exact because N(U)_0 is 1, which is checked.  Each pending entry starts
     as N(F)_e; in graded order, the entry at g is complete once popped.  A
-    nonzero N(Q)_g is divided by P_g(X) once, in both forms, and its
-    quotient q_g is kept where the division is exact; then it sends a term
-    to g + f for every nonzero N(U)_f with 0 < |f| <= bound - |g|.  In push
-    form the term is -[g + f choose f]_L N(U)_f N(Q)_g, added to the
-    pending entry; when the values are long (_pulls) it is the divided
-    product N(U)_f q_g, and e pulls its products by a nested Horner
-    (_pulled_sum).  A g whose P_g(X) leaves a remainder keeps the push.
-    The q_g come back next to the numerators, for the classes.  A zero
-    N(Q)_g costs nothing.  The zero test is exact: the popped value is
+    nonzero N(Q)_g is divided by P_g(X), read off the index, once in both
+    forms, and its quotient q_g is kept where the division is exact; then it
+    sends a term to g + f, one key addition, for every nonzero N(U)_f with
+    0 < |f| <= bound - |g|.  In push form the term is
+    -[g + f choose f]_L N(U)_f N(Q)_g, merged into the pending entry in
+    place at the lower L offset; when the values are long (_pulls) it is
+    the divided product N(U)_f q_g, and e pulls its products by a nested
+    Horner (_pulled_sum).  A g whose P_g(X) leaves a remainder keeps the
+    push.  The q_g come back next to the numerators, for the classes.  A
+    zero N(Q)_g costs nothing.  The zero test is exact: the popped value is
     N(Q)_g packed, and the majorant m(|g|) keeps its coefficients inside
     (-X/4, X/4).
     """
-    constant = _unpack(unframed.get((0,) * nvars, (0, 0)), bits)
+    bits, radix, vectors, sizes = index.bits, index.radix, index.vectors, index.sizes
+    constant = _unpack(unframed.get(0, (0, 0)), bits)
     if constant != (0, (1,)):
         raise PolynomialityError(
             f"series division needs the unframed constant term 1, got {_fraction(constant, (1,))}"
         )
-    pull = _pulls(nvars, bound)
-    gauss = [_gauss_row(n, bits) for n in range(bound + 1)]
+    pull = _pulls(index.nvars, index.bound)
+    gauss = [_gauss_row(n, bits) for n in range(index.bound + 1)]
     # the nonzero N(U)_f with f != 0, by total degree, so the push can stop
-    # at the room left
-    units = sorted((sum(f), f, x) for f, x in unframed.items() if any(f))
-    pending = dict(framed)
-    # per exponent e, the divided products (f, N(U)_f q_(e-f)) it pulls
-    pulled: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
-    out: Graded = {}
-    divided: dict[tuple[int, ...], int] = {}
-    for g in exponents_upto(nvars, bound):
+    # at the room left, each with its nonzero entries (i, f_i)
+    units = sorted(
+        (sizes[f], f, offset, value, [(i, k) for i, k in enumerate(vectors[f]) if k])
+        for f, (offset, value) in unframed.items()
+        if f
+    )
+    # pulled: per exponent e, the divided products (f, N(U)_f q_(e-f)) it pulls
+    pending, pulled, out, divided = dict(framed), {}, {}, {}
+    for g in vectors:
+        num = pending.pop(g, None)
         products = pulled.pop(g, None)
         if products:
-            offset, value = _pulled_sum(products, g, bits)
-            _merge(pending, g, offset, -value, bits)
-        num = pending.pop(g, None)
+            offset, value = _pulled_sum(products, vectors[g], radix, bits)
+            num = _packed_sum([(offset, -value), num or (offset, 0)], bits)
         if num is None or not num[1]:
             continue
-        out[g] = num
-        room = bound - sum(g)
-        offset, value = num
-        whole, rest = divmod(value, _packed_denominator(g, bits))
+        out[g] = offset, value = num
+        whole, rest = divmod(value, index.dens[g])
         if not rest:
             divided[g] = whole
-        quotient = whole if pull and not rest else None
-        for size, f, (unit_offset, unit_value) in units:
+        pulls = pull and not rest
+        room, tops = index.bound - sizes[g], vectors[g]
+        for size, f, unit_offset, unit_value, entries in units:
             if size > room:
                 break
-            e = tuple(map(add, g, f))
-            if quotient is not None:
-                pulled.setdefault(e, []).append((f, offset + unit_offset, unit_value * quotient))
+            if pulls:
+                pulled.setdefault(g + f, []).append((f, offset + unit_offset, unit_value * whole))
                 continue
             term = -unit_value * value
-            for top, k in zip(e, f):
-                # [top choose k]_L is 1 at k = 0 and at k = top
-                if 0 < k < top:
-                    term *= gauss[top][k]
-            _merge(pending, e, offset + unit_offset, term, bits)
+            for i, k in entries:
+                # [g_i + k choose k]_L is 1 at g_i = 0
+                if tops[i]:
+                    term *= gauss[tops[i] + k][k]
+            e, term_offset = g + f, offset + unit_offset
+            acc = pending.get(e)
+            if acc is None:
+                pending[e] = (term_offset, term)
+            elif term_offset >= acc[0]:
+                pending[e] = (acc[0], acc[1] + (term << bits * (term_offset - acc[0])))
+            else:
+                pending[e] = (term_offset, (acc[1] << bits * (acc[0] - term_offset)) + term)
     return out, divided
 
 
-def _pulled_sum(products: list, exp: tuple[int, ...], bits: int) -> Packed:
-    """The sum over products (f, offset, a) of L^offset (P_exp / P_f)(X) a, by nested Horner.
+def _pulled_sum(products: list, top: tuple[int, ...], radix: int, bits: int) -> Packed:
+    """The sum over products (f, offset, a) of L^offset (P_top / P_f)(X) a, by nested Horner.
 
-    Sorted by f, the products are folded one vertex at a time from the
-    last: among the products that agree before vertex i, over ascending
-    f_i = k, the running sum is multiplied by (P_k' / P_k)(X) from one k to
-    the next k' and by (P_(exp_i) / P_k)(X) after the last, so every
-    product gets its P_(exp_i) / P_(f_i).  A factor L^j - 1 is a shift and
-    a subtraction.
+    f is the index key of an exponent below top (_Index), whose digits in
+    radix are its entries.  Sorted by key, the products are folded one
+    vertex at a time from the last: a key over radix is the key of the
+    entries before vertex i, so the products that agree there come in one
+    run, and along it, over ascending f_i = k, the running sum is
+    multiplied by (P_k' / P_k)(X) from one k to the next k' and by
+    (P_(top_i) / P_k)(X) after the last, so every product gets its
+    P_(top_i) / P_(f_i).  A factor L^j - 1 is a shift and a subtraction.
     """
     products = sorted(products, key=itemgetter(0))
-    for i in reversed(range(len(exp))):
-        sums: dict = {}
-        lows: dict = {}
+    for high in reversed(top):
+        runs: dict[int, tuple[int, int, int]] = {}
         for f, offset, value in products:
-            head = f[:i]
-            if head in sums:
-                base, acc = sums[head]
-                sums[head] = base, _times_cyclo(acc, lows[head], f[i], bits)
-            lows[head] = f[i]
-            _merge(sums, head, offset, value, bits)
-        products = [
-            (head, offset, _times_cyclo(acc, lows[head], exp[i], bits))
-            for head, (offset, acc) in sums.items()
-        ]
+            head, k = divmod(f, radix)
+            if head in runs:
+                base, acc, low = runs[head]
+                acc = _times_cyclo(acc, low, k, bits)
+                if offset >= base:
+                    offset, value = base, acc + (value << bits * (offset - base))
+                else:
+                    value += acc << bits * (base - offset)
+            runs[head] = offset, value, k
+        products = [(h, b, _times_cyclo(a, low, high, bits)) for h, (b, a, low) in runs.items()]
     return products[0][1:]
 
 
@@ -652,28 +697,30 @@ def _check_cost(nvars: int, bound: int) -> None:
         )
 
 
-def _contract(table: dict, i: int, room: int, steps: list, bits: int) -> dict:
-    """Replace coordinate i of every key, a column c'_i, by each c_i >= c'_i.
+def _contract(table: dict, weight: int, room: int, steps: list, index: _Index) -> dict:
+    """Replace one entry of every key, a column c'_i, by each c_i >= c'_i.
 
-    The value is multiplied by the column step f(c_i, c'_i), and values that
-    land on one key are merged in place at the lower L offset.  A key is
-    kept only while the columns it stands for fit in room: the coordinates
-    not yet replaced only grow.
+    weight is R^(n-1-i), the place of entry i in an index key, so raising
+    the entry by one adds weight to the key.  The value is multiplied by the
+    column step f(c_i, c'_i), steps[c'_i][c_i - c'_i], and values that land
+    on one key are merged in place at the lower L offset.  A key is kept
+    only while the columns it stands for fit in room: the entries not yet
+    replaced only grow.
     """
+    radix, sizes, bits = index.radix, index.sizes, index.bits
     out: dict = {}
     for key, (offset, value) in table.items():
-        low = key[i]
-        new = list(key)
-        for high in range(low, low + room - sum(key) + 1):
-            step_offset, step_value = steps[high][low]
-            new[i] = high
-            _merge(
-                out,
-                tuple(new),
-                offset + step_offset,
-                value if step_value == 1 else value * step_value,
-                bits,
-            )
+        for step_offset, step_value in steps[key // weight % radix][: room - sizes[key] + 1]:
+            term_offset = offset + step_offset
+            term = value if step_value == 1 else value * step_value
+            acc = out.get(key)
+            if acc is None:
+                out[key] = (term_offset, term)
+            elif term_offset >= acc[0]:
+                out[key] = (acc[0], acc[1] + (term << bits * (term_offset - acc[0])))
+            else:
+                out[key] = (term_offset, (acc[1] << bits * (acc[0] - term_offset)) + term)
+            key += weight
     return out
 
 
@@ -681,42 +728,41 @@ def _contract(table: dict, i: int, room: int, steps: list, bits: int) -> dict:
 def _numerator_groups(quiver: Quiver, bound: int) -> Groups:
     """The w-free chain sums H(l, e - l) at every exponent e of total degree <= bound.
 
-    One column-chain recursion (module docstring): each remaining size r,
-    in graded order, takes the table K(c') = H(c', r - c') of its finished
-    chains, contracts it one vertex at a time with the column steps, and
-    shifts by the arrow term, giving H(c, r) for every c that fits; that is
-    the entry of c at e = c + r, and the table entry at c of the remaining
-    size c + r.  The factor P_e / P_c of the group G_{e,c} is left to
-    _series_numerators, so the groups do not depend on its form.  No
-    partition is enumerated.
+    One column-chain recursion (module docstring) over the index keys: each
+    remaining size r, in graded order, takes the table K(c') = H(c', r - c')
+    of its finished chains, contracts it one vertex at a time with the
+    column steps, and shifts by the arrow term, giving H(c, r) for every c
+    that fits; that is the entry of c at e = c + r, one key addition, and
+    the table entry at c of the remaining size c + r.  The factor P_e / P_c
+    of the group G_{e,c} is left to _series_numerators, so the groups do not
+    depend on its form.  No partition is enumerated.
     """
     n = quiver.vertex_count
-    _check_cost(n, bound)
-    bits = _packing_bits(bound)
+    index = _index(n, bound)
+    sizes = index.sizes
+    # steps[low][m]: the column step f(low + m, low)
     steps = [
-        [_column_step(high, low, bits) for low in range(high + 1)] for high in range(bound + 1)
+        [_column_step(low + m, low, index.bits) for m in range(bound + 1 - low)]
+        for low in range(bound + 1)
     ]
     # H(c, e - c) by the total e and then c, kept until e comes up as a
     # remaining size
-    chains: dict[tuple[int, ...], dict[tuple[int, ...], Packed]] = {}
-    # the shift arrows(c) - |c|^2 of each column c met
-    shifts: dict[tuple[int, ...], int] = {}
+    chains: dict[int, dict[int, Packed]] = {}
+    # the shift arrows(c) - |c|^2 of each column c
+    shifts = {c: _arrow_column(quiver, e) - sum(map(mul, e, e)) for c, e in index.vectors.items()}
     groups: Groups = {}
-    for rest in exponents_upto(n, bound):
-        table = chains.pop(rest, None) if any(rest) else {rest: (0, 1)}
+    for rest in index.vectors:
+        table = chains.pop(rest, None) if rest else {0: (0, 1)}
         if table is None:
             continue
-        room = bound - sum(rest)
+        room = bound - sizes[rest]
         for i in range(n):
-            table = _contract(table, i, room, steps, bits)
+            table = _contract(table, index.radix ** (n - 1 - i), room, steps, index)
         for column, (offset, value) in table.items():
-            shift = shifts.get(column)
-            if shift is None:
-                shift = _arrow_column(quiver, column) - sum(map(mul, column, column))
-                shifts[column] = shift
-            offset += shift
-            total = tuple(map(add, column, rest))
-            if 0 < sum(total) < bound:
+            offset += shifts[column]
+            total = column + rest
+            # K(c) at the remaining size c + r needs |c| <= bound - |c + r|
+            if total and 2 * sizes[column] + sizes[rest] <= bound:
                 chains.setdefault(total, {})[column] = (offset, value)
             groups.setdefault(total, []).append((column, offset, value))
     return groups
@@ -726,30 +772,36 @@ def _series_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> tuple[
     """Packed numerators of the nilpotent series framed by w and of the unframed one.
 
     N(U)_e = sum over l of G_{e,l} = (P_e / P_l) H(l, e - l), and N(F)_e the
-    same with each term times L^(w . l).  When the values are long (_pulls),
-    both are folded by the nested Horner of _pulled_sum over the products
-    (l, offset, H), with the framing in the offsets of F; otherwise each
-    G_{e,l} is multiplied out once and both sums read it.
+    same with each term times L^(w . l), computed once per part-count vector
+    l.  When the values are long (_pulls), both are folded by the nested
+    Horner of _pulled_sum over the products (l, offset, H), with the framing
+    in the offsets of F; otherwise each G_{e,l} is multiplied out once and
+    both sums read it.
     """
-    bits = _packing_bits(bound)
+    groups = _numerator_groups(quiver, bound)
+    index = _index(quiver.vertex_count, bound)
+    bits, radix, vectors = index.bits, index.radix, index.vectors
     pull = _pulls(quiver.vertex_count, bound)
+    framings = {parts: _framing(w, vector) for parts, vector in vectors.items()}
     framed: Graded = {}
     unframed: Graded = {}
-    for exp, groups in _numerator_groups(quiver, bound).items():
+    for exp, terms in groups.items():
+        top = vectors[exp]
         if pull:
-            shifted = [
-                (parts, offset + _framing(w, parts), value) for parts, offset, value in groups
-            ]
-            sums = _pulled_sum(shifted, exp, bits), _pulled_sum(groups, exp, bits)
+            shifted = [(parts, offset + framings[parts], value) for parts, offset, value in terms]
+            sums = _pulled_sum(shifted, top, radix, bits), _pulled_sum(terms, top, radix, bits)
         else:
-            framed_terms, terms = [], []
-            for parts, offset, value in groups:
-                for low, high in zip(parts, exp):
+            # both sums at their lowest L offset
+            base = min([offset for _, offset, _ in terms])
+            framed_base = min([offset + framings[parts] for parts, offset, _ in terms])
+            total = framed_total = 0
+            for parts, offset, value in terms:
+                for low, high in zip(vectors[parts], top):
                     if high > low:
                         value = _times_cyclo(value, low, high, bits)
-                framed_terms.append((offset + _framing(w, parts), value))
-                terms.append((offset, value))
-            sums = _packed_sum(framed_terms, bits), _packed_sum(terms, bits)
+                total += value << bits * (offset - base)
+                framed_total += value << bits * (offset + framings[parts] - framed_base)
+            sums = (framed_base, framed_total), (base, total)
         for out, num in zip((framed, unframed), sums):
             if num[1]:
                 out[exp] = num
@@ -757,11 +809,9 @@ def _series_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> tuple[
 
 
 @lru_cache(maxsize=16)
-def _quotient_numerators(
-    quiver: Quiver, w: tuple[int, ...], bound: int
-) -> tuple[Graded, dict[tuple[int, ...], int]]:
+def _quotient_numerators(quiver: Quiver, w: tuple[int, ...], bound: int) -> tuple[Graded, dict]:
     framed, unframed = _series_numerators(quiver, w, bound)
-    return _graded_quotient(framed, unframed, quiver.vertex_count, bound, _packing_bits(bound))
+    return _graded_quotient(framed, unframed, _index(quiver.vertex_count, bound))
 
 
 def nilpotent_series(
@@ -778,49 +828,46 @@ def nilpotent_series(
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
     numerators, _ = _series_numerators(quiver, w, bound)
-    bits = _packing_bits(bound)
+    index = _index(quiver.vertex_count, bound)
+    bits = index.bits
     coeffs = {
-        exp: _fraction(_unpack(num, bits), _unpack((0, _packed_denominator(exp, bits)), bits)[1])
-        for exp, num in numerators.items()
+        index.vectors[e]: _fraction(_unpack(num, bits), _unpack((0, index.dens[e]), bits)[1])
+        for e, num in numerators.items()
     }
     return MSeries._raw(quiver.vertex_count, bound, coeffs)
 
 
 def _class_at(
-    quiver: Quiver,
-    v: tuple[int, ...],
-    w: tuple[int, ...],
-    quotient: Graded,
-    divided: dict[tuple[int, ...], int],
-    bits: int,
+    quiver: Quiver, w: tuple[int, ...], index: _Index, key: int, quotient: Graded, divided: dict
 ) -> MotiveResult:
-    """The class at v read off the packed quotient numerators: N(Q)_v / P_v * L^-d.
+    """The class at v, the exponent of key, read off the packed quotient: N(Q)_v / P_v * L^-d.
 
     An exponent absent from the quotient has N(Q)_v = 0 and is the empty
-    class, read without building P_v.  Otherwise the class is the exact
+    class, read without a division.  Otherwise the class is the exact
     quotient q_v the quotient stage kept in divided, certified by
     _packed_class, when its L offset clears the shift.  If there is no q_v,
-    or it is refused, N(Q)_v and P_v are unpacked, and N(Q)_v is divided
-    exactly by P_v once.  Its quotient is
+    or it is refused, N(Q)_v and P_v, the index's, are unpacked, and N(Q)_v
+    is divided exactly by P_v once.  Its quotient is
     nonzero with a nonzero constant term (P_v has constant term +-1 and an
     unpacked numerator's poly starts nonzero), so the class is a polynomial
     only if the division is exact and the L offset is nonnegative;
     otherwise PolynomialityError shows the reduced fraction.  Negative
     coefficients are legal but suspicious, and warn.
     """
+    v, bits = index.vectors[key], index.bits
     # v and w are validated by the caller; d_shift would check them per row
     arrows = sum(v[s] * v[t] for s, t in quiver.arrows)
     d = sum(map(mul, v, v)) - arrows - sum(map(mul, v, w))
-    if v not in quotient:
+    if key not in quotient:
         return MotiveResult(quiver, v, w, d, ())
-    whole = divided.get(v)
-    certified = None if whole is None else _packed_class((quotient[v][0], whole), v, bits)
+    whole = divided.get(key)
+    certified = None if whole is None else _packed_class((quotient[key][0], whole), v, bits)
     if certified is not None and certified[0] >= d:
         offset, poly = certified[0] - d, certified[1]
     else:
-        offset, num = _unpack(quotient[v], bits)
+        offset, num = _unpack(quotient[key], bits)
         offset -= d
-        den = _unpack((0, _packed_denominator(v, bits)), bits)[1]
+        den = _unpack((0, index.dens[key]), bits)[1]
         try:
             poly = _pdiv_exact(num, den)
         except ArithmeticError:
@@ -850,8 +897,8 @@ def motive_class(quiver: Quiver, v: Sequence[int], w: Sequence[int]) -> MotiveRe
     v = check_dim_vector(quiver, v, "v")
     w = check_dim_vector(quiver, w, "w")
     bound = sum(v)
-    quotient, divided = _quotient_numerators(quiver, w, bound)
-    return _class_at(quiver, v, w, quotient, divided, _packing_bits(bound))
+    index = _index(quiver.vertex_count, bound)
+    return _class_at(quiver, w, index, index.key(v), *_quotient_numerators(quiver, w, bound))
 
 
 def motive_table(quiver: Quiver, w: Sequence[int], bound: int) -> list[MotiveResult]:
@@ -863,10 +910,9 @@ def motive_table(quiver: Quiver, w: Sequence[int], bound: int) -> list[MotiveRes
     w = check_dim_vector(quiver, w, "w")
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
-    n = quiver.vertex_count
     quotient, divided = _quotient_numerators(quiver, w, bound)
-    bits = _packing_bits(bound)
-    return [_class_at(quiver, v, w, quotient, divided, bits) for v in exponents_upto(n, bound)]
+    index = _index(quiver.vertex_count, bound)
+    return [_class_at(quiver, w, index, key, quotient, divided) for key in index.vectors]
 
 
 def motive_series(quiver: Quiver, w: Sequence[int], bound: int) -> MSeries:

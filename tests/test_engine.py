@@ -5,6 +5,8 @@ import time
 from collections import Counter
 from itertools import product
 from math import comb, factorial
+from operator import add
+from types import SimpleNamespace
 
 import pytest
 
@@ -52,6 +54,35 @@ def packed(num, bits=BITS):
     """A Laurent numerator (offset, poly) packed at L = 2^bits."""
     offset, poly = num
     return offset, _peval(poly, 1 << bits)
+
+
+def jordan_index(bits=BITS):
+    """A stand-in for Jordan's engine._Index holding the exponent (1,), key 1, at width bits."""
+    return SimpleNamespace(vectors={1: (1,)}, dens={1: (1 << bits) - 1}, bits=bits)
+
+
+def packed_denominator(exp, bits):
+    """P_exp(X), the product of the packed P_(exp_i): the reference for the index's dens."""
+    den = 1
+    for k in exp:
+        den *= engine._cyclo_packed(0, k, bits)
+    return den
+
+
+def decoded(table, nvars, bound):
+    """A stage's table keyed by exponent tuples instead of index keys (engine._Index).
+
+    The lists of the groups table are decoded too: (l, offset, H) gets the
+    tuple l.
+    """
+    vectors = engine._index(nvars, bound).vectors
+
+    def entry(value):
+        if isinstance(value, list):
+            return [(vectors[parts], *rest) for parts, *rest in value]
+        return value
+
+    return {vectors[key]: entry(value) for key, value in table.items()}
 
 
 def cyclo_product(exp):
@@ -459,15 +490,15 @@ class TestMotiveClass:
         # exactly but leaves L^-4 after the shift by L^-d = L
         for num, got in (((0, (1,)), "(L^1) / (-1 + L^1)"), ((-5, (-1, 1)), "(1) / (L^4)")):
             with pytest.raises(PolynomialityError) as exc:
-                engine._class_at(JORDAN, (1,), (1,), {(1,): packed(num)}, {}, BITS)
+                engine._class_at(JORDAN, (1,), jordan_index(), 1, {1: packed(num)}, {})
             assert str(exc.value) == f"polynomiality violated for v=(1,), w=(1,): got {got}"
 
     def test_negative_coefficient_warns(self):
         # (L - L^2)/(L-1) = -L forces class -L^2 after the shift for jordan
         # v=(1), w=(1)
-        quotient = {(1,): packed((1, (1, -1)))}
+        quotient = {1: packed((1, (1, -1)))}
         with pytest.warns(RuntimeWarning, match="negative coefficient"):
-            result = engine._class_at(JORDAN, (1,), (1,), quotient, {}, BITS)
+            result = engine._class_at(JORDAN, (1,), jordan_index(), 1, quotient, {})
         assert result.class_polynomial == (0, 0, -1)
 
 
@@ -485,12 +516,14 @@ class TestPackedDivision:
         # exact division of the unpacked numerator by P_v
         w = tuple(range(1, quiver.vertex_count + 1))
         bits = engine._packing_bits(bound)
-        quotient, divided = engine._quotient_numerators(quiver, w, bound)
+        n = quiver.vertex_count
+        tables = engine._quotient_numerators(quiver, w, bound)
+        quotient, divided = (decoded(table, n, bound) for table in tables)
         assert len(quotient) > 1
         # both forms keep the exact quotient of every nonzero N(Q)_v
         assert set(divided) == set(quotient)
         for v, (offset, value) in quotient.items():
-            assert divided[v] * engine._packed_denominator(v, bits) == value, v
+            assert divided[v] * packed_denominator(v, bits) == value, v
             unpacked_offset, poly = engine._unpack((offset, value), bits)
             expected = (unpacked_offset, _pdiv_exact(poly, cyclo_product(v)))
             assert engine._packed_class((offset, divided[v]), v, bits) == expected, v
@@ -508,8 +541,9 @@ class TestPackedDivision:
 
         monkeypatch.setattr(engine, "_packed_class", refuse)
         assert motive_table(quiver, w, bound) == expected
-        quotient, _ = engine._quotient_numerators(quiver, w, bound)
-        nonzero = [v for v in exponents_upto(quiver.vertex_count, bound) if v in quotient]
+        n = quiver.vertex_count
+        quotient = decoded(engine._quotient_numerators(quiver, w, bound)[0], n, bound)
+        nonzero = [v for v in exponents_upto(n, bound) if v in quotient]
         assert refused == nonzero
 
     def test_large_digits_are_refused(self):
@@ -517,11 +551,11 @@ class TestPackedDivision:
         # has L1 norm 2, so at 8 bits the product is not certified; the
         # unpacked division reads the same class
         num = packed((1, (-100, 100)))
-        whole, rest = divmod(num[1], engine._packed_denominator((1,), BITS))
+        whole, rest = divmod(num[1], packed_denominator((1,), BITS))
         assert not rest
         assert engine._packed_class((num[0], whole), (1,), BITS) is None
-        for divided in ({(1,): whole}, {}):
-            row = engine._class_at(JORDAN, (1,), (1,), {(1,): num}, divided, BITS)
+        for divided in ({1: whole}, {}):
+            row = engine._class_at(JORDAN, (1,), jordan_index(), 1, {1: num}, divided)
             assert row.class_polynomial == (0, 0, 100)
 
     def test_divisible_value_of_an_indivisible_numerator(self):
@@ -532,9 +566,9 @@ class TestPackedDivision:
         whole, rest = divmod(num[1], 255)
         assert not rest
         assert engine._packed_class((0, whole), (1,), BITS) is None
-        for divided in ({(1,): whole}, {}):
+        for divided in ({1: whole}, {}):
             with pytest.raises(PolynomialityError, match="polynomiality violated for v=\\(1,\\)"):
-                engine._class_at(JORDAN, (1,), (1,), {(1,): num}, divided, BITS)
+                engine._class_at(JORDAN, (1,), jordan_index(), 1, {1: num}, divided)
 
 
 class TestMotiveTable:
@@ -629,14 +663,19 @@ class TestPacking:
 
     @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
     def test_packed_denominator_unpacks_exactly(self, nvars):
-        # P_e is built only packed, and unpacked where a polynomial is
-        # needed: |P_e|_1 <= 2^|e| and bits - 1 > |e| at the smallest width
-        # that packs e, the one of bound |e|
-        for exp in exponents_upto(nvars, 12):
-            bits = engine._packing_bits(sum(exp))
-            assert bits - 1 > sum(exp) and engine._majorants(sum(exp))[-1] >= 1 << sum(exp)
-            packed_den = engine._packed_denominator(exp, bits)
-            assert engine._unpack((0, packed_den), bits) == (0, cyclo_product(exp)), exp
+        # P_e is built only packed, in the index, and unpacked where a
+        # polynomial is needed: |P_e|_1 <= 2^|e| and bits - 1 > |e| at the
+        # smallest width that packs e, the one of bound |e|; the index at
+        # bound 12 holds every P_e of lower degree too
+        for bound in range(13):
+            index = engine._index(nvars, bound)
+            bits = index.bits
+            assert bits - 1 > bound and engine._majorants(bound)[-1] >= 1 << bound
+            for key, exp in index.vectors.items():
+                if sum(exp) == bound or bound == 12:
+                    assert index.dens[key] == packed_denominator(exp, bits), exp
+                    unpacked = engine._unpack((0, index.dens[key]), bits)
+                    assert unpacked == (0, cyclo_product(exp)), exp
 
     @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
     def test_one_variable_majorant_bounds_the_recursion(self, nvars):
@@ -661,8 +700,10 @@ class TestPacking:
         # every majorant, and so every coefficient, stays below X/4
         assert 4 * m[bound] < 1 << bits
         w = (1,) * n
-        framed, unframed = engine._series_numerators(quiver, w, bound)
-        quotient, _ = engine._quotient_numerators(quiver, w, bound)
+        tables = engine._series_numerators(quiver, w, bound)
+        framed, unframed = (decoded(table, n, bound) for table in tables)
+        quotient = decoded(engine._quotient_numerators(quiver, w, bound)[0], n, bound)
+        assert len(framed) > 1 and len(unframed) > 1 and len(quotient) > 1
         for exp in exponents_upto(n, bound):
             for graded in (framed, unframed, quotient):
                 assert l1_norm(graded.get(exp, (0, 0)), bits) <= m[sum(exp)], (quiver, exp)
@@ -736,7 +777,8 @@ def test_recursion_matches_tuple_sum():
     for quiver, bound in [*cases, (JORDAN, 12)]:
         bits = engine._packing_bits(bound)
         groups = {}
-        for exp, entries in engine._numerator_groups(quiver, bound).items():
+        entries_by_exp = engine._numerator_groups(quiver, bound)
+        for exp, entries in decoded(entries_by_exp, quiver.vertex_count, bound).items():
             groups[exp] = {}
             for parts, offset, value in entries:
                 for length, k in zip(parts, exp):
@@ -755,9 +797,11 @@ def test_push_quotient_matches_pull_reference(quiver, w, bound):
     # reference gives the same numerators, polynomial for polynomial.
     # Jordan at 20 pulls its long numerators, the other cases push
     bits = engine._packing_bits(bound)
-    framed, unframed = engine._series_numerators(quiver, w, bound)
-    quotient, _ = engine._quotient_numerators(quiver, w, bound)
-    expected = pull_quotient(framed, unframed, quiver.vertex_count, bound, bits)
+    n = quiver.vertex_count
+    tables = engine._series_numerators(quiver, w, bound)
+    framed, unframed = (decoded(table, n, bound) for table in tables)
+    quotient = decoded(engine._quotient_numerators(quiver, w, bound)[0], n, bound)
+    expected = pull_quotient(framed, unframed, n, bound, bits)
     assert {exp: engine._unpack(num, bits) for exp, num in quotient.items()} == expected
 
 
@@ -783,17 +827,150 @@ def forced_quotient(monkeypatch, quiver, w, bound, pull):
     pulls = []
     original = engine._pulled_sum
 
-    def counted(products, exp, bits):
-        pulls.append(exp)
-        return original(products, exp, bits)
+    def counted(products, *args):
+        pulls.append(args)
+        return original(products, *args)
 
     monkeypatch.setattr(engine, "_pulled_sum", counted)
+    n = quiver.vertex_count
     bits = engine._packing_bits(bound)
     framed, unframed = engine._series_numerators(quiver, w, bound)
-    out, divided = engine._graded_quotient(framed, unframed, quiver.vertex_count, bound, bits)
+    out, divided = engine._graded_quotient(framed, unframed, engine._index(n, bound))
     # both forms keep the exact quotient of every nonzero N(Q)_g
     assert set(divided) == set(out)
-    return {exp: engine._unpack(num, bits) for exp, num in out.items()}, bool(pulls)
+    unpacked = {exp: engine._unpack(num, bits) for exp, num in decoded(out, n, bound).items()}
+    return unpacked, bool(pulls)
+
+
+def merged(table, key, offset, value, bits):
+    """Add L^offset * value into table[key], at the lower L offset of the two."""
+    acc = table.get(key)
+    if acc is not None:
+        base = min(offset, acc[0])
+        value = (acc[1] << bits * (acc[0] - base)) + (value << bits * (offset - base))
+        offset = base
+    table[key] = (offset, value)
+
+
+def tuple_keyed_stages(quiver, w, bound):
+    """The groups, both series, the quotient numerators and the q_g, keyed by exponent tuples.
+
+    The column-chain recursion, the push-form series sums and the push-form
+    quotient recursion of the engine docstring, run over exponent tuples
+    with one merge per term at the lower L offset: the reference for the
+    stages the engine runs on index keys, packed value for packed value.
+    """
+    n, bits = quiver.vertex_count, engine._packing_bits(bound)
+    groups, chains = {}, {}
+    for rest in exponents_upto(n, bound):
+        table = chains.pop(rest, None) if any(rest) else {rest: (0, 1)}
+        if table is None:
+            continue
+        room = bound - sum(rest)
+        for i in range(n):
+            contracted = {}
+            for key, (offset, value) in table.items():
+                for high in range(key[i], key[i] + room - sum(key) + 1):
+                    step_offset, step_value = engine._column_step(high, key[i], bits)
+                    column = key[:i] + (high,) + key[i + 1 :]
+                    merged(contracted, column, offset + step_offset, value * step_value, bits)
+            table = contracted
+        for column, (offset, value) in table.items():
+            offset += engine._arrow_column(quiver, column) - sum(c * c for c in column)
+            total = tuple(map(add, column, rest))
+            if 0 < sum(total) < bound:
+                chains.setdefault(total, {})[column] = (offset, value)
+            groups.setdefault(total, []).append((column, offset, value))
+    framed, unframed = {}, {}
+    for exp, entries in groups.items():
+        for parts, offset, value in entries:
+            for low, high in zip(parts, exp):
+                value *= engine._cyclo_packed(low, high, bits)
+            merged(framed, exp, offset + engine._framing(w, parts), value, bits)
+            merged(unframed, exp, offset, value, bits)
+    framed = {exp: num for exp, num in framed.items() if num[1]}
+    unframed = {exp: num for exp, num in unframed.items() if num[1]}
+    pending, quotient, divided = dict(framed), {}, {}
+    for g in exponents_upto(n, bound):
+        num = pending.pop(g, None)
+        if num is None or not num[1]:
+            continue
+        quotient[g] = num
+        whole, rest = divmod(num[1], packed_denominator(g, bits))
+        if not rest:
+            divided[g] = whole
+        for f, (unit_offset, unit_value) in unframed.items():
+            if any(f) and sum(f) <= bound - sum(g):
+                e = tuple(map(add, g, f))
+                term = -unit_value * num[1]
+                for top, k in zip(e, f):
+                    term *= engine._gauss_row(top, bits)[k]
+                merged(pending, e, num[0] + unit_offset, term, bits)
+    return groups, framed, unframed, quotient, divided
+
+
+def index_keyed_stages(monkeypatch, quiver, w, bound, pull):
+    """The engine's stages with the pull threshold forced, decoded to exponent tuples."""
+    monkeypatch.setattr(engine, "PULL_VALUE_BITS", 0 if pull else 1 << 62)
+    n = quiver.vertex_count
+    groups = engine._numerator_groups(quiver, bound)
+    framed, unframed = engine._series_numerators(quiver, w, bound)
+    quotient, divided = engine._graded_quotient(framed, unframed, engine._index(n, bound))
+    tables = [groups, framed, unframed, quotient, divided]
+    return [decoded(table, n, bound) for table in tables]
+
+
+def sorted_groups(groups):
+    return {exp: sorted(entries) for exp, entries in groups.items()}
+
+
+@pytest.mark.parametrize(
+    "quiver",
+    [*BUILTIN_QUIVERS.values(), D4, CYCLE3, *RANDOM_QUIVERS],
+    ids=[*BUILTIN_QUIVERS, "d4", "3-cycle", *(f"random{k}" for k in range(len(RANDOM_QUIVERS)))],
+)
+def test_index_keyed_stages_match_the_tuple_keyed_reference(
+    monkeypatch, fresh_engine_caches, quiver
+):
+    # every stage on index keys gives the packed values of the same stage
+    # on exponent tuples, in pull form and in push form
+    n = quiver.vertex_count
+    bound = {1: 12, 2: 8, 3: 6, 4: 5}[n]
+    w = tuple(random.Random(str(quiver)).randint(0, 2) for _ in range(n))
+    groups, *rest = tuple_keyed_stages(quiver, w, bound)
+    for pull in (True, False):
+        got_groups, *got_rest = index_keyed_stages(monkeypatch, quiver, w, bound, pull)
+        assert sorted_groups(got_groups) == sorted_groups(groups)
+        assert got_rest == rest, pull
+
+
+@pytest.mark.parametrize(
+    "quiver,bound,corners",
+    [
+        (STAR3, 8, [(8, 0, 0), (0, 0, 8), (0, 8, 0)]),
+        (D4, 5, [(5, 0, 0, 0), (0, 0, 0, 5), (0, 0, 5, 0)]),
+    ],
+)
+def test_entries_at_the_bound(monkeypatch, fresh_engine_caches, quiver, bound, corners):
+    # a key with an entry at the bound is the largest digit of its place;
+    # a carry would land it on a neighbour's key, and its stage values and
+    # classes would differ from the tuple-keyed ones
+    n = quiver.vertex_count
+    w = (1,) * n
+    index = engine._index(n, bound)
+    assert len(index.vectors) == len(exponents_upto(n, bound))
+    assert list(index.vectors.values()) == list(exponents_upto(n, bound))
+    assert [index.vectors[index.key(e)] for e in corners] == corners
+    expected = tuple_keyed_stages(quiver, w, bound)
+    for pull in (True, False):
+        got = index_keyed_stages(monkeypatch, quiver, w, bound, pull)
+        for e in corners:
+            assert sorted(got[0][e]) == sorted(expected[0][e]), e
+            assert [table.get(e) for table in got[1:]] == [table.get(e) for table in expected[1:]]
+            assert expected[1][e][1] and expected[2][e][1]
+    rows = {row.v: row for row in motive_table(quiver, w, bound)}
+    for e in corners:
+        assert motive_class(quiver, e, w) == rows[e]
 
 
 def test_random_quivers_have_loops_and_parallel_arrows():
@@ -836,9 +1013,9 @@ def test_pulled_series_matches_the_push(monkeypatch, fresh_engine_caches, quiver
     folds = []
     original = engine._pulled_sum
 
-    def counted(products, exp, bits):
-        folds.append(exp)
-        return original(products, exp, bits)
+    def counted(products, *args):
+        folds.append(args)
+        return original(products, *args)
 
     monkeypatch.setattr(engine, "_pulled_sum", counted)
     series = {}
@@ -847,7 +1024,10 @@ def test_pulled_series_matches_the_push(monkeypatch, fresh_engine_caches, quiver
         monkeypatch.setattr(engine, "PULL_VALUE_BITS", 0 if pull else 1 << 62)
         framed, unframed = engine._series_numerators(quiver, w, bound)
         assert bool(folds) == pull
-        unpacked = [{e: engine._unpack(x, bits) for e, x in s.items()} for s in (framed, unframed)]
+        unpacked = [
+            {e: engine._unpack(x, bits) for e, x in decoded(s, n, bound).items()}
+            for s in (framed, unframed)
+        ]
         series[pull] = unpacked
     assert series[True] == series[False]
     info = engine._numerator_groups.cache_info()
@@ -879,10 +1059,10 @@ def test_corrupted_kappa_exits_3_alike_in_both_forms(capsys, monkeypatch, fresh_
     # the spoiled N(Q)_g leave a remainder by P_g(X), so the pull run, the
     # last one, pushed them, as a non-polynomial engine must
     bits = engine._packing_bits(16)
-    quotient, divided = engine._quotient_numerators(JORDAN, (1,), 16)
-    assert any(value % engine._packed_denominator(g, bits) for g, (_, value) in quotient.items())
+    quotient, divided = (decoded(t, 1, 16) for t in engine._quotient_numerators(JORDAN, (1,), 16))
+    assert any(value % packed_denominator(g, bits) for g, (_, value) in quotient.items())
     # and kept no quotient for them
-    exact = {g for g, (_, x) in quotient.items() if not x % engine._packed_denominator(g, bits)}
+    exact = {g for g, (_, x) in quotient.items() if not x % packed_denominator(g, bits)}
     assert set(divided) == exact
 
 
@@ -946,30 +1126,39 @@ def test_rows_carry_the_validated_dimension_shift(quiver):
         assert row.d_shift == d_shift(quiver, row.v, w), row.v
 
 
-def test_empty_classes_build_no_denominator(monkeypatch, fresh_engine_caches):
+class GuardedDens(dict):
+    """An index's dens table that records each P_v read and refuses those at refused keys."""
+
+    def __init__(self, dens, refused=()):
+        super().__init__(dens)
+        self.reads, self.refused = [], set(refused)
+
+    def __getitem__(self, key):
+        if key in self.refused:
+            raise AssertionError(f"P_v read for the empty class at key {key}")
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+def test_empty_classes_read_no_denominator(monkeypatch, fresh_engine_caches):
     # an exponent with N(Q)_v = 0 is read as the empty class without P_v
     expected = motive_table(STAR3, (1, 1, 1), 8)
     empty = {row.v for row in expected if not row.class_polynomial}
     assert 0 < len(empty) < len(expected) == 165
-    # P_v is built by _packed_denominator, for the quotient stage's
-    # division and for the unpacked fallback, and _packed_class certifies
-    # the quotient by it
-    packed_class, packed_denominator = engine._packed_class, engine._packed_denominator
-
-    def refuse(exp):
-        if tuple(exp) in empty:
-            raise AssertionError(f"P_v built for the empty class at {exp}")
+    # P_v is read off the index, for the quotient stage's division and for
+    # the unpacked fallback, and _packed_class certifies the quotient by it
+    index = engine._index(3, 8)
+    keys = [index.key(v) for v in empty]
+    assert [index.vectors[key] for key in keys] == list(empty)
+    monkeypatch.setattr(index, "dens", GuardedDens(index.dens, keys))
+    packed_class = engine._packed_class
 
     def guarded_packed_class(quotient, exp, bits):
-        refuse(exp)
+        if tuple(exp) in empty:
+            raise AssertionError(f"P_v built for the empty class at {exp}")
         return packed_class(quotient, exp, bits)
 
-    def guarded_packed_denominator(exp, bits):
-        refuse(exp)
-        return packed_denominator(exp, bits)
-
     monkeypatch.setattr(engine, "_packed_class", guarded_packed_class)
-    monkeypatch.setattr(engine, "_packed_denominator", guarded_packed_denominator)
     # star3 at degree 8 pushes; forced to pull, it divides the same classes
     for threshold in (engine.PULL_VALUE_BITS, 0):
         monkeypatch.setattr(engine, "PULL_VALUE_BITS", threshold)
@@ -981,21 +1170,15 @@ def test_empty_classes_build_no_denominator(monkeypatch, fresh_engine_caches):
 
 def test_pulled_classes_are_divided_once(monkeypatch, fresh_engine_caches):
     # Jordan at degree 16 pulls and star3 at degree 8 pushes: in both forms
-    # the quotient stage divides each nonzero N(Q)_g by P_g(X) once, 17 and
-    # 34 of them, and every class is read off that quotient instead of
-    # being divided again
-    calls = []
-    original = engine._packed_denominator
-
-    def counted(exp, bits):
-        calls.append(exp)
-        return original(exp, bits)
-
-    monkeypatch.setattr(engine, "_packed_denominator", counted)
+    # the quotient stage divides each nonzero N(Q)_g by P_g(X), read off
+    # the index, once, 17 and 34 of them, and every class is read off that
+    # quotient instead of being divided again
     for quiver, w, bound, nonzero in ((JORDAN, (1,), 16, 17), (STAR3, (1, 1, 1), 8, 34)):
-        calls.clear()
+        index = engine._index(quiver.vertex_count, bound)
+        monkeypatch.setattr(index, "dens", GuardedDens(index.dens))
         rows = motive_table(quiver, w, bound)
         assert engine._pulls(quiver.vertex_count, bound) == (quiver is JORDAN)
+        calls = [index.vectors[key] for key in index.dens.reads]
         assert sorted(calls) == sorted(row.v for row in rows if row.class_polynomial)
         assert len(calls) == nonzero
 
